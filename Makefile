@@ -66,8 +66,8 @@ bench:
 bench-obs:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_obs_overhead.py --check
 
-# Pre-certification acceptance gate: the 5-threshold exact short-path sweep
-# must be bit-identical with certificates on and >= 2x faster (median) via
-# precertify + the multi-root compile.
+# Pre-certification acceptance gate: the serial 5-threshold exact short-path
+# sweep must be bit-identical with certificates on and >= 2x faster (median)
+# via precertify + the multi-root compile.  Writes BENCH_spcf.json.
 bench-spcf:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_spcf.py --check

@@ -7,8 +7,8 @@ Measures the three costs that size a fault-injection campaign:
   pay for two event-driven waveform simulations per pair),
 * **isolation overhead** — wall seconds per shard of the subprocess worker
   versus inline execution of the identical plan; the difference is the
-  price of crash isolation (interpreter start + import + synthesis, since
-  each worker is single-shot),
+  price of crash isolation (worker interpreter start + import + synthesis,
+  paid once per pool worker),
 * **queue overhead** — steady-state wall cost of the shared-directory
   work-queue backend versus the process pool at the same worker count;
   the difference is the price of elasticity (lease files, heartbeats,

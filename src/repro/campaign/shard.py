@@ -16,7 +16,7 @@ zero-delay evaluations against the fault-free reference.
 from __future__ import annotations
 
 import random
-from typing import Mapping
+from collections import OrderedDict
 
 from repro.benchcircuits import circuit_by_name
 from repro.campaign.spec import SCHEMA_VERSION, ShardSpec
@@ -30,21 +30,29 @@ from repro.sim.aging import aging_model, speed_path_gates
 from repro.sim.eventsim import two_vector_waveforms
 from repro.sim.faults import eval_with_faults
 
-#: Per-process cache of synthesized masked designs; keyed by the shard
-#: fields that determine the synthesis.  Workers run one shard per process,
-#: but the inline runner and tests execute many shards in-process.
-_design_cache: dict[tuple, tuple[Circuit, MaskedDesign]] = {}
+#: Most distinct masked designs :data:`_design_cache` holds at once.
+DESIGN_CACHE_SIZE = 16
+
+#: Per-process LRU cache of synthesized masked designs, keyed by the shard
+#: fields that determine the synthesis.  Persistent pool and queue workers
+#: run many shards per process for a whole campaign, so the cache is
+#: bounded: the least recently used design is evicted first.
+_design_cache: OrderedDict[tuple, tuple[Circuit, MaskedDesign]] = OrderedDict()
 
 
 def _masked_design(shard: ShardSpec) -> tuple[Circuit, MaskedDesign]:
     key = (shard.circuit, shard.library, shard.threshold)
     cached = _design_cache.get(key)
-    if cached is None:
-        library = builtin_library(shard.library)
-        circuit = circuit_by_name(shard.circuit, library)
-        masking = synthesize_masking(circuit, library, threshold=shard.threshold)
-        cached = (circuit, build_masked_design(masking))
-        _design_cache[key] = cached
+    if cached is not None:
+        _design_cache.move_to_end(key)
+        return cached
+    library = builtin_library(shard.library)
+    circuit = circuit_by_name(shard.circuit, library)
+    masking = synthesize_masking(circuit, library, threshold=shard.threshold)
+    cached = (circuit, build_masked_design(masking))
+    _design_cache[key] = cached
+    if len(_design_cache) > DESIGN_CACHE_SIZE:
+        _design_cache.popitem(last=False)
     return cached
 
 

@@ -11,7 +11,6 @@ one *attempt* runs:
 backend    attempt runs in       isolation  timeout  sabotage drills
 ========== ===================== ========== ======== =================
 inline     the calling thread    none       no       no
-thread     a dispatch thread     none       no       no
 process    a persistent worker   full       yes      yes
            subprocess
 queue      any elastic worker    full +     yes      yes
@@ -22,8 +21,7 @@ The queue backend (:class:`~repro.exec.queue_executor.QueueExecutor`)
 lives in its own module: it replaces the in-process retry loop with the
 shared-directory lease/steal protocol of :mod:`repro.exec.queuedir`.
 
-The process backend generalizes the campaign's single-shot JSON-over-stdio
-worker into a **persistent pool**: each dispatch thread owns one
+The process backend is a **persistent pool**: each dispatch thread owns one
 ``python -m repro.exec.worker`` subprocess and feeds it request lines,
 so interpreter startup is paid once per worker, not once per task, and
 worker-side caches survive across tasks.  A worker that crashes, hangs
@@ -72,7 +70,7 @@ ResultFn = Callable[[TaskResult], None]
 
 def available_backends() -> tuple[str, ...]:
     """Names of the executor backends this build offers."""
-    return ("inline", "thread", "process", "queue")
+    return ("inline", "process", "queue")
 
 
 def default_worker_count() -> int:
@@ -81,7 +79,7 @@ def default_worker_count() -> int:
 
 
 def validated_jobs(jobs: int) -> int:
-    """Eager validation of a ``--jobs``/worker count.
+    """Eager validation of a worker count.
 
     Rejects negatives up front (instead of failing deep inside pool
     startup); ``0`` uniformly selects the inline backend.
@@ -240,16 +238,6 @@ class Executor:
         self, slot: int, task: Task, attempt: int
     ) -> tuple[Any, dict | None]:
         raise NotImplementedError
-
-    def _run_inline_attempt(self, task: Task) -> Any:
-        """Shared inline/thread attempt: resolve and call the runner."""
-        runner = resolve(task.kind)
-        try:
-            return runner(dict(task.payload))
-        except DETERMINISTIC_ERRORS as exc:
-            raise TaskAttemptError(
-                f"{type(exc).__name__}: {exc}", retryable=False
-            ) from exc
 
     # ------------------------------------------------------------- the loop
 
@@ -417,7 +405,7 @@ class Executor:
 class InlineExecutor(Executor):
     """Run tasks in the calling thread: no isolation, no timeout, fastest.
 
-    The uniform meaning of ``workers=0``/``--jobs 0`` everywhere.
+    The uniform meaning of ``workers=0`` everywhere.
     """
 
     backend = "inline"
@@ -425,33 +413,13 @@ class InlineExecutor(Executor):
     def _attempt(
         self, slot: int, task: Task, attempt: int
     ) -> tuple[Any, dict | None]:
-        return self._run_inline_attempt(task), None
-
-
-class ThreadExecutor(Executor):
-    """Run tasks on a small thread pool (in-process, GIL-bound).
-
-    Useful for I/O-heavy runners and for exercising the dispatch machinery
-    without subprocess cost; CPU-bound BDD work should use the process
-    backend.
-    """
-
-    backend = "thread"
-
-    def __init__(self, workers: int = 2, **kwargs: Any):
-        super().__init__(**kwargs)
-        if workers < 1:
-            raise ExecError(f"thread executor needs workers >= 1, got {workers}")
-        self.workers = workers
-
-    @property
-    def parallelism(self) -> int:
-        return self.workers
-
-    def _attempt(
-        self, slot: int, task: Task, attempt: int
-    ) -> tuple[Any, dict | None]:
-        return self._run_inline_attempt(task), None
+        runner = resolve(task.kind)
+        try:
+            return runner(dict(task.payload)), None
+        except DETERMINISTIC_ERRORS as exc:
+            raise TaskAttemptError(
+                f"{type(exc).__name__}: {exc}", retryable=False
+            ) from exc
 
 
 def _child_env() -> dict[str, str]:
@@ -702,8 +670,8 @@ class ProcessPoolExecutor(Executor):
             "corr": task.fingerprint(),
         })
         # Splice the task's cached payload encoding into the request line:
-        # large payloads (circuit documents) are then serialized once per
-        # task instead of once per attempt.
+        # a payload is then serialized once per task instead of once per
+        # attempt.
         line = f'{envelope[:-1]},"payload":{task.payload_json}}}\n'
         try:
             handle.send_line(line)
@@ -790,8 +758,6 @@ def make_executor(
         backend = "inline" if workers == 0 else "process"
     if backend == "inline":
         return InlineExecutor(**kwargs)
-    if backend == "thread":
-        return ThreadExecutor(workers=max(workers, 1), **kwargs)
     if backend == "process":
         return ProcessPoolExecutor(workers=max(workers, 1), **kwargs)
     if backend == "queue":
@@ -818,7 +784,6 @@ __all__ = [
     "ExecReport",
     "Executor",
     "InlineExecutor",
-    "ThreadExecutor",
     "ProcessPoolExecutor",
     "TaskAttemptError",
     "available_backends",

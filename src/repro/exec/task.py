@@ -38,7 +38,7 @@ class Task:
     ----------
     kind:
         Registered task kind; resolves to a runner function on whichever
-        side (inline, thread, or worker subprocess) executes the task.
+        side (inline or worker subprocess) executes the task.
     payload:
         JSON-serializable mapping handed to the runner function.
     key:
@@ -79,9 +79,8 @@ class Task:
     def payload_json(self) -> str:
         """The payload's wire encoding, computed once per task.
 
-        Large payloads (a circuit document per SPCF output task) are sent
-        on every attempt; caching the encoding turns the per-attempt cost
-        into a string splice.
+        A payload is sent on every attempt; caching the encoding turns the
+        per-attempt cost into a string splice.
         """
         try:
             return json.dumps(dict(self.payload))
@@ -108,7 +107,7 @@ class TaskResult:
     ``attempts`` counts attempts actually started; ``wall_seconds`` spans
     the whole retry loop including backoff sleeps.  ``worker_obs`` is the
     raw telemetry payload shipped back by a subprocess worker (``None``
-    for inline/thread execution or when observability is off).
+    for inline execution or when observability is off).
     """
 
     task: Task

@@ -1,11 +1,10 @@
 """Persistent generic task worker: line-delimited JSON over stdio.
 
-Runs as ``python -m repro.exec.worker``.  Unlike the original single-shot
-campaign worker (one process per shard attempt), this worker stays alive
-and serves one request line after another — the process pool reuses it
+Runs as ``python -m repro.exec.worker``.  The worker stays alive and
+serves one request line after another — the process pool reuses it
 across tasks, amortizing interpreter/import startup (~0.3 s) and letting
-per-process caches (compiled circuits, masked designs, SPCF contexts)
-survive between tasks of the same run.
+per-process caches (compiled circuits, masked designs) survive between
+tasks of the same run.
 
 Protocol, one JSON document per line in each direction::
 

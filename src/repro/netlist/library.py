@@ -19,9 +19,13 @@ from repro.errors import LibraryError
 from repro.netlist.cell import Cell
 
 
-@dataclass
+@dataclass(eq=False)
 class Library:
-    """A named collection of :class:`Cell` definitions."""
+    """A named collection of :class:`Cell` definitions.
+
+    Compared and hashed by identity, so a library can key per-library
+    caches such as :data:`repro.synth.mapping._trial_cache`.
+    """
 
     name: str
     _cells: dict[str, Cell] = field(default_factory=dict)

@@ -16,7 +16,9 @@ from repro.netlist.library import Library
 from repro.synth.decompose import GateBuilder, decompose_cover
 from repro.synth.technet import TechNetwork
 
-_trial_cache: dict[tuple[int, Cover, bool], tuple[int, float]] = {}
+#: Keyed by the library object itself: the key keeps the library alive, so
+#: a later library can never alias its entries through a reused ``id``.
+_trial_cache: dict[tuple[Library, Cover, bool], tuple[int, float]] = {}
 
 
 def trial_cost(
@@ -28,7 +30,7 @@ def trial_cost(
     complement of its off-set SOP — the criterion is the *mapped* cost after
     factoring, not the raw literal count.
     """
-    key = (id(library), cover, inverted)
+    key = (library, cover, inverted)
     cached = _trial_cache.get(key)
     if cached is not None:
         return cached

@@ -13,6 +13,7 @@ the off-set (the masking synthesis selects cubes from both).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from repro.bdd.manager import BddManager, Function
@@ -93,7 +94,8 @@ class TechNetwork:
 
     @property
     def nodes(self) -> Mapping[str, TechNode]:
-        return dict(self._nodes)
+        """Read-only live view of the nodes (no copy per access)."""
+        return MappingProxyType(self._nodes)
 
     @property
     def num_nodes(self) -> int:

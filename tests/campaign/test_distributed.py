@@ -76,7 +76,7 @@ class TestRunnerConfigValidation:
 
     def test_backend_catalog(self):
         assert CAMPAIGN_BACKENDS == (
-            "auto", "inline", "thread", "process", "queue"
+            "auto", "inline", "process", "queue"
         )
 
 

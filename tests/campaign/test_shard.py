@@ -3,6 +3,7 @@
 import pytest
 
 from repro.campaign import FAULT_KINDS, ShardSpec, derive_seed, run_shard
+from repro.campaign import shard as shard_module
 from repro.campaign.spec import normalize_mode
 from repro.errors import CampaignError
 
@@ -85,3 +86,27 @@ def test_distinct_seeds_distinct_streams():
     a = run_shard(shard_for("seu", seed=1))
     b = run_shard(shard_for("seu", seed=2))
     assert a != b
+
+
+def test_design_cache_is_a_bounded_lru():
+    bound = shard_module.DESIGN_CACHE_SIZE
+    assert bound >= 8
+    cache = shard_module._design_cache
+    cache.clear()
+    specs = [
+        ShardSpec(
+            index=0, circuit="comparator2", mode=normalize_mode("seu"),
+            vectors=4, seed=1, threshold=0.5 + 0.02 * i,
+        )
+        for i in range(bound + 4)
+    ]
+    first = [run_shard(spec) for spec in specs]
+    assert len(cache) == bound
+    # The oldest designs were evicted; re-synthesizing them changes nothing.
+    assert [run_shard(spec) for spec in specs] == first
+    assert len(cache) == bound
+    # A hit refreshes recency: the touched design survives the next insert.
+    run_shard(specs[-bound])
+    run_shard(specs[0])
+    key = (specs[-bound].circuit, specs[-bound].library, specs[-bound].threshold)
+    assert key in cache

@@ -19,7 +19,6 @@ from repro.exec import (
     ProcessPoolExecutor,
     RetryPolicy,
     Task,
-    ThreadExecutor,
     available_backends,
     default_worker_count,
     make_executor,
@@ -44,7 +43,7 @@ def pool():
 
 class TestConfiguration:
     def test_available_backends(self):
-        assert available_backends() == ("inline", "thread", "process", "queue")
+        assert available_backends() == ("inline", "process", "queue")
 
     def test_default_worker_count_positive_and_capped(self):
         assert 1 <= default_worker_count() <= 8
@@ -63,8 +62,6 @@ class TestConfiguration:
         with make_executor(2) as ex:
             assert isinstance(ex, ProcessPoolExecutor)
             assert ex.workers == 2
-        with make_executor(1, backend="thread") as ex:
-            assert isinstance(ex, ThreadExecutor)
         with make_executor(
             1, backend="queue", queue_dir=tmp_path / "q"
         ) as ex:
@@ -79,8 +76,6 @@ class TestConfiguration:
             make_executor(1, backend="carrier-pigeon")
 
     def test_bad_worker_counts(self):
-        with pytest.raises(ExecError):
-            ThreadExecutor(workers=0)
         with pytest.raises(ExecError):
             ProcessPoolExecutor(workers=0)
 
@@ -158,27 +153,20 @@ class TestInline:
         assert report.results["tail"].ok
 
 
-class TestThread:
-    def test_parallel_dispatch_in_process(self):
-        with ThreadExecutor(workers=3) as ex:
-            report = ex.run([probe(i, value=i, sleep=0.05) for i in range(6)])
-        assert report.complete
-        assert all(
-            r.value["pid"] == os.getpid() for r in report.results.values()
-        )
-
-    def test_sabotage_rejected(self):
-        with ThreadExecutor(workers=2) as ex:
-            with pytest.raises(ExecError, match="process backend"):
-                ex.run([probe("a")], sabotage={"a": {"mode": "hang"}})
-
-
 class TestProcessPool:
     def test_worker_reused_across_tasks(self, pool):
         report = pool.run([probe(i, value=i) for i in range(4)])
         assert report.complete
         pids = {r.value["pid"] for r in report.results.values()}
         assert len(pids) == 1
+        assert os.getpid() not in pids
+
+    def test_dispatch_threads_share_the_work(self):
+        with ProcessPoolExecutor(workers=2, retry=NO_BACKOFF) as ex:
+            report = ex.run([probe(i, value=i, sleep=0.2) for i in range(4)])
+        assert report.complete
+        pids = {r.value["pid"] for r in report.results.values()}
+        assert len(pids) == 2
         assert os.getpid() not in pids
 
     def test_kill_drill_retries_then_succeeds(self, pool):

@@ -17,6 +17,7 @@ from repro.synth import (
     map_technet,
     remove_buffers,
 )
+from repro.synth import mapping
 from repro.synth.decompose import decompose_expr
 from repro.synth.mapping import trial_cost
 from tests.conftest import random_dag_circuit
@@ -159,3 +160,17 @@ def test_trial_cost_prefers_cheap_polarity():
     on = Cover.from_strings(("a", "b"), ["11"])
     off = Cover.from_strings(("a", "b"), ["0-", "-0"])
     assert trial_cost(on, LIB, inverted=False) <= trial_cost(off, LIB, inverted=True)
+
+
+def test_trial_cost_cache_does_not_alias_libraries(monkeypatch):
+    # Force every library to share one id, as a freed-and-reused id would.
+    monkeypatch.setattr(mapping, "id", lambda _: 0, raising=False)
+    monkeypatch.setattr(mapping, "_trial_cache", {})
+    cover = Cover.from_strings(("a", "b", "c"), ["11-", "--1"])
+    lsi, unit = lsi10k_like_library(), unit_library()
+    lsi_cost = trial_cost(cover, lsi)
+    unit_cost = trial_cost(cover, unit)
+    mapping._trial_cache.clear()
+    assert unit_cost == trial_cost(cover, unit)
+    assert lsi_cost == trial_cost(cover, lsi)
+    assert lsi_cost != unit_cost

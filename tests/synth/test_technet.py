@@ -93,3 +93,14 @@ def test_copy_independent():
     dup = net.copy("u")
     dup.remove_node("n1")
     assert "n1" in net.nodes and "n1" not in dup.nodes
+
+
+def test_nodes_is_a_live_read_only_view():
+    net = TechNetwork("t", ["a", "b"], [])
+    view = net.nodes
+    net.add_node(and_node("n1", ["a", "b"]))
+    assert "n1" in view and len(view) == 1
+    net.remove_node("n1")
+    assert "n1" not in view and len(view) == 0
+    with pytest.raises(TypeError):
+        view["n2"] = and_node("n2", ["a", "b"])
