@@ -66,11 +66,12 @@ bench:
 bench-obs:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_obs_overhead.py --check
 
-# End-to-end benchmark gate: one untraced Table 2 pass, then the
-# harness's own tests.  At seed 0 every Table 2 row must equal
+# End-to-end benchmark gate: one untraced Table 2 pass and one threshold
+# sweep pass (which reuses cached collapsed networks), then the harness's
+# own tests.  At seed 0 every Table 2 and threshold-sweep row must equal
 # benchmarks/e2e/expected_seed0.json; any drift exits 1.
 e2e-check:
-	$(PYTHON) benchmarks/e2e/run.py --workload table2 --repeats 1 --trace 0
+	$(PYTHON) benchmarks/e2e/run.py --workload table2 --workload threshold_sweep --repeats 1 --trace 0
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/e2e -q
 
 # Pre-certification acceptance gate: the serial 5-threshold exact short-path

@@ -16,7 +16,6 @@ zero-delay evaluations against the fault-free reference.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 
 from repro.benchcircuits import circuit_by_name
 from repro.campaign.spec import SCHEMA_VERSION, ShardSpec
@@ -24,6 +23,7 @@ from repro.core.integrate import MaskedDesign, build_masked_design
 from repro.core.masking import synthesize_masking
 from repro.engine import CompiledCircuit, compile_circuit
 from repro.errors import CampaignError, ReproError
+from repro.lru import LRUCache
 from repro.netlist import builtin_library
 from repro.netlist.circuit import Circuit
 from repro.sim.aging import aging_model, speed_path_gates
@@ -37,22 +37,19 @@ DESIGN_CACHE_SIZE = 16
 #: fields that determine the synthesis.  Persistent pool and queue workers
 #: run many shards per process for a whole campaign, so the cache is
 #: bounded: the least recently used design is evicted first.
-_design_cache: OrderedDict[tuple, tuple[Circuit, MaskedDesign]] = OrderedDict()
+_design_cache: LRUCache[tuple[Circuit, MaskedDesign]] = LRUCache(DESIGN_CACHE_SIZE)
 
 
 def _masked_design(shard: ShardSpec) -> tuple[Circuit, MaskedDesign]:
     key = (shard.circuit, shard.library, shard.threshold)
     cached = _design_cache.get(key)
     if cached is not None:
-        _design_cache.move_to_end(key)
         return cached
     library = builtin_library(shard.library)
     circuit = circuit_by_name(shard.circuit, library)
     masking = synthesize_masking(circuit, library, threshold=shard.threshold)
     cached = (circuit, build_masked_design(masking))
-    _design_cache[key] = cached
-    if len(_design_cache) > DESIGN_CACHE_SIZE:
-        _design_cache.popitem(last=False)
+    _design_cache.put(key, cached)
     return cached
 
 

@@ -5,7 +5,8 @@ Pipeline implemented by :class:`MaskingSynthesizer`:
 1. compute the exact SPCF ``Sigma_y`` of every critical output
    (:mod:`repro.spcf.shortpath`),
 2. extract the technology-independent network ``T`` of the circuit and
-   collapse it into complex nodes of ≤ ``max_support`` inputs,
+   collapse it into complex nodes of ≤ ``max_support`` inputs (threshold
+   independent, so cached per circuit content, library and bounds),
 3. for every node in the fanin cone of a critical output, select the cubes
    of its on-set/off-set SOPs by essential weight against ``Sigma`` → reduced
    covers ``n^1`` / ``n^0`` (:mod:`repro.core.cubeselect`),
@@ -33,6 +34,7 @@ from repro.bdd.isop import isop, isop_function
 from repro.errors import MaskingError
 from repro.logic.cover import Cover
 from repro.logic.cube import Cube
+from repro.lru import LRUCache
 from repro.netlist.circuit import Circuit
 from repro.netlist.library import Library
 from repro.core.cubeselect import SelectionResult, select_cubes
@@ -63,6 +65,44 @@ _TRIVIAL_INDICATORS = _METER.counter(
     "repro_synth_trivial_indicators_total",
     "masked nodes whose indicator collapsed to constant 1",
 )
+_COLLAPSE_HITS = _METER.counter(
+    "repro_synth_collapse_cache_hits_total",
+    "mask runs that reused a cached lifted and collapsed network",
+)
+_COLLAPSE_MISSES = _METER.counter(
+    "repro_synth_collapse_cache_misses_total",
+    "mask runs that lifted and collapsed their circuit",
+)
+
+#: Most distinct collapsed networks :data:`_collapse_cache` holds at once.
+COLLAPSE_CACHE_SIZE = 16
+
+#: Lifted and collapsed networks keyed by :func:`_collapse_key`.  Collapse
+#: does not depend on the timing threshold, so a threshold sweep over one
+#: circuit collapses it once.  Entries are never handed out: a hit returns
+#: a copy, so a caller editing ``MaskingResult.technet`` cannot poison it.
+_collapse_cache: LRUCache[TechNetwork] = LRUCache(COLLAPSE_CACHE_SIZE)
+
+
+def _collapse_key(
+    circuit: Circuit, library: Library, max_support: int, max_cubes: int
+) -> tuple:
+    """Everything the lifted and collapsed network depends on.
+
+    Gates are listed in topological order because that order fixes the
+    lift's node insertion order, which collapse's worklist follows.  The
+    library is keyed by identity, like :data:`repro.synth.mapping._trial_cache`.
+    """
+    gates = circuit.gates
+    return (
+        circuit.name,
+        circuit.inputs,
+        circuit.outputs,
+        tuple(gates[name] for name in circuit.topo_order()),
+        library,
+        max_support,
+        max_cubes,
+    )
 
 
 @dataclass(frozen=True)
@@ -185,15 +225,27 @@ class MaskingSynthesizer:
             "synth.mask_circuit", circuit=self.circuit.name
         ) as run_span:
             spcf = compute_spcf(self.circuit, context=ctx)
-            with _TRACER.span("synth.lift"):
-                lifted = circuit_to_technet(self.circuit)
-            with _TRACER.span("synth.collapse") as collapse_span:
-                technet = collapse(
-                    lifted,
-                    max_support=self.max_support,
-                    max_cubes=self.max_cubes,
-                    library=self.library,
-                )
+            key = _collapse_key(
+                self.circuit, self.library, self.max_support, self.max_cubes
+            )
+            collapsed = _collapse_cache.get(key)
+            hit = collapsed is not None
+            if hit:
+                _COLLAPSE_HITS.add()
+            else:
+                _COLLAPSE_MISSES.add()
+                with _TRACER.span("synth.lift"):
+                    lifted = circuit_to_technet(self.circuit)
+            with _TRACER.span("synth.collapse", cached=hit) as collapse_span:
+                if not hit:
+                    collapsed = collapse(
+                        lifted,
+                        max_support=self.max_support,
+                        max_cubes=self.max_cubes,
+                        library=self.library,
+                    )
+                    _collapse_cache.put(key, collapsed)
+                technet = collapsed.copy()
                 tfns = technet.global_functions(ctx.manager)
                 if _METER.enabled:
                     collapse_span.set(nodes=sum(1 for _ in technet.topo_order()))

@@ -1,15 +1,27 @@
 """Human-readable phase/latency summaries for ``repro obs report``.
 
 Aggregates span records by ``(cat, name)`` and renders an aligned table:
-call counts, total/mean/max wall time, total CPU time, and the share of
-the trace's wall-clock envelope each span family accounts for.
+call counts, total/mean/max wall time, total CPU time, self (exclusive)
+time, and the share of the trace's wall-clock envelope each span family
+accounts for, inclusive (``%env``) and exclusive (``%self``).  Inclusive
+shares double-count nested spans; self shares of nested spans add up to
+at most 100%.
 """
 
 from __future__ import annotations
 
 
 def summarize_trace(records: list[dict]) -> dict:
-    """Aggregate span records into per-(cat, name) rows plus trace totals."""
+    """Aggregate span records into per-(cat, name) rows plus trace totals.
+
+    A span's self time is its duration minus the durations of its direct
+    children (records whose ``parent`` is its ``id``), clamped at 0.
+    """
+    child_us: dict = {}
+    for rec in records:
+        parent = rec.get("parent")
+        if parent is not None:
+            child_us[parent] = child_us.get(parent, 0) + int(rec.get("dur_us") or 0)
     rows: dict[tuple, dict] = {}
     ts_min = None
     ts_max = None
@@ -23,12 +35,14 @@ def summarize_trace(records: list[dict]) -> dict:
                 "name": key[1],
                 "count": 0,
                 "wall_us": 0,
+                "self_us": 0,
                 "cpu_us": 0,
                 "max_us": 0,
             }
         dur = int(rec.get("dur_us") or 0)
         row["count"] += 1
         row["wall_us"] += dur
+        row["self_us"] += max(0, dur - child_us.get(rec.get("id"), 0))
         row["cpu_us"] += int(rec.get("cpu_us") or 0)
         if dur > row["max_us"]:
             row["max_us"] = dur
@@ -76,7 +90,7 @@ def render_trace_summary(records: list[dict], top: int = 0) -> str:
     envelope = summary["envelope_us"] or 1
     header = (
         f"{'span':<34} {'count':>6} {'total':>10} {'mean':>10} "
-        f"{'max':>10} {'cpu':>10} {'%env':>6}"
+        f"{'max':>10} {'cpu':>10} {'self':>10} {'%env':>6} {'%self':>6}"
     )
     lines.append(header)
     lines.append("-" * len(header))
@@ -86,9 +100,11 @@ def render_trace_summary(records: list[dict], top: int = 0) -> str:
             label = label[:31] + "..."
         mean = row["wall_us"] // row["count"] if row["count"] else 0
         share = 100.0 * row["wall_us"] / envelope
+        self_share = 100.0 * row["self_us"] / envelope
         lines.append(
             f"{label:<34} {row['count']:>6} {_us(row['wall_us']):>10} "
             f"{_us(mean):>10} {_us(row['max_us']):>10} "
-            f"{_us(row['cpu_us']):>10} {share:>5.1f}%"
+            f"{_us(row['cpu_us']):>10} {_us(row['self_us']):>10} "
+            f"{share:>5.1f}% {self_share:>5.1f}%"
         )
     return "\n".join(lines) + "\n"

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import json
 
+import repro.cli
+import repro.core.masking as masking_mod
 from repro import obs
 from repro.cli import main
+from repro.netlist import lsi10k_like_library
 from repro.obs.export import load_trace, validate_chrome_trace
 
 
@@ -65,6 +68,37 @@ def test_mask_trace_has_lift_span_and_trial_cost_counters(capsys, tmp_path):
     counters = json.loads(metrics.read_text())["metrics"]
     assert "repro_synth_trial_cost_hits_total" in counters
     assert "repro_synth_trial_cost_misses_total" in counters
+
+
+def test_mask_trace_has_lift_span_only_on_a_collapse_cache_miss(
+    capsys, tmp_path, monkeypatch
+):
+    # One library object across both runs, so the second run's key matches.
+    library = lsi10k_like_library()
+    monkeypatch.setattr(repro.cli, "builtin_library", lambda name: library)
+    masking_mod._collapse_cache.clear()
+    traces = []
+    for k in range(2):
+        obs.reset()  # each trace holds only its own run
+        trace = tmp_path / f"mask{k}.trace.json"
+        metrics = tmp_path / f"mask{k}.json"
+        code, _, _ = run(
+            capsys, "mask", "comparator2",
+            "--trace", str(trace), "--metrics", str(metrics),
+        )
+        assert code == 0
+        traces.append(
+            ({r["name"]: r for r in load_trace(str(trace))},
+             json.loads(metrics.read_text())["metrics"])
+        )
+    masking_mod._collapse_cache.clear()
+    (miss, miss_metrics), (hit, hit_metrics) = traces
+    assert "synth.lift" in miss and "synth.lift" not in hit
+    assert miss["synth.collapse"]["args"]["cached"] is False
+    assert hit["synth.collapse"]["args"]["cached"] is True
+    assert hit["synth.collapse"]["parent"] == hit["synth.mask_circuit"]["id"]
+    assert "repro_synth_collapse_cache_misses_total" in miss_metrics
+    assert "repro_synth_collapse_cache_hits_total" in hit_metrics
 
 
 def test_metrics_json_extension_writes_snapshot(capsys, tmp_path):

@@ -140,8 +140,41 @@ def test_trace_summary_totals():
     assert by_name[("campaign", "campaign.run")]["count"] == 1
     assert by_name[("campaign", "campaign.shard")]["count"] == 1
     assert summary["spans"] == 2 and summary["processes"] == 1
+    run = by_name[("campaign", "campaign.run")]
+    shard = by_name[("campaign", "campaign.shard")]
+    # The shard nests in the run: the run's self time excludes it.
+    assert shard["self_us"] == shard["wall_us"] == 500
+    assert run["self_us"] == run["wall_us"] - shard["wall_us"] == 1000
     text = render_trace_summary(records)
     assert "campaign.run" in text and "campaign.shard" in text
+    assert "%self" in text
+
+
+def nested_records() -> list[dict]:
+    """root [0, 1000) > mid [100, 900) > leaf [200, 800), one thread."""
+    spans = [("root", 0, 1000, None), ("mid", 100, 800, 1), ("leaf", 200, 600, 2)]
+    return [
+        {
+            "name": name, "cat": "t", "ts_us": ts, "dur_us": dur,
+            "cpu_us": dur, "pid": 1, "tid": 1, "id": k, "parent": parent,
+            "args": {},
+        }
+        for k, (name, ts, dur, parent) in enumerate(spans, start=1)
+    ]
+
+
+def test_self_shares_of_nested_spans_add_up_to_at_most_100():
+    records = nested_records()
+    rows = {r["name"]: r for r in summarize_trace(records)["rows"]}
+    assert {n: r["self_us"] for n, r in rows.items()} == {
+        "root": 200, "mid": 200, "leaf": 600,
+    }
+    lines = render_trace_summary(records).splitlines()[3:]
+    env = [float(line.split()[-2].rstrip("%")) for line in lines]
+    self_pct = [float(line.split()[-1].rstrip("%")) for line in lines]
+    assert sum(env) > 100.0
+    assert sum(self_pct) <= 100.0
+    assert self_pct == [20.0, 20.0, 60.0]
 
 
 def identity_records() -> list[dict]:
