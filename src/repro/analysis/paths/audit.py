@@ -11,11 +11,12 @@ for prunable claims) from nothing but the circuit and checks it
 unsatisfiable; a ``bdd``-method certificate must additionally cite
 per-segment covers equivalent to the re-derived conditions.  TRUE verdicts
 must *replay*: the cited two-vector witness is pushed through the event
-simulator and the path's output must settle after the target, at exactly
-the cited settle time, with the final vector satisfying the re-derived
-sensitization conjunction.  UNRESOLVED certificates make no claim and get
-no check.  Any surviving mismatch is a ``contradicted`` finding — evidence
-of a bug in the analyzer (or a forged set), never something to paper over.
+simulator and the path's output must settle after the certificate's own
+(signed) target, at exactly the cited settle time, with the final vector
+satisfying the re-derived sensitization conjunction.  UNRESOLVED
+certificates make no claim and get no check.  Any surviving mismatch is a
+``contradicted`` finding — evidence of a bug in the analyzer (or a forged
+set), never something to paper over.
 """
 
 from __future__ import annotations
@@ -121,11 +122,7 @@ def _audit_false(
     return findings
 
 
-def _audit_true(
-    ctx: SpcfContext,
-    cert: PathCertificate,
-    target: int,
-) -> list[PathAuditFinding]:
+def _audit_true(ctx: SpcfContext, cert: PathCertificate) -> list[PathAuditFinding]:
     route = "->".join(cert.nets)
     compiled = compile_circuit(ctx.circuit)
     inputs = compiled.inputs
@@ -168,12 +165,12 @@ def _audit_true(
         dict(zip(inputs, map(bool, v2))),
     )
     wave = waves[cert.end]
-    if wave.settle_time <= target:
+    if wave.settle_time <= cert.target:
         findings.append(
             _contradiction(
                 cert,
                 f"path {route}: replayed witness settles at "
-                f"{wave.settle_time} <= target {target}; no late transition",
+                f"{wave.settle_time} <= target {cert.target}; no late transition",
                 settle_time=wave.settle_time,
             )
         )
@@ -223,15 +220,17 @@ def audit_path_certificates(
             )
         )
     # Fresh, certificate-free context: the audit must not let the evidence
-    # under test shortcut its own re-derivation.
-    ctx = SpcfContext(circuit, threshold=certs.threshold, target=certs.target)
+    # under test shortcut its own re-derivation.  Path conditions depend on
+    # the global functions only, so the context reads none of the set's
+    # unsigned header fields; TRUE replays compare against ``cert.target``.
+    ctx = SpcfContext(circuit)
     for cert in sorted(certs, key=lambda c: c.nets):
         if cert.key in refused:
             continue
         if cert.verdict == "false":
             findings.extend(_audit_false(ctx, cert))
         elif cert.verdict == "true":
-            findings.extend(_audit_true(ctx, cert, certs.target))
+            findings.extend(_audit_true(ctx, cert))
         # "unresolved" makes no claim: nothing to check.
     return findings
 

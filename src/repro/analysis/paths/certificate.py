@@ -21,25 +21,23 @@ three verdicts, each carrying the evidence a checker needs to re-derive it:
 * ``unresolved`` — the analysis ran out of budget (path enumeration cap,
   witness replay budget, or cone size); no claim is made.
 
-Like the precert plane, certificates are checkable evidence, not trust:
-each is content-addressed (SHA-256) and chained to the exact circuit
-structure via :func:`repro.analysis.precert.certificate.circuit_fingerprint`;
-the whole set round-trips losslessly through JSON and any tampering is
-detected on strict load and refused by the ABS013 audit with a distinct
-diagnostic.
+Like the precert plane, the set is a
+:class:`~repro.analysis.envelope.CertificateEnvelope`: each certificate's
+fingerprint signs its nets, delay, target, verdict and facts, chained to
+the exact circuit structure; the ``threshold``/``target`` header is not
+signed, so the ABS013 audit reads each certificate's own ``target``.  Any
+tampering with a signed field is detected on strict load and refused by
+the audit with a distinct diagnostic.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any
 
-from repro.analysis.precert.certificate import _canonical, circuit_fingerprint
-from repro.engine import CompiledCircuit
+from repro.analysis.envelope import CertificateEnvelope, SignedEntry, circuit_fingerprint
 from repro.errors import PathsError
-from repro.netlist.circuit import Circuit
 
 #: Serialization schema of :meth:`PathCertificateSet.to_dict`.
 SCHEMA = "repro-paths/1"
@@ -57,7 +55,7 @@ METHODS = (
 
 
 @dataclass(frozen=True)
-class PathCertificate:
+class PathCertificate(SignedEntry):
     """One classified speed-path with its evidence.
 
     ``nets`` is the structural path, input-first (the key of the set);
@@ -85,6 +83,14 @@ class PathCertificate:
 
     @property
     def key(self) -> tuple[str, ...]:
+        return self.nets
+
+    @property
+    def label(self) -> str:
+        return f"path {'->'.join(self.nets)}"
+
+    @property
+    def sort_key(self) -> tuple[str, ...]:
         return self.nets
 
     @property
@@ -116,33 +122,34 @@ class PathCertificate:
         value = self.facts.get("rank")
         return int(value) if value is not None else None
 
-    def fingerprint(self, circuit_fp: str) -> str:
-        """SHA-256 binding this certificate to one circuit fingerprint."""
-        material = _canonical(
-            {
-                "circuit": circuit_fp,
-                "nets": list(self.nets),
-                "delay": self.delay,
-                "target": self.target,
-                "verdict": self.verdict,
-                "facts": dict(self.facts),
-            }
-        )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    def to_dict(self, circuit_fp: str) -> dict[str, Any]:
+    def content(self) -> dict[str, Any]:
         return {
             "nets": list(self.nets),
             "delay": self.delay,
             "target": self.target,
             "verdict": self.verdict,
             "facts": dict(self.facts),
-            "fingerprint": self.fingerprint(circuit_fp),
         }
 
+    @classmethod
+    def from_content(cls, entry: Mapping[str, Any]) -> PathCertificate:
+        return cls(
+            nets=tuple(str(n) for n in entry["nets"]),
+            delay=int(entry["delay"]),
+            target=int(entry["target"]),
+            verdict=str(entry["verdict"]),
+            facts=dict(entry["facts"]),
+        )
 
-class PathCertificateSet:
+
+class PathCertificateSet(CertificateEnvelope[PathCertificate]):
     """All path certificates of one analysis run, keyed by the net tuple."""
+
+    SCHEMA = SCHEMA
+    VERDICTS = VERDICTS
+    ENTRY = PathCertificate
+    ERROR = PathsError
+    NOUN = "path-certificate"
 
     def __init__(
         self,
@@ -153,42 +160,22 @@ class PathCertificateSet:
         certificates: Mapping[tuple[str, ...], PathCertificate],
         stored_fingerprints: Mapping[tuple[str, ...], str] | None = None,
     ) -> None:
-        self.circuit_name = circuit_name
-        self.circuit_fp = circuit_fp
+        super().__init__(circuit_name, circuit_fp, certificates, stored_fingerprints)
         self.threshold = threshold
         self.target = target
-        self._by_key = dict(certificates)
-        # Fingerprints as found in a loaded file; ``tampered()`` compares
-        # them against re-derived ones.  A freshly produced set carries
-        # none (fingerprints derive on demand at emission time).
-        self._stored_fp: dict[tuple[str, ...], str] | None = (
-            dict(stored_fingerprints) if stored_fingerprints is not None else None
-        )
 
-    # -------------------------------------------------------------- queries
+    def _header(self) -> dict[str, Any]:
+        return {"threshold": self.threshold, "target": self.target}
 
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    def __iter__(self) -> Iterator[PathCertificate]:
-        return iter(self._by_key.values())
+    @classmethod
+    def _read_header(cls, data: Mapping[str, Any]) -> dict[str, Any]:
+        return {"threshold": float(data["threshold"]), "target": int(data["target"])}
 
     def lookup(self, nets: tuple[str, ...]) -> PathCertificate | None:
         return self._by_key.get(nets)
 
-    def counts(self) -> dict[str, int]:
-        """Certificate totals by verdict (all three keys always present)."""
-        out = {v: 0 for v in VERDICTS}
-        for cert in self._by_key.values():
-            out[cert.verdict] += 1
-        return out
-
     def by_verdict(self, verdict: str) -> tuple[PathCertificate, ...]:
-        return tuple(
-            cert
-            for _, cert in sorted(self._by_key.items())
-            if cert.verdict == verdict
-        )
+        return tuple(cert for cert in self._sorted() if cert.verdict == verdict)
 
     def false_paths(self) -> tuple[PathCertificate, ...]:
         return self.by_verdict("false")
@@ -207,122 +194,6 @@ class PathCertificateSet:
                 key=lambda c: (c.rank if c.rank is not None else 1 << 30, c.nets),
             )
         )
-
-    def matches(self, circuit: Circuit | CompiledCircuit) -> bool:
-        """True iff this set was produced from exactly this circuit."""
-        return circuit_fingerprint(circuit) == self.circuit_fp
-
-    # ------------------------------------------------------------ integrity
-
-    def tampered(self) -> list[PathCertificate]:
-        """Certificates whose stored fingerprint no longer re-derives.
-
-        Mirrors :meth:`repro.analysis.precert.certificate.CertificateSet.tampered`:
-        a fresh set is self-consistent by construction and never reports
-        here; entries only show up after a ``verify=False`` load of an
-        edited file, and the ABS013 audit refuses them before any
-        cross-checking.
-        """
-        if self._stored_fp is None:
-            return []
-        stored = self._stored_fp
-        return [
-            cert
-            for key, cert in sorted(self._by_key.items())
-            if stored.get(key) != cert.fingerprint(self.circuit_fp)
-        ]
-
-    # -------------------------------------------------------------- JSON IO
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": SCHEMA,
-            "circuit": self.circuit_name,
-            "circuit_fingerprint": self.circuit_fp,
-            "threshold": self.threshold,
-            "target": self.target,
-            "certificates": [
-                {
-                    **cert.to_dict(self.circuit_fp),
-                    # Loaded sets emit the fingerprint as stored, never a
-                    # re-derived one: saving a tampered set must not
-                    # silently re-sign it.
-                    "fingerprint": (
-                        cert.fingerprint(self.circuit_fp)
-                        if self._stored_fp is None
-                        else self._stored_fp.get(
-                            key, cert.fingerprint(self.circuit_fp)
-                        )
-                    ),
-                }
-                for key, cert in sorted(self._by_key.items())
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], verify: bool = True
-    ) -> "PathCertificateSet":
-        """Rebuild a set from its JSON form.
-
-        With ``verify=True`` (the only safe way to *use* loaded
-        certificates) every stored fingerprint is recomputed from the
-        entry's content and the circuit binding; any mismatch raises
-        :class:`~repro.errors.PathsError`.  ``verify=False`` loads the data
-        as-is so the ABS013 audit can inspect — and then refuse — tampered
-        evidence instead of crashing on it.
-        """
-        if data.get("schema") != SCHEMA:
-            raise PathsError(
-                f"unsupported path-certificate schema {data.get('schema')!r}; "
-                f"expected {SCHEMA!r}"
-            )
-        try:
-            circuit_fp = str(data["circuit_fingerprint"])
-            circuit_name = str(data["circuit"])
-            threshold = float(data["threshold"])
-            target = int(data["target"])
-            entries = list(data["certificates"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PathsError(f"malformed path-certificate set: {exc}") from exc
-        by_key: dict[tuple[str, ...], PathCertificate] = {}
-        stored: dict[tuple[str, ...], str] = {}
-        for entry in entries:
-            try:
-                cert = PathCertificate(
-                    nets=tuple(str(n) for n in entry["nets"]),
-                    delay=int(entry["delay"]),
-                    target=int(entry["target"]),
-                    verdict=str(entry["verdict"]),
-                    facts=dict(entry["facts"]),
-                )
-                stored_fp = str(entry["fingerprint"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise PathsError(
-                    f"malformed path-certificate entry: {exc}"
-                ) from exc
-            if verify and cert.fingerprint(circuit_fp) != stored_fp:
-                raise PathsError(
-                    f"certificate for path {'->'.join(cert.nets)} fails "
-                    "fingerprint verification: content or circuit binding "
-                    "was modified after emission"
-                )
-            by_key[cert.key] = cert
-            stored[cert.key] = stored_fp
-        return cls(circuit_name, circuit_fp, threshold, target, by_key, stored)
-
-    @classmethod
-    def from_json(cls, text: str, verify: bool = True) -> "PathCertificateSet":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise PathsError(f"unreadable path-certificate JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise PathsError("path-certificate JSON must be an object")
-        return cls.from_dict(data, verify=verify)
 
 
 __all__ = [

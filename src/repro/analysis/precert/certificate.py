@@ -26,24 +26,21 @@ BDD is built:
 
 * ``required`` — no static verdict; the obligation must go to the BDD plane.
 
-Certificates are *checkable evidence*, not trust: each carries a
-content-addressed SHA-256 fingerprint chained to a fingerprint of the exact
-circuit structure (cells, fanins, delays, outputs) and target list, the whole
-set round-trips losslessly through JSON, and any tampering — with facts,
-verdicts, or the circuit binding — is detected on strict load and refused by
-the ABS009 audit with a distinct diagnostic.
+The set is a :class:`~repro.analysis.envelope.CertificateEnvelope`: each
+certificate's fingerprint signs its node, time, verdict, domain and facts,
+chained to the exact circuit structure; the ``targets`` header is not
+signed.  Tampering with any signed field or the circuit binding is detected
+on strict load and refused by the ABS009 audit with a distinct diagnostic.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any
 
-from repro.engine import CompiledCircuit, compile_circuit
+from repro.analysis.envelope import CertificateEnvelope, SignedEntry, circuit_fingerprint
 from repro.errors import PrecertError
-from repro.netlist.circuit import Circuit
 
 #: Serialization schema of :meth:`CertificateSet.to_dict`.
 SCHEMA = "repro-precert/1"
@@ -62,46 +59,8 @@ DOMAINS = (
 )
 
 
-def _canonical(data: Any) -> str:
-    """Canonical JSON used for all fingerprint material."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def circuit_fingerprint(circuit: Circuit | CompiledCircuit) -> str:
-    """Content-addressed SHA-256 over the exact compiled circuit structure.
-
-    Covers everything the timing obligations depend on: net names and order,
-    per-gate cell identity, fanins, and pin delays, and the output list.
-    Renaming a net, swapping a cell, or retiming a single arc all change the
-    fingerprint, so stale certificates can never be replayed against an
-    edited circuit.
-    """
-    compiled = compile_circuit(circuit)
-    material = _canonical(
-        {
-            "name": compiled.name,
-            "inputs": list(compiled.inputs),
-            "outputs": list(compiled.outputs),
-            "nets": list(compiled.net_names),
-            "gates": [
-                {
-                    "cell": cell.name,
-                    "fanins": list(fanins),
-                    "delays": list(delays),
-                }
-                for cell, fanins, delays in zip(
-                    compiled.gate_cells,
-                    compiled.gate_fanins,
-                    compiled.gate_delays,
-                )
-            ],
-        }
-    )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(SignedEntry):
     """One classified ``(node, t)`` obligation with its evidence.
 
     ``time`` is ``None`` only for ``constant`` facts, which hold at every
@@ -134,42 +93,52 @@ class Certificate:
         return (self.node, self.time)
 
     @property
+    def label(self) -> str:
+        return f"({self.node!r}, t={self.time})"
+
+    @property
+    def sort_key(self) -> tuple[str, bool, int]:
+        time = self.time
+        return (self.node, time is not None, time if time is not None else 0)
+
+    @property
     def kind(self) -> str:
         """The discharge flavour: ``on-time``/``all-late``/``constant``/...."""
         return str(self.facts.get("kind", self.verdict))
 
-    def fingerprint(self, circuit_fp: str) -> str:
-        """SHA-256 binding this certificate to one circuit fingerprint."""
-        material = _canonical(
-            {
-                "circuit": circuit_fp,
-                "node": self.node,
-                "time": self.time,
-                "verdict": self.verdict,
-                "domain": self.domain,
-                "facts": dict(self.facts),
-            }
-        )
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-    def to_dict(self, circuit_fp: str) -> dict[str, Any]:
+    def content(self) -> dict[str, Any]:
         return {
             "node": self.node,
             "time": self.time,
             "verdict": self.verdict,
             "domain": self.domain,
             "facts": dict(self.facts),
-            "fingerprint": self.fingerprint(circuit_fp),
         }
 
+    @classmethod
+    def from_content(cls, entry: Mapping[str, Any]) -> Certificate:
+        return cls(
+            node=str(entry["node"]),
+            time=None if entry["time"] is None else int(entry["time"]),
+            verdict=str(entry["verdict"]),
+            domain=str(entry["domain"]),
+            facts=dict(entry["facts"]),
+        )
 
-class CertificateSet:
+
+class CertificateSet(CertificateEnvelope[Certificate]):
     """All certificates of one pre-certification run, indexed by obligation.
 
     One set spans every target threshold of a (possibly multi-root) SPCF
     query; obligations are keyed on absolute ``(node, t)`` so queries at
     different thresholds share discharged facts.
     """
+
+    SCHEMA = SCHEMA
+    VERDICTS = VERDICTS
+    ENTRY = Certificate
+    ERROR = PrecertError
+    NOUN = "certificate"
 
     def __init__(
         self,
@@ -179,25 +148,15 @@ class CertificateSet:
         certificates: Mapping[tuple[str, int | None], Certificate],
         stored_fingerprints: Mapping[tuple[str, int | None], str] | None = None,
     ) -> None:
-        self.circuit_name = circuit_name
-        self.circuit_fp = circuit_fp
+        super().__init__(circuit_name, circuit_fp, certificates, stored_fingerprints)
         self.targets = tuple(sorted(targets))
-        self._by_key = dict(certificates)
-        # The fingerprints as *found in a loaded file*; ``tampered()``
-        # compares them against re-derived ones.  A freshly produced set
-        # carries none — its fingerprints are derived on demand (emission
-        # time), which keeps certificate production free of hashing cost.
-        self._stored_fp: dict[tuple[str, int | None], str] | None = (
-            dict(stored_fingerprints) if stored_fingerprints is not None else None
-        )
 
-    # -------------------------------------------------------------- queries
+    def _header(self) -> dict[str, Any]:
+        return {"targets": list(self.targets)}
 
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    def __iter__(self) -> Iterator[Certificate]:
-        return iter(self._by_key.values())
+    @classmethod
+    def _read_header(cls, data: Mapping[str, Any]) -> dict[str, Any]:
+        return {"targets": tuple(int(t) for t in data["targets"])}
 
     def lookup(self, node: str, time: int) -> Certificate | None:
         """The certificate for obligation ``(node, time)``, if any."""
@@ -210,13 +169,6 @@ class CertificateSet:
             return None
         return bool(cert.facts["value"])
 
-    def counts(self) -> dict[str, int]:
-        """Certificate totals by verdict (all three keys always present)."""
-        out = {v: 0 for v in VERDICTS}
-        for cert in self._by_key.values():
-            out[cert.verdict] += 1
-        return out
-
     def discharge_rate(self) -> float:
         """Fraction of obligations discharged (1.0 for an empty set)."""
         if not self._by_key:
@@ -226,125 +178,6 @@ class CertificateSet:
     def for_output(self, output: str, target: int) -> Certificate | None:
         """The top-level certificate of one ``(output, target)`` query."""
         return self.lookup(output, target)
-
-    def matches(self, circuit: Circuit | CompiledCircuit) -> bool:
-        """True iff this set was produced from exactly this circuit."""
-        return circuit_fingerprint(circuit) == self.circuit_fp
-
-    # ------------------------------------------------------------ integrity
-
-    def tampered(self) -> list[Certificate]:
-        """Certificates whose stored fingerprint no longer re-derives.
-
-        A freshly produced set carries no stored fingerprints (it is
-        self-consistent by construction) and never reports here; entries
-        only show up after a ``verify=False`` load of an edited file.  The
-        ABS009 audit calls this first and refuses such evidence with a
-        distinct diagnostic before doing any cross-checking.
-        """
-        if self._stored_fp is None:
-            return []
-        stored = self._stored_fp
-        return [
-            cert
-            for key, cert in sorted(self._by_key.items(), key=_sort_key)
-            if stored.get(key) != cert.fingerprint(self.circuit_fp)
-        ]
-
-    # -------------------------------------------------------------- JSON IO
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": SCHEMA,
-            "circuit": self.circuit_name,
-            "circuit_fingerprint": self.circuit_fp,
-            "targets": list(self.targets),
-            "certificates": [
-                {
-                    **cert.to_dict(self.circuit_fp),
-                    # For loaded sets, emit the fingerprint as stored, never
-                    # a re-derived one: saving a tampered set must not
-                    # silently re-sign it.  Fresh sets derive at emission.
-                    "fingerprint": (
-                        cert.fingerprint(self.circuit_fp)
-                        if self._stored_fp is None
-                        else self._stored_fp.get(
-                            key, cert.fingerprint(self.circuit_fp)
-                        )
-                    ),
-                }
-                for key, cert in sorted(self._by_key.items(), key=_sort_key)
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], verify: bool = True
-    ) -> "CertificateSet":
-        """Rebuild a set from its JSON form.
-
-        With ``verify=True`` (the default, and the only safe way to *use*
-        loaded certificates) every stored fingerprint is recomputed from the
-        entry's content and the circuit binding; any mismatch raises
-        :class:`~repro.errors.PrecertError`.  ``verify=False`` loads the
-        data as-is so the ABS009 audit can inspect — and then refuse —
-        tampered evidence instead of crashing on it.
-        """
-        if data.get("schema") != SCHEMA:
-            raise PrecertError(
-                f"unsupported certificate schema {data.get('schema')!r}; "
-                f"expected {SCHEMA!r}"
-            )
-        try:
-            circuit_fp = str(data["circuit_fingerprint"])
-            circuit_name = str(data["circuit"])
-            targets = tuple(int(t) for t in data["targets"])
-            entries = list(data["certificates"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise PrecertError(f"malformed certificate set: {exc}") from exc
-        by_key: dict[tuple[str, int | None], Certificate] = {}
-        stored: dict[tuple[str, int | None], str] = {}
-        for entry in entries:
-            try:
-                cert = Certificate(
-                    node=str(entry["node"]),
-                    time=None if entry["time"] is None else int(entry["time"]),
-                    verdict=str(entry["verdict"]),
-                    domain=str(entry["domain"]),
-                    facts=dict(entry["facts"]),
-                )
-                stored_fp = str(entry["fingerprint"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise PrecertError(f"malformed certificate entry: {exc}") from exc
-            if verify and cert.fingerprint(circuit_fp) != stored_fp:
-                raise PrecertError(
-                    f"certificate for ({cert.node!r}, t={cert.time}) fails "
-                    "fingerprint verification: content or circuit binding "
-                    "was modified after emission"
-                )
-            by_key[cert.key] = cert
-            stored[cert.key] = stored_fp
-        return cls(circuit_name, circuit_fp, targets, by_key, stored)
-
-    @classmethod
-    def from_json(cls, text: str, verify: bool = True) -> "CertificateSet":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise PrecertError(f"unreadable certificate JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise PrecertError("certificate JSON must be an object")
-        return cls.from_dict(data, verify=verify)
-
-
-def _sort_key(
-    item: tuple[tuple[str, int | None], Certificate]
-) -> tuple[str, int, int]:
-    (node, time), _ = item
-    return (node, time is not None, time if time is not None else 0)
 
 
 __all__ = [

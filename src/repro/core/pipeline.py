@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro import obs
 from repro.core.integrate import MaskedDesign, build_masked_design
 from repro.core.masking import MaskingResult, synthesize_masking
 from repro.core.report import (
@@ -18,6 +19,8 @@ from repro.netlist.library import Library
 
 if TYPE_CHECKING:  # pragma: no cover - analysis sits above core
     from repro.analysis.paths.sensitize import PathsAnalysis
+
+_TRACER = obs.get_tracer("core")
 
 
 @dataclass
@@ -60,28 +63,33 @@ def mask_circuit(
     pattern is raised if any theorem fails; the proof record lands in
     :attr:`PipelineResult.formal`.
     """
-    masking = synthesize_masking(
-        circuit,
-        library,
-        threshold=threshold,
-        target=target,
-        max_support=max_support,
-        max_cubes=max_cubes,
-        cube_pool=cube_pool,
-        dontcare_isop=dontcare_isop,
-        paths=paths,
-    )
-    design = build_masked_design(masking)
-    verification = verify_masking(masking)
-    formal = None
-    if self_verify:
-        # Imported lazily: repro.analysis sits above repro.core in the layering.
-        from repro.analysis import assert_verified
+    with _TRACER.span("pipeline.mask_circuit", circuit=circuit.name):
+        masking = synthesize_masking(
+            circuit,
+            library,
+            threshold=threshold,
+            target=target,
+            max_support=max_support,
+            max_cubes=max_cubes,
+            cube_pool=cube_pool,
+            dontcare_isop=dontcare_isop,
+            paths=paths,
+        )
+        with _TRACER.span("core.integrate"):
+            design = build_masked_design(masking)
+        with _TRACER.span("core.verify"):
+            verification = verify_masking(masking)
+        formal = None
+        if self_verify:
+            # Imported lazily: repro.analysis sits above repro.core in the layering.
+            from repro.analysis import assert_verified
 
-        formal = assert_verified(masking, design=design)
-    report = overhead_report(
-        masking, design=design, verification=verification, power_method=power_method
-    )
+            formal = assert_verified(masking, design=design)
+        with _TRACER.span("core.overhead_report"):
+            report = overhead_report(
+                masking, design=design, verification=verification,
+                power_method=power_method,
+            )
     return PipelineResult(
         masking=masking,
         design=design,

@@ -23,8 +23,9 @@ from repro.netlist.cell import Cell
 class Library:
     """A named collection of :class:`Cell` definitions.
 
-    Compared and hashed by identity, so a library can key per-library
-    caches such as :data:`repro.synth.mapping._trial_cache`.
+    Compared and hashed by identity, so a library can key the bounded
+    per-library LRU caches :data:`repro.synth.mapping._trial_cache` and
+    :data:`repro.core.masking._collapse_cache`.
     """
 
     name: str

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.logic.cover import Cover
+from repro.lru import LRUCache
 from repro.netlist.circuit import Circuit
 from repro.netlist.library import Library
 from repro.synth.decompose import GateBuilder, decompose_cover
@@ -29,9 +30,13 @@ _TRIAL_MISSES = _METER.counter(
     "trial_cost calls that factored and costed a cover",
 )
 
+#: Most distinct ``(library, cover, inverted)`` costs :data:`_trial_cache`
+#: holds at once; above the largest one-pass workload (~37k on Table 2).
+TRIAL_CACHE_SIZE = 65536
+
 #: Keyed by the library object itself: the key keeps the library alive, so
 #: a later library can never alias its entries through a reused ``id``.
-_trial_cache: dict[tuple[Library, Cover, bool], tuple[int, float]] = {}
+_trial_cache: LRUCache[tuple[int, float]] = LRUCache(TRIAL_CACHE_SIZE)
 
 
 def trial_cost(
@@ -56,7 +61,7 @@ def trial_cost(
     builder = GateBuilder(None, library, "t_", inputs=cover.names)
     net = decompose_cover(cover, builder, invert_output=inverted)
     result = (builder.arrival.get(net, 0), builder.area)
-    _trial_cache[key] = result
+    _trial_cache.put(key, result)
     return result
 
 

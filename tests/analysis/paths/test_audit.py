@@ -124,6 +124,27 @@ def test_true_claim_with_a_wrong_settle_time_is_contradicted():
     )
 
 
+def test_true_claim_replays_against_its_own_signed_target():
+    # The set's ``target`` header is outside every fingerprint: a validly
+    # signed TRUE claim at target 7 whose witness settles at 7 must be
+    # contradicted whatever the header says, even an edited 6.
+    circuit = comparator2()
+    certs = analyze_paths(circuit).certificates
+    victim = certs.ranked_true_paths()[0]
+    assert certs.target == 6 and victim.facts["settle_time"] == 7
+    claim = PathCertificate(victim.nets, victim.delay, 7, "true", victim.facts)
+    forged = _forged_set(certs, [claim])
+    text = forged.to_json()
+    for header in (7, 6):
+        data = json.loads(text)
+        data["target"] = header
+        loaded = PathCertificateSet.from_json(json.dumps(data))
+        assert loaded.tampered() == []
+        findings = audit_path_certificates(circuit, loaded)
+        assert [f.kind for f in findings] == ["contradicted"], header
+        assert "<= target 7" in findings[0].message
+
+
 def test_bdd_certificate_with_wrong_cover_is_contradicted():
     circuit = circuit_by_name("bypass")
     certs = analyze_paths(

@@ -80,6 +80,14 @@ def test_saving_a_tampered_set_does_not_resign_it(certs):
         PathCertificateSet.from_json(loaded.to_json())
 
 
+@pytest.mark.parametrize("verify", [True, False])
+def test_duplicate_entry_is_refused_on_load(verify):
+    data = json.loads(analyze_paths(comparator2()).certificates.to_json())
+    data["certificates"].append(data["certificates"][0])
+    with pytest.raises(PathsError, match="duplicate"):
+        PathCertificateSet.from_json(json.dumps(data), verify=verify)
+
+
 def test_schema_and_shape_validation():
     with pytest.raises(PathsError, match="schema"):
         PathCertificateSet.from_dict({"schema": "bogus/9"})

@@ -98,6 +98,14 @@ def test_saving_a_tampered_set_does_not_resign_it(certs):
         CertificateSet.from_json(loaded.to_json())
 
 
+@pytest.mark.parametrize("verify", [True, False])
+def test_duplicate_entry_is_refused_on_load(certs, verify):
+    data = json.loads(certs.to_json())
+    data["certificates"].append(data["certificates"][0])
+    with pytest.raises(PrecertError, match="duplicate"):
+        CertificateSet.from_json(json.dumps(data), verify=verify)
+
+
 def test_schema_and_shape_validation():
     with pytest.raises(PrecertError, match="schema"):
         CertificateSet.from_dict({"schema": "bogus/9"})

@@ -65,6 +65,11 @@ def test_mask_trace_has_lift_span_and_trial_cost_counters(capsys, tmp_path):
     run_span = by_name["synth.mask_circuit"]
     assert by_name["synth.lift"]["parent"] == run_span["id"]
     assert by_name["synth.collapse"]["parent"] == run_span["id"]
+    pipeline_span = by_name["pipeline.mask_circuit"]
+    for child in (
+        "synth.mask_circuit", "core.integrate", "core.verify", "core.overhead_report"
+    ):
+        assert by_name[child]["parent"] == pipeline_span["id"], child
     counters = json.loads(metrics.read_text())["metrics"]
     assert "repro_synth_trial_cost_hits_total" in counters
     assert "repro_synth_trial_cost_misses_total" in counters

@@ -9,6 +9,7 @@ from repro.benchcircuits import comparator2
 from repro.benchcircuits.generators import make_benchmark
 from repro.errors import SynthesisError
 from repro.logic import Cover, factor, parse_expr
+from repro.lru import LRUCache
 from repro.netlist import Circuit, lsi10k_like_library, unit_library
 from repro.sim import exhaustive_patterns, simulate
 from repro.sta.timing import analyze
@@ -168,7 +169,7 @@ def test_trial_cost_prefers_cheap_polarity():
 def test_trial_cost_cache_does_not_alias_libraries(monkeypatch):
     # Force every library to share one id, as a freed-and-reused id would.
     monkeypatch.setattr(mapping, "id", lambda _: 0, raising=False)
-    monkeypatch.setattr(mapping, "_trial_cache", {})
+    monkeypatch.setattr(mapping, "_trial_cache", LRUCache(mapping.TRIAL_CACHE_SIZE))
     cover = Cover.from_strings(("a", "b", "c"), ["11-", "--1"])
     lsi, unit = lsi10k_like_library(), unit_library()
     lsi_cost = trial_cost(cover, lsi)
@@ -177,6 +178,17 @@ def test_trial_cost_cache_does_not_alias_libraries(monkeypatch):
     assert unit_cost == trial_cost(cover, unit)
     assert lsi_cost == trial_cost(cover, lsi)
     assert lsi_cost != unit_cost
+
+
+def test_trial_cost_cache_is_bounded(monkeypatch):
+    assert isinstance(mapping._trial_cache, LRUCache)
+    assert mapping._trial_cache.size == mapping.TRIAL_CACHE_SIZE
+    monkeypatch.setattr(mapping, "_trial_cache", LRUCache(2))
+    covers = [Cover.from_strings(("a", "b"), [row]) for row in ("11", "10", "01")]
+    costs = [trial_cost(cover, LIB) for cover in covers]
+    assert len(mapping._trial_cache) == 2
+    # The evicted cover costs the same when it is computed again.
+    assert trial_cost(covers[0], LIB) == costs[0]
 
 
 def sta_trial_cost(cover, library, inverted=False):
@@ -215,7 +227,7 @@ def random_covers(seed, count):
                          ids=["unit", "lsi10k_like"])
 @pytest.mark.parametrize("inverted", [False, True])
 def test_trial_cost_equals_sta_on_scratch_circuit(library, inverted, monkeypatch):
-    monkeypatch.setattr(mapping, "_trial_cache", {})
+    monkeypatch.setattr(mapping, "_trial_cache", LRUCache(mapping.TRIAL_CACHE_SIZE))
     for cover in random_covers(seed=7, count=2000):
         mapping._trial_cache.clear()
         expected = sta_trial_cost(cover, library, inverted)
@@ -299,7 +311,7 @@ def circuit_rows(circuit):
 def test_collapse_and_map_identical_under_sta_oracle(make_circuit, monkeypatch):
     lib = lsi10k_like_library()
     circuit = make_circuit()
-    monkeypatch.setattr(mapping, "_trial_cache", {})
+    monkeypatch.setattr(mapping, "_trial_cache", LRUCache(mapping.TRIAL_CACHE_SIZE))
 
     def run():
         collapsed = collapse(circuit_to_technet(circuit), library=lib)
