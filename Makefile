@@ -1,14 +1,14 @@
 # Developer entry points. `make check` is the CI gate: tier-1 tests, the
 # warning-level lint sweep over every builtin benchmark, the
-# abstract-interpretation sweep, and the campaign crash/quarantine/resume
-# and distributed (lease steal / fleet loss) smoke drills.
+# abstract-interpretation sweep, the path-sensitization gate, the campaign
+# crash/quarantine/resume smoke drill, and the precert speedup gate.
 
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test lint-circuits analyze paths campaign-smoke distributed-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf e2e-check
+.PHONY: check test lint-circuits analyze paths campaign-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf e2e-check
 
-check: test lint-circuits analyze paths campaign-smoke distributed-smoke bench-spcf
+check: test lint-circuits analyze paths campaign-smoke bench-spcf
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -32,13 +32,6 @@ paths:
 # crasher quarantined, and resume reproducing the baseline byte-for-byte.
 campaign-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro campaign smoke
-
-# Distributed drill: a queue campaign on 4 elastic workers loses half the
-# fleet to SIGKILL plus one wedged worker holding a lease, and must still
-# finish with every shard done and the aggregate byte-identical to a
-# single-host inline run.
-distributed-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro campaign smoke --distributed
 
 verify-mask:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro verify-mask comparator2

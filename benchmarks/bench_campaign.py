@@ -9,12 +9,6 @@ Measures the three costs that size a fault-injection campaign:
   versus inline execution of the identical plan; the difference is the
   price of crash isolation (worker interpreter start + import + synthesis,
   paid once per pool worker),
-* **queue overhead** — steady-state wall cost of the shared-directory
-  work-queue backend versus the process pool at the same worker count;
-  the difference is the price of elasticity (lease files, heartbeats,
-  rename-based claims).  Gated at <= 1.25x only on machines with >= 4
-  cores — below that the lanes are serialized by the scheduler and the
-  ratio measures the CPU, not the protocol — but always recorded,
 * **journal append cost** — fsync'd checkpoint appends/sec, the durability
   tax paid once per completed shard.
 
@@ -28,7 +22,6 @@ Run standalone (``python benchmarks/bench_campaign.py``) or via
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -54,15 +47,6 @@ VECTORS = 64
 
 #: Journal appends measured for the fsync cost.
 APPENDS = 64
-
-#: Worker count for the queue-vs-process comparison.
-QUEUE_WORKERS = 4
-
-#: Cores below which the queue overhead gate records but does not enforce.
-QUEUE_GATE_CORES = 4
-
-#: Steady-state queue backend budget relative to the process pool.
-QUEUE_OVERHEAD_LIMIT = 1.25
 
 #: Timing repeats; minimum-of-N filters scheduler/throttling spikes.
 REPEATS = 3
@@ -139,48 +123,6 @@ def measure_isolation() -> dict:
     }
 
 
-def measure_queue() -> dict:
-    """Steady-state queue backend cost vs the process pool, same fleet."""
-    spec = CampaignSpec(
-        circuits=(CIRCUIT,),
-        modes=({"kind": "seu"},),
-        shards_per_cell=8,
-        vectors_per_shard=16,
-        seed=23,
-    )
-    with TemporaryDirectory(prefix="bench-queue-") as tmp:
-        base = Path(tmp)
-        t_process, _ = _best_of(
-            1,
-            lambda: run_campaign(
-                spec, base / "process.jsonl",
-                RunnerConfig(workers=QUEUE_WORKERS, backend="process"),
-            ),
-        )
-        t_queue, _ = _best_of(
-            1,
-            lambda: run_campaign(
-                spec, base / "queue.jsonl",
-                RunnerConfig(
-                    workers=QUEUE_WORKERS,
-                    backend="queue",
-                    queue_dir=str(base / "q"),
-                    lease_ttl=5.0,
-                ),
-            ),
-        )
-    cores = os.cpu_count() or 1
-    return {
-        "workers": QUEUE_WORKERS,
-        "shards": spec.shards_per_cell,
-        "cores": cores,
-        "process_seconds": t_process,
-        "queue_seconds": t_queue,
-        "overhead_ratio": t_queue / t_process,
-        "gated": cores >= QUEUE_GATE_CORES,
-    }
-
-
 def measure_journal() -> dict:
     """fsync'd appends/sec of the checkpoint writer."""
     spec = CampaignSpec(
@@ -207,7 +149,6 @@ def run_suite() -> dict:
         "circuit": CIRCUIT,
         "shard_rows": measure_shards(),
         "isolation": measure_isolation(),
-        "queue": measure_queue(),
         "journal": measure_journal(),
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -229,14 +170,6 @@ def print_table(payload: dict) -> None:
         f"subprocess {iso['subprocess_seconds_per_shard']:.3f}s/shard "
         f"(+{iso['isolation_overhead_seconds']:.3f}s crash-isolation tax)"
     )
-    queue = payload["queue"]
-    print(
-        f"queue: {queue['queue_seconds']:.2f}s vs process "
-        f"{queue['process_seconds']:.2f}s at {queue['workers']} workers "
-        f"({queue['overhead_ratio']:.2f}x"
-        + (")" if queue["gated"]
-           else f", record-only: {queue['cores']} cores)")
-    )
     journal = payload["journal"]
     print(f"journal: {journal['appends_per_sec']:.0f} fsync'd appends/sec")
     print(f"(JSON written to {RESULT_PATH})")
@@ -256,13 +189,6 @@ def check_targets(payload: dict) -> None:
         "subprocess isolation costs "
         f"{iso['subprocess_seconds_per_shard']:.1f}s per shard"
     )
-    queue = payload["queue"]
-    if queue["gated"]:
-        assert queue["overhead_ratio"] <= QUEUE_OVERHEAD_LIMIT, (
-            f"queue backend costs {queue['overhead_ratio']:.2f}x the "
-            f"process pool at {queue['workers']} workers "
-            f"(budget {QUEUE_OVERHEAD_LIMIT}x)"
-        )
     assert payload["journal"]["appends_per_sec"] >= 10.0, (
         "checkpoint fsync append rate "
         f"{payload['journal']['appends_per_sec']:.0f}/sec"

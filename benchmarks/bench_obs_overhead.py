@@ -28,14 +28,6 @@ Gates (``check_targets``): disabled/pristine ≤ 1.02 for both the python
 ``eval_words`` path and the numpy ``eval_lanes`` path.  The enabled
 ratio is reported but not gated — recording costs whatever it costs.
 
-A fourth lane times the **live-telemetry flush** a queue worker performs
-on its heartbeat cadence (delta snapshot + JSONL append + flight-ring
-dump, the full :meth:`QueueWorker._flush_telemetry` path) against a
-worst-case registry that produces a non-empty delta every flush.  The
-flush is time-driven, not per-task, so its gate is the implied slowdown
-of a shard path heartbeating at the distributed-smoke cadence
-(``lease_ttl 1.5`` → one flush per 0.5 s): ≤ 1.05.
-
 Results go to ``BENCH_obs.json`` next to the repo root.  Run standalone
 (``python benchmarks/bench_obs_overhead.py``), in CI check mode
 (``--check``, fewer repeats), or via ``pytest benchmarks/
@@ -89,12 +81,6 @@ REPEATS = 9
 CHECK_REPEATS = 5
 
 CIRCUIT = "cmb"
-
-#: Telemetry-flush lane: the fastest heartbeat cadence the repo actually
-#: runs (distributed smoke: lease_ttl 1.5 s → heartbeat every 0.5 s) and
-#: a flight ring at full capacity, the worst case for the dump rewrite.
-HEARTBEAT_INTERVAL_S = 0.5
-FLUSHES_PER_TRIAL = 60
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
@@ -199,61 +185,6 @@ def _measure_paired(repeats, calls, variants):
     return row
 
 
-def _measure_timeseries_flush(repeats: int, workdir: Path) -> dict:
-    """Seconds per heartbeat-cadence telemetry flush, worst case.
-
-    Reproduces what :meth:`QueueWorker._flush_telemetry` does on every
-    heartbeat — snapshot the registry, delta-encode, append one JSONL
-    record, rewrite the flight dump — against a registry whose series
-    change every flush (so the delta is never empty) and a flight ring
-    filled to capacity (so the dump rewrite is maximal).  The gated
-    quantity is the implied shard-path ratio at the smoke cadence:
-    ``1 + flush_s / HEARTBEAT_INTERVAL_S``.
-    """
-    from repro.obs.flight import FLIGHT_LIMIT, FlightRecorder
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.timeseries import TelemetryWriter
-
-    registry = MetricsRegistry(enabled=True)
-    vectors = registry.counter(
-        "repro_campaign_vectors_total", "vectors simulated"
-    )
-    shard_wall = registry.histogram(
-        "repro_campaign_shard_seconds", "wall seconds per completed shard"
-    )
-    recorder = FlightRecorder(worker="bench", limit=FLIGHT_LIMIT)
-    for i in range(FLIGHT_LIMIT):  # ring at capacity: maximal dump
-        recorder.record_log({"event": "bench.fill", "i": i, "corr": "fp"})
-    writer = TelemetryWriter(workdir, "bench", registry=registry)
-    writer.flight = recorder
-    writer.set_current("fp")
-    dump_path = workdir / "bench.flight.json"
-
-    trials = []
-    samples = []
-    for _ in range(repeats):
-        gc.collect()
-        times = []
-        for i in range(FLUSHES_PER_TRIAL):
-            vectors.add(64, circuit=CIRCUIT, mode="delay")
-            shard_wall.observe(0.25 + (i % 7) * 0.1)
-            writer.note_task(0.25)
-            t0 = time.perf_counter()
-            writer.flush()
-            recorder.dump_to(dump_path, trigger="heartbeat")
-            times.append(time.perf_counter() - t0)
-        samples.extend(times)
-        trials.append(statistics.median(times))
-    flush_s = statistics.median(trials)
-    return {
-        "flush_s": flush_s,
-        "flushes_per_trial": FLUSHES_PER_TRIAL,
-        "flight_ring_entries": FLIGHT_LIMIT,
-        "heartbeat_interval_s": HEARTBEAT_INTERVAL_S,
-        "timeseries_ratio": 1.0 + flush_s / HEARTBEAT_INTERVAL_S,
-    }
-
-
 def measure(repeats: int = REPEATS, library=None) -> dict:
     """Time pristine/disabled/enabled for both backends on one circuit."""
     circuit = circuit_by_name(CIRCUIT, library)
@@ -338,13 +269,6 @@ def measure(repeats: int = REPEATS, library=None) -> dict:
         npy["patterns_per_call"] = NUMPY_LANES * 64
         rows["numpy_eval_lanes"] = npy
 
-    import tempfile
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-obs-") as tmp:
-        rows["queue_worker_timeseries"] = _measure_timeseries_flush(
-            repeats, Path(tmp)
-        )
-
     obs.configure(enabled=was_enabled)
     obs.reset()
     return {
@@ -363,21 +287,11 @@ def print_table(payload: dict) -> None:
         f"{'enabled':>10s} {'dis/pri':>8s} {'en/pri':>8s}"
     )
     for name, row in payload["rows"].items():
-        if "pristine_s" not in row:
-            continue
         print(
             f"{name:22s} {row['patterns_per_call']:9d} "
             f"{row['pristine_s'] * 1e6:8.1f}us {row['disabled_s'] * 1e6:8.1f}us "
             f"{row['enabled_s'] * 1e6:8.1f}us "
             f"{row['disabled_ratio']:8.4f} {row['enabled_ratio']:8.4f}"
-        )
-    flush = payload["rows"].get("queue_worker_timeseries")
-    if flush:
-        print(
-            f"{'queue_worker_timeseries':22s} telemetry flush "
-            f"{flush['flush_s'] * 1e6:8.1f}us per heartbeat "
-            f"({flush['heartbeat_interval_s']:.1f}s cadence) -> shard-path "
-            f"ratio {flush['timeseries_ratio']:.4f}"
         )
     print(f"(per-call medians; ratios are medians of paired round ratios, "
           f"{payload['repeats']} trials x {payload['rounds']} rounds; "
@@ -385,22 +299,11 @@ def print_table(payload: dict) -> None:
 
 
 def check_targets(payload: dict) -> None:
-    """The obs PR's acceptance gate: disabled instrumentation is free,
-    and the heartbeat-cadence telemetry flush is cheap on the shard path."""
+    """The obs acceptance gate: disabled instrumentation is free."""
     for name, row in payload["rows"].items():
-        if "disabled_ratio" in row:
-            assert row["disabled_ratio"] <= 1.02, (
-                f"{name}: disabled observability costs "
-                f"{(row['disabled_ratio'] - 1) * 100:.2f}% (> 2% budget)"
-            )
-    flush = payload["rows"].get("queue_worker_timeseries")
-    if flush is not None:
-        assert flush["timeseries_ratio"] <= 1.05, (
-            f"heartbeat-cadence telemetry flush costs "
-            f"{flush['flush_s'] * 1e3:.2f}ms per "
-            f"{flush['heartbeat_interval_s']:.1f}s heartbeat "
-            f"({(flush['timeseries_ratio'] - 1) * 100:.2f}% of the shard "
-            "path, > 5% budget)"
+        assert row["disabled_ratio"] <= 1.02, (
+            f"{name}: disabled observability costs "
+            f"{(row['disabled_ratio'] - 1) * 100:.2f}% (> 2% budget)"
         )
 
 

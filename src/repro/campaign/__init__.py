@@ -11,13 +11,6 @@ bounded retries with exponential backoff and jitter, quarantine for
 persistently failing shards, and an append-only fsync'd checkpoint journal
 that makes a killed campaign resume to bit-identical aggregates.  See
 DESIGN.md §10 for the architecture.
-
-With ``backend="queue"`` the same campaign runs on an *elastic fleet*:
-shards flow through a shared-directory work queue (DESIGN.md §15) that
-any number of ``repro worker`` processes — on any host mounting the
-directory — serve, join, and abandon at any time; lease steals and
-first-write-wins result dedup keep the aggregate byte-identical to a
-single-host run even when half the fleet is lost mid-campaign.
 """
 
 from repro.campaign.aggregate import aggregate_results
@@ -37,14 +30,8 @@ from repro.campaign.sizing import (
     shard_timing,
     suggest_spec,
 )
-from repro.campaign.smoke import (
-    distributed_spec,
-    run_distributed_smoke,
-    run_smoke,
-    smoke_spec,
-)
+from repro.campaign.smoke import run_smoke, smoke_spec
 from repro.campaign.status import (
-    WORKER_STATES,
     campaign_status,
     render_status_text,
     watch_status,
@@ -83,7 +70,6 @@ __all__ = [
     "run_smoke",
     "smoke_spec",
     "CAMPAIGN_BACKENDS",
-    "WORKER_STATES",
     "campaign_status",
     "render_status_text",
     "watch_status",
@@ -91,6 +77,4 @@ __all__ = [
     "shard_timing",
     "suggest_spec",
     "autoshard_spec",
-    "distributed_spec",
-    "run_distributed_smoke",
 ]

@@ -46,6 +46,7 @@ from repro.exec import (
     Task,
     TaskResult,
     make_executor,
+    resolve_backend,
 )
 
 #: Callback signature: ``progress(event, shard_index, message)``.
@@ -82,20 +83,12 @@ _SHARD_SECONDS = _METER.histogram(
 
 #: Executor backends a campaign may run on (``auto`` keeps the historical
 #: ``workers`` convention: 0 -> inline, otherwise a local process pool).
-CAMPAIGN_BACKENDS = ("auto", "inline", "process", "queue")
+CAMPAIGN_BACKENDS = ("auto", "inline", "process")
 
 
 @dataclass(frozen=True)
 class RunnerConfig:
-    """Resilience knobs; defaults suit medium campaigns on one machine.
-
-    ``backend="queue"`` runs the campaign on the shared-directory work
-    queue (``queue_dir`` required): ``workers`` local queue workers are
-    spawned (0 = the coordinator participates inline) and any number of
-    external ``repro worker QUEUE_DIR`` processes — on this or other
-    hosts — may join or die at any time.  ``lease_ttl`` bounds how long
-    a dead worker can hold a shard before it is stolen.
-    """
+    """Resilience knobs; defaults suit medium campaigns on one machine."""
 
     workers: int = 2
     task_timeout: float = 300.0
@@ -105,9 +98,6 @@ class RunnerConfig:
     backoff_jitter: float = 0.25
     max_consecutive_failures: int = 16
     backend: str = "auto"
-    queue_dir: str | None = None
-    lease_ttl: float = 15.0
-    queue_respawn: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -122,13 +112,6 @@ class RunnerConfig:
             raise CampaignError(
                 f"backend {self.backend!r} must be one of {CAMPAIGN_BACKENDS}"
             )
-        if self.backend == "queue" and not self.queue_dir:
-            raise CampaignError(
-                "backend 'queue' needs queue_dir (the shared directory "
-                "workers rendezvous on)"
-            )
-        if self.lease_ttl <= 0:
-            raise CampaignError(f"lease_ttl {self.lease_ttl} must be positive")
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(
@@ -203,15 +186,9 @@ def _shard_obs_record(result: TaskResult) -> dict | None:
 class _Bookkeeper:
     """Bridges executor callbacks to journal, metrics, and progress."""
 
-    def __init__(
-        self,
-        writer: CheckpointWriter,
-        progress: ProgressFn | None,
-        flight_dir: Path | None = None,
-    ):
+    def __init__(self, writer: CheckpointWriter, progress: ProgressFn | None):
         self.writer = writer
         self.progress = progress
-        self.flight_dir = flight_dir
         self.results: dict[int, dict] = {}
         self.quarantined: dict[int, dict] = {}
         self.shard_obs: dict[int, dict] = {}
@@ -219,18 +196,6 @@ class _Bookkeeper:
     def _emit(self, event: str, index: int, message: str) -> None:
         if self.progress is not None:
             self.progress(event, index, message)
-
-    def _dump_flight(self, trigger: str) -> None:
-        """Persist the coordinator's flight ring on investigable events."""
-        recorder = obs.flight_recorder()
-        if recorder is None or self.flight_dir is None:
-            return
-        try:
-            recorder.dump_to(
-                self.flight_dir / "coordinator.flight.json", trigger=trigger
-            )
-        except OSError:  # post-mortem capture must never fail the run
-            pass
 
     def on_event(self, event: str, task: Task, message: str, info: dict) -> None:
         index = int(task.key)
@@ -245,7 +210,6 @@ class _Bookkeeper:
             _RETRIES.add()
         elif event == "breaker":
             _BREAKER_TRIPS.add()
-            self._dump_flight("breaker")
         elif event == "task-done":
             if _METER.enabled:
                 _SHARDS_COMPLETED.add()
@@ -255,7 +219,6 @@ class _Bookkeeper:
             )
         elif event == "quarantined":
             _QUARANTINED.add()
-            self._dump_flight("quarantine")
             self._emit("quarantined", index, message)
 
     def on_result(self, result: TaskResult) -> None:
@@ -280,6 +243,18 @@ class _Bookkeeper:
             self.writer.quarantine(index, result.attempts, error)
 
 
+def _check_sabotage(
+    config: RunnerConfig, sabotage: Mapping[int, dict] | None
+) -> None:
+    """Refuse drills the resolved backend cannot isolate, before any I/O."""
+    if sabotage and resolve_backend(config.workers, config.backend) != "process":
+        raise CampaignError(
+            "sabotage drills require isolated workers (the process "
+            "backend); the inline backend would kill the campaign "
+            "process itself"
+        )
+
+
 def _execute(
     spec: CampaignSpec,
     writer: CheckpointWriter,
@@ -289,12 +264,6 @@ def _execute(
     progress: ProgressFn | None,
     prior_obs: dict[int, dict] | None = None,
 ) -> CampaignOutcome:
-    if config.workers == 0 and sabotage:
-        raise CampaignError(
-            "sabotage drills require isolated workers (workers >= 1); "
-            "inline and coordinator-inline modes would kill the campaign "
-            "process itself"
-        )
     plan = plan_campaign(spec)
     for index in prior_results:
         if index >= len(plan):
@@ -303,19 +272,7 @@ def _execute(
                 f"{len(plan)} shards"
             )
     pending = [shard for shard in plan if shard.index not in prior_results]
-
-    # Flight-recorder plane (only with REPRO_OBS on): the coordinator
-    # keeps its own ring, dumped beside the checkpoint on quarantine or
-    # breaker trip; the queue backend additionally harvests the workers'
-    # crash-surviving dumps into the same directory after the run.
-    flight_dir: Path | None = None
-    if obs.enabled():
-        flight_dir = Path(f"{writer.path}.flight")
-        if obs.flight_recorder() is None:
-            obs.install_flight_recorder(
-                obs.FlightRecorder(worker="coordinator")
-            )
-    books = _Bookkeeper(writer, progress, flight_dir=flight_dir)
+    books = _Bookkeeper(writer, progress)
 
     started = time.monotonic()
     with _TRACER.span(
@@ -333,10 +290,6 @@ def _execute(
             task_timeout=config.task_timeout,
             events=books.on_event,
             backend=config.backend,
-            queue_dir=config.queue_dir,
-            lease_ttl=config.lease_ttl,
-            respawn=config.queue_respawn,
-            flight_dir=flight_dir,
         ) as executor:
             executor.parent_span_id = getattr(run_span, "id", None)
             report = executor.run(
@@ -383,6 +336,7 @@ def run_campaign(
     False.  Only misconfiguration raises :class:`~repro.errors.CampaignError`.
     """
     config = config or RunnerConfig()
+    _check_sabotage(config, sabotage)
     writer = CheckpointWriter.create(checkpoint, spec, len(plan_campaign(spec)))
     return _execute(spec, writer, {}, config, sabotage, progress)
 
@@ -401,6 +355,7 @@ def resume_campaign(
     same spec.
     """
     config = config or RunnerConfig()
+    _check_sabotage(config, sabotage)
     state = load_journal(checkpoint)
     prior = {index: record["result"] for index, record in state.results.items()}
     prior_obs = {

@@ -34,7 +34,7 @@ from repro.sim.faults import eval_with_faults
 DESIGN_CACHE_SIZE = 16
 
 #: Per-process LRU cache of synthesized masked designs, keyed by the shard
-#: fields that determine the synthesis.  Persistent pool and queue workers
+#: fields that determine the synthesis.  Persistent process-pool workers
 #: run many shards per process for a whole campaign, so the cache is
 #: bounded: the least recently used design is evicted first.
 _design_cache: LRUCache[tuple[Circuit, MaskedDesign]] = LRUCache(DESIGN_CACHE_SIZE)

@@ -1,8 +1,9 @@
 """Adaptive shard sizing from journaled wall-time telemetry.
 
-Shard size is the throughput/robustness trade of a distributed campaign:
-shards too small drown the queue in per-task protocol overhead; shards
-too large lose minutes of work to every stolen lease.  This module
+Shard size is the throughput/robustness trade of a campaign: shards too
+small drown the executor in per-task dispatch and journaling overhead;
+shards too large lose minutes of work to every timed-out or crashed
+attempt the retry budget has to re-run.  This module
 closes the loop using evidence the runner already journals — the
 per-shard ``wall_seconds`` telemetry records an obs-enabled campaign
 writes into its checkpoint — instead of guesses.
@@ -13,7 +14,7 @@ are the divisors of that product), so an auto-sized campaign sweeps the
 same number of injected vectors per (circuit, mode) cell — only the
 granularity changes.  Sizing is driven by the **p90** per-vector rate,
 not the mean: the budget must hold on the slow tail, because that is
-what a lease steal forfeits.
+what a retried attempt forfeits and what ``task_timeout`` must cover.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def suggest_spec(
     Candidate ``vectors_per_shard`` values are the divisors of the cell's
     total vector count (exact total-work preservation); the one whose
     predicted p90 wall time lands closest to the target wins, with ties
-    broken toward *smaller* shards (less work forfeited per steal).
+    broken toward *smaller* shards (less work forfeited per retry).
     """
     if target_shard_seconds <= 0:
         raise CampaignError(

@@ -9,32 +9,17 @@
    ``incomplete_shards`` without failing the run.
 3. **heal** — resume the wounded checkpoint with the drill disabled; the
    final aggregate JSON must be byte-identical to the baseline's.
-
-:func:`run_distributed_smoke` (``make distributed-smoke``) — the elastic
-fleet drill the queue backend exists for:
-
-1. **baseline** — the same campaign single-host, inline.
-2. **chaos** — four queue workers, respawn disabled (a killed worker is
-   a lost host): two workers are SIGKILLed mid-lease, a third wedges
-   (hangs past its task budget while still heartbeating).  A sampler
-   thread watches ``campaign_status`` live while this happens.
-3. **verify** — the campaign must complete with ``incomplete_shards ==
-   []``, the aggregate must be byte-identical to the inline baseline's,
-   the queue must have journaled the steals, and the status view must
-   have shown lost workers *while the campaign ran*.
 """
 
 from __future__ import annotations
 
 import tempfile
-import threading
 from pathlib import Path
 from typing import Callable
 
 from repro.campaign.report import render_campaign_json
 from repro.campaign.runner import RunnerConfig, resume_campaign, run_campaign
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.status import campaign_status, render_status_text
 
 #: Shard the wound phase crashes forever (last shard of the tiny plan).
 _WOUNDED_SHARD = 3
@@ -135,139 +120,5 @@ def run_smoke(workdir: str | None = None, echo: Callable[[str], None] = print) -
             f"{totals['unmasked_errors']} injected errors, "
             f"{totals['effectiveness_percent']:.1f}% masked, "
             "resume byte-identical"
-        )
-    return 0
-
-
-#: Shards the chaos phase sabotages (distinct workers absorb each one).
-_KILLED_SHARDS = (1, 5)
-_WEDGED_SHARD = 3
-
-
-def distributed_spec() -> CampaignSpec:
-    """Slightly wider than :func:`smoke_spec` so work remains to steal."""
-    return CampaignSpec(
-        circuits=("comparator2",),
-        modes=({"kind": "delay"}, {"kind": "seu"}),
-        shards_per_cell=4,
-        vectors_per_shard=16,
-        seed=11,
-        clock_fraction=0.9,
-    )
-
-
-def run_distributed_smoke(
-    workdir: str | None = None, echo: Callable[[str], None] = print
-) -> int:
-    """Run the elastic-fleet drill; 0 on success, 1 with a diagnostic."""
-    spec = distributed_spec()
-    with tempfile.TemporaryDirectory(prefix="repro-distributed-smoke-") as tmp:
-        base = Path(workdir) if workdir else Path(tmp)
-        base.mkdir(parents=True, exist_ok=True)
-
-        echo("phase 1/3: single-host inline baseline ...")
-        baseline = run_campaign(
-            spec, base / "inline.ckpt.jsonl", RunnerConfig(workers=0)
-        )
-        if not baseline.complete:
-            echo("FAIL: inline baseline did not complete")
-            return 1
-        baseline_json = _comparable_json(baseline.aggregate)
-
-        echo(
-            "phase 2/3: 4 queue workers, no respawn; SIGKILL shards "
-            f"{list(_KILLED_SHARDS)} mid-lease, wedge shard {_WEDGED_SHARD} ..."
-        )
-        queue_dir = base / "queue"
-        checkpoint = base / "distributed.ckpt.jsonl"
-        config = RunnerConfig(
-            workers=4,
-            task_timeout=6.0,
-            max_retries=3,
-            backoff_base=0.05,
-            backoff_cap=0.2,
-            backend="queue",
-            queue_dir=str(queue_dir),
-            lease_ttl=1.5,
-            queue_respawn=False,
-        )
-        sabotage: dict[int, dict] = {
-            shard: {"mode": "kill", "attempts": 1} for shard in _KILLED_SHARDS
-        }
-        sabotage[_WEDGED_SHARD] = {
-            "mode": "hang", "seconds": 120.0, "attempts": 1,
-        }
-
-        samples: list[dict] = []
-        sampler_stop = threading.Event()
-
-        def _sample() -> None:
-            # A real operator runs `repro campaign status` from another
-            # host; the queue may not even exist yet when we first look.
-            while not sampler_stop.is_set():
-                try:
-                    samples.append(campaign_status(checkpoint, queue_dir))
-                except Exception:
-                    pass
-                sampler_stop.wait(0.3)
-
-        sampler = threading.Thread(target=_sample, daemon=True)
-        sampler.start()
-        try:
-            outcome = run_campaign(spec, checkpoint, config, sabotage=sabotage)
-        finally:
-            sampler_stop.set()
-            sampler.join(timeout=5.0)
-
-        echo("phase 3/3: verifying completion, identity, and status view ...")
-        if not outcome.complete:
-            echo("FAIL: distributed campaign did not complete")
-            return 1
-        if outcome.aggregate["incomplete_shards"]:
-            echo(
-                "FAIL: incomplete shards after chaos: "
-                f"{outcome.aggregate['incomplete_shards']}"
-            )
-            return 1
-        if _comparable_json(outcome.aggregate) != baseline_json:
-            echo("FAIL: distributed aggregate differs from inline baseline")
-            return 1
-
-        final = campaign_status(checkpoint, queue_dir)
-        counters = final["queue"]["counters"]
-        if counters.get("steals", 0) < len(_KILLED_SHARDS) + 1:
-            echo(f"FAIL: expected >= 3 lease steals, saw {counters}")
-            return 1
-        lost = [
-            wid
-            for wid, info in final["queue"]["workers"].items()
-            if info["state"] in ("dead", "stale", "wedged")
-        ]
-        if len(lost) < len(_KILLED_SHARDS):
-            echo(f"FAIL: lost workers not visible in status: {final['queue']['workers']}")
-            return 1
-        live_views = [
-            s for s in samples
-            if s.get("queue") and not s["queue"]["stopped"]
-            and (
-                s["queue"]["counters"].get("steals", 0) > 0
-                or any(
-                    w["state"] in ("dead", "stale", "wedged")
-                    for w in s["queue"]["workers"].values()
-                )
-            )
-        ]
-        if not live_views:
-            echo("FAIL: status never showed the outage while it happened")
-            return 1
-        echo("mid-run status as the operator saw it:")
-        for line in render_status_text(live_views[-1]).rstrip().splitlines():
-            echo(f"  {line}")
-
-        echo(
-            "distributed smoke OK: "
-            f"{outcome.aggregate['shards_done']} shards on a fleet that "
-            f"lost {len(lost)} of 4 workers, {counters.get('steals', 0)} "
-            "leases stolen, aggregate byte-identical to single-host run"
         )
     return 0

@@ -1,24 +1,12 @@
-"""Live status of a (possibly distributed) campaign: journal + queue.
+"""Live status of a campaign, read from its checkpoint journal.
 
-``repro campaign status CKPT --queue-dir DIR`` renders, while the
-campaign runs, what an operator wants to know during a half-the-fleet
-outage:
+``repro campaign status CKPT`` renders, while the campaign runs, journal
+progress: shards done / quarantined / total.  ``--watch`` re-renders it
+until every shard has settled.
 
-* journal progress — shards done / quarantined / total,
-* the work queue — todo / claimed / results, per-lease age and expiry
-  (including *why* an expired lease counts as expired),
-* every worker that ever heartbeat, classified ``live`` / ``wedged`` /
-  ``stale`` / ``dead`` / ``exited`` from heartbeat age and lease
-  ownership — a *wedged* worker is alive (fresh heartbeats) but lost the
-  lease on the task it thinks it is running,
-* protocol counters (claims / steals / dedups / divergences),
-* live telemetry, when the fleet runs with ``REPRO_OBS`` on: per-worker
-  throughput rates, a fleet ETA, and straggler flags folded read-only
-  from the queue's ``telemetry/*.jsonl`` streams
-  (:class:`~repro.obs.timeseries.FleetSeries`).
-
-Everything is read-only: status never mutates the queue, so it is safe
-to run from any host at any moment, including mid-chaos.
+Everything is read-only: status never writes the journal, so it is safe
+to run at any moment, including while the campaign is being killed and
+resumed.
 """
 
 from __future__ import annotations
@@ -28,55 +16,13 @@ import time
 from pathlib import Path
 
 from repro.campaign.checkpoint import load_journal
-from repro.campaign.spec import plan_campaign
 from repro.errors import CampaignError
-from repro.exec.queuedir import QueueSnapshot, WorkQueue
-from repro.obs.timeseries import FleetSeries
-
-#: Worker classifications, healthiest first (render order).
-WORKER_STATES = ("live", "wedged", "stale", "dead", "exited")
 
 
-def classify_worker(
-    doc: dict, age: float, queue: WorkQueue, snapshot: QueueSnapshot
-) -> str:
-    """One worker's health from heartbeat age and lease ownership."""
-    if doc.get("state") == "exited":
-        return "exited"
-    policy = queue.policy
-    if age <= policy.lease_ttl + policy.clock_skew_grace:
-        current = doc.get("current")
-        if current:
-            lease_owner = None
-            for lease in snapshot.leases:
-                if lease.get("fingerprint") == current:
-                    lease_owner = lease.get("worker")
-                    break
-            if lease_owner != doc.get("worker"):
-                # Heartbeating but no longer holds the lease on the task
-                # it believes it is running: the runner is stuck past its
-                # budget and the task was (or will be) stolen.  (Workers
-                # clear ``current`` with an immediate heartbeat when a task
-                # settles, so a healthy finisher does not linger here.)
-                return "wedged"
-        return "live"
-    if age <= policy.max_lease_age:
-        return "stale"
-    return "dead"
-
-
-def campaign_status(
-    checkpoint: str | os.PathLike,
-    queue_dir: str | os.PathLike | None = None,
-) -> dict:
-    """Point-in-time status document (JSON-serializable).
-
-    The checkpoint journal gives authoritative progress; the queue
-    directory (optional — inline/process campaigns have none) adds the
-    live distributed view.
-    """
+def campaign_status(checkpoint: str | os.PathLike) -> dict:
+    """Point-in-time status document (JSON-serializable)."""
     state = load_journal(checkpoint)
-    status: dict = {
+    return {
         "checkpoint": str(checkpoint),
         "fingerprint": state.fingerprint,
         "shards_total": state.n_shards,
@@ -85,75 +31,7 @@ def campaign_status(
         "percent": round(
             100.0 * len(state.results) / state.n_shards, 1
         ) if state.n_shards else 100.0,
-        "queue": None,
     }
-    if queue_dir is None:
-        return status
-    queue = WorkQueue.open(queue_dir)
-    snapshot = queue.scan()
-
-    # Map task fingerprints back to shard indices so leases read as
-    # "shard 5", not a SHA prefix.  The plan is deterministic, so this
-    # is a pure recomputation from the journal header.
-    from repro.campaign.runner import _shard_task
-
-    fp_to_shard = {
-        _shard_task(shard).fingerprint(): shard.index
-        for shard in plan_campaign(state.spec)
-    }
-
-    # Live telemetry (present only when workers run with REPRO_OBS on):
-    # a read-only one-shot fold of the telemetry streams.
-    fleet = FleetSeries.from_queue_dir(queue_dir)
-    telemetry = None
-    if fleet.workers():
-        telemetry = fleet.summary(
-            time.time(), remaining=snapshot.todo + snapshot.claimed
-        )
-
-    ages = snapshot.worker_ages()
-    workers = {}
-    for wid, doc in snapshot.workers.items():
-        age = ages.get(wid, 0.0)
-        current = doc.get("current")
-        workers[wid] = {
-            "state": classify_worker(doc, age, queue, snapshot),
-            "heartbeat_age_seconds": age,
-            "tasks_done": int(doc.get("tasks_done", 0)),
-            "failures": int(doc.get("failures", 0)),
-            "host": doc.get("host"),
-            "pid": doc.get("pid"),
-            "current_shard": fp_to_shard.get(current) if current else None,
-        }
-        if telemetry is not None and wid in telemetry["workers"]:
-            reported = telemetry["workers"][wid]
-            workers[wid]["rate_per_second"] = reported["rate_per_second"]
-            workers[wid]["straggler"] = reported["straggler"]
-    leases = []
-    for lease in snapshot.leases:
-        fp = lease.get("fingerprint")
-        leases.append({
-            "shard": fp_to_shard.get(fp),
-            "fingerprint": (fp or "")[:12],
-            "worker": lease.get("worker"),
-            "attempt": lease.get("attempt", 0),
-            "age_seconds": lease.get("age_seconds"),
-            "expires_in_seconds": lease.get("expires_in_seconds"),
-            "expired": lease.get("expired"),
-        })
-    status["queue"] = {
-        "root": snapshot.root,
-        "todo": snapshot.todo,
-        "claimed": snapshot.claimed,
-        "results": snapshot.done,
-        "quarantined": snapshot.quarantined,
-        "stopped": snapshot.stopped,
-        "workers": workers,
-        "leases": leases,
-        "counters": snapshot.counters,
-        "telemetry": telemetry,
-    }
-    return status
 
 
 def render_status_text(status: dict) -> str:
@@ -165,78 +43,20 @@ def render_status_text(status: dict) -> str:
         + (
             f", {status['shards_quarantined']} quarantined"
             if status["shards_quarantined"] else ""
-        )
+        ),
+        "(journal progress only; local campaigns keep no queue directory)",
     ]
-    queue = status.get("queue")
-    if not queue:
-        lines.append("(no queue directory: local backend or not started)")
-        return "\n".join(lines) + "\n"
-    lines.append(
-        f"queue {queue['root']}: todo {queue['todo']}, "
-        f"claimed {queue['claimed']}, results {queue['results']}"
-        + (f", quarantined {queue['quarantined']}"
-           if queue["quarantined"] else "")
-        + (" [stopped]" if queue["stopped"] else "")
-    )
-    telemetry = queue.get("telemetry")
-    if telemetry:
-        fleet = telemetry["fleet"]
-        line = f"telemetry: throughput {fleet['rate_per_second']:.2f}/s"
-        eta = fleet.get("eta_seconds")
-        if eta is not None:
-            line += f", eta {eta:.0f}s"
-        if fleet["stragglers"]:
-            line += ", stragglers: " + ", ".join(fleet["stragglers"])
-        lines.append(line)
-    workers = queue["workers"]
-    if workers:
-        lines.append(f"workers ({len(workers)}):")
-        order = {state: i for i, state in enumerate(WORKER_STATES)}
-        for wid in sorted(
-            workers, key=lambda w: (order.get(workers[w]["state"], 99), w)
-        ):
-            info = workers[wid]
-            shard = info["current_shard"]
-            rate = info.get("rate_per_second")
-            lines.append(
-                f"  {wid:28s} {info['state']:7s} "
-                f"hb {info['heartbeat_age_seconds']:6.1f}s  "
-                f"done {info['tasks_done']:<4d} fail {info['failures']:<3d}"
-                + (f" rate {rate:5.2f}/s" if rate is not None else "")
-                + (f" shard {shard}" if shard is not None else "")
-                + (" STRAGGLER" if info.get("straggler") else "")
-            )
-    if queue["leases"]:
-        lines.append(f"leases ({len(queue['leases'])}):")
-        for lease in queue["leases"]:
-            shard = lease["shard"]
-            name = f"shard {shard}" if shard is not None else lease["fingerprint"]
-            expiry = lease.get("expires_in_seconds")
-            lines.append(
-                f"  {name:14s} worker {str(lease['worker'])[:28]:28s} "
-                f"attempt {lease['attempt']}"
-                + (f"  expires in {expiry:.1f}s"
-                   if isinstance(expiry, (int, float)) else "")
-                + (f"  [EXPIRED: {lease['expired']}]"
-                   if lease.get("expired") else "")
-            )
-    counters = queue["counters"]
-    lines.append(
-        "counters: "
-        + ", ".join(f"{k} {v}" for k, v in sorted(counters.items()))
-    )
     return "\n".join(lines) + "\n"
 
 
 def watch_status(
     checkpoint: str | os.PathLike,
-    queue_dir: str | os.PathLike | None,
     interval: float,
     echo=print,
     max_rounds: int | None = None,
 ) -> int:
     """Re-render status every ``interval`` seconds until the campaign is
-    complete (all shards settled) or the queue is stopped."""
+    complete (all shards settled)."""
     if interval <= 0:
         raise CampaignError(f"watch interval {interval} must be positive")
     rounds = 0
@@ -244,14 +64,12 @@ def watch_status(
         if not Path(checkpoint).exists():
             echo(f"waiting for checkpoint {checkpoint} ...")
         else:
-            status = campaign_status(checkpoint, queue_dir)
+            status = campaign_status(checkpoint)
             echo(render_status_text(status).rstrip("\n"))
-            settled = (
+            if (
                 status["shards_done"] + status["shards_quarantined"]
                 >= status["shards_total"]
-            )
-            queue = status.get("queue")
-            if settled or (queue and queue["stopped"]):
+            ):
                 return 0
         rounds += 1
         if max_rounds is not None and rounds >= max_rounds:
@@ -261,9 +79,7 @@ def watch_status(
 
 
 __all__ = [
-    "WORKER_STATES",
     "campaign_status",
-    "classify_worker",
     "render_status_text",
     "watch_status",
 ]

@@ -19,13 +19,11 @@ Usage (installed as ``python -m repro``)::
     python -m repro table2 --circuits cmb x2 cu
     python -m repro campaign plan --circuits comparator2 --modes delay seu
     python -m repro campaign run camp.ckpt.jsonl --circuits comparator2
-    python -m repro campaign run camp.ckpt.jsonl --backend queue --queue-dir /mnt/q
+    python -m repro campaign run camp.ckpt.jsonl --backend process --workers 4
     python -m repro campaign resume camp.ckpt.jsonl
     python -m repro campaign report camp.ckpt.jsonl --format json
-    python -m repro campaign status camp.ckpt.jsonl --queue-dir /mnt/q --watch 2
+    python -m repro campaign status camp.ckpt.jsonl --watch 2
     python -m repro campaign smoke
-    python -m repro campaign smoke --distributed
-    python -m repro worker /mnt/q --timeout 300
     python -m repro mask path/to/design.blif --library lsi10k_like
     python -m repro info
     python -m repro mask cmb --trace mask.trace.json --metrics mask.prom
@@ -71,7 +69,6 @@ from repro.campaign import (
     render_status_text,
     resume_campaign,
     run_campaign,
-    run_distributed_smoke,
     run_smoke,
     watch_status,
 )
@@ -96,12 +93,7 @@ from repro.analysis.absint import AbsintConfig, analyze_circuit, analyze_suite
 from repro.core import build_masked_design, mask_circuit, synthesize_masking
 from repro.engine import available_backends, numpy_available, validated_backend_name
 from repro.errors import BlifError, CampaignError, ReproError
-from repro.exec import (
-    QueueWorker,
-    WorkQueue,
-    available_backends as exec_backends,
-    default_worker_count,
-)
+from repro.exec import available_backends as exec_backends, default_worker_count
 from repro.netlist import (
     Circuit,
     Library,
@@ -532,8 +524,6 @@ def _runner_config(args: argparse.Namespace) -> RunnerConfig:
         task_timeout=args.timeout,
         max_retries=args.retries,
         backend=args.backend,
-        queue_dir=args.queue_dir,
-        lease_ttl=args.lease_ttl,
     )
 
 
@@ -625,35 +615,14 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign_smoke(args: argparse.Namespace) -> int:
-    if args.distributed:
-        return run_distributed_smoke(args.workdir)
     return run_smoke(args.workdir)
 
 
 def cmd_campaign_status(args: argparse.Namespace) -> int:
     if args.watch:
-        return watch_status(args.checkpoint, args.queue_dir, args.watch)
-    print(
-        render_status_text(
-            campaign_status(args.checkpoint, args.queue_dir)
-        ).rstrip("\n")
-    )
+        return watch_status(args.checkpoint, args.watch)
+    print(render_status_text(campaign_status(args.checkpoint)).rstrip("\n"))
     return 0
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    queue = WorkQueue.open(args.queue_dir)
-    worker = QueueWorker(
-        queue,
-        worker_id=args.worker_id,
-        task_timeout=args.timeout,
-        max_consecutive_failures=args.max_failures,
-        idle_exit=args.idle_exit,
-        echo=None if args.quiet else (
-            lambda line: print(line, file=sys.stderr, flush=True)
-        ),
-    )
-    return worker.run()
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -693,26 +662,6 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
     records = obs.load_trace(args.tracefile)
     print(f"trace: {args.tracefile}  ({len(records)} spans)")
     print(obs.render_trace_summary(records, top=args.top))
-    return 0
-
-
-def cmd_obs_serve(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.obs.serve import QueueDirSource, start_server
-
-    source = QueueDirSource(args.queue_dir, window=args.window)
-    server = start_server(source, host=args.host, port=args.port)
-    print(f"serving {args.queue_dir} read-only on {server.url}")
-    print("routes: /metrics (Prometheus), /healthz, /snapshot.json; "
-          "Ctrl-C to stop")
-    try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
     return 0
 
 
@@ -919,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_info)
 
     obs_cmd = sub.add_parser(
-        "obs", help="observability utilities (trace inspection, /metrics)"
+        "obs", help="observability utilities (trace inspection)"
     )
     osub = obs_cmd.add_subparsers(dest="obs_command", required=True)
     p = osub.add_parser(
@@ -929,21 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=0,
                    help="show only the N hottest span names (0 = all)")
     p.set_defaults(func=cmd_obs_report)
-
-    p = osub.add_parser(
-        "serve",
-        help="scrape-able /metrics endpoint over a work-queue directory "
-        "(read-only; live or finished campaigns)",
-    )
-    p.add_argument("--queue-dir", required=True, metavar="DIR",
-                   help="work-queue directory to observe")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default: 127.0.0.1)")
-    p.add_argument("--port", type=int, default=9464,
-                   help="TCP port (default: 9464; 0 = pick a free one)")
-    p.add_argument("--window", type=float, default=30.0, metavar="SECONDS",
-                   help="trailing window for throughput rates (default: 30)")
-    p.set_defaults(func=cmd_obs_serve)
 
     camp = sub.add_parser(
         "campaign",
@@ -985,16 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--backend", default="auto",
                         choices=CAMPAIGN_BACKENDS,
                         help="executor backend (auto: 0 workers = inline, "
-                        "else process pool; queue = shared-directory "
-                        "elastic fleet)")
-        cp.add_argument("--queue-dir", default=None, metavar="DIR",
-                        help="shared work-queue directory (required for "
-                        "--backend queue; external `repro worker DIR` "
-                        "processes may join at any time)")
-        cp.add_argument("--lease-ttl", type=float, default=15.0,
-                        metavar="SECONDS",
-                        help="queue lease time-to-live: how long a dead "
-                        "worker can hold a shard before it is stolen")
+                        "else process pool)")
         cp.add_argument("--progress", action="store_true",
                         help="log per-shard progress lines")
 
@@ -1062,12 +987,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = csub.add_parser(
         "status",
-        help="live journal + work-queue status (safe from any host)",
+        help="live journal progress (read-only)",
         parents=[obs_parent],
     )
     p.add_argument("checkpoint", help="existing checkpoint journal path")
-    p.add_argument("--queue-dir", default=None, metavar="DIR",
-                   help="work-queue directory of a --backend queue run")
     p.add_argument("--watch", type=float, default=None, metavar="SECONDS",
                    help="re-render every SECONDS until the campaign settles")
     p.set_defaults(func=cmd_campaign_status)
@@ -1078,32 +1001,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[obs_parent],
     )
     p.add_argument("--workdir", help="keep checkpoints here instead of a tmpdir")
-    p.add_argument(
-        "--distributed", action="store_true",
-        help="run the elastic-fleet drill instead: 4 queue workers, two "
-        "SIGKILLed mid-lease and one wedged, byte-identical aggregate",
-    )
     p.set_defaults(func=cmd_campaign_smoke)
 
-    p = sub.add_parser(
-        "worker",
-        help="serve a shared work-queue directory (join/leave any time)",
-        parents=[obs_parent],
-    )
-    p.add_argument("queue_dir", help="work-queue directory to serve")
-    p.add_argument("--worker-id", default=None,
-                   help="override the generated worker identity")
-    p.add_argument("--timeout", type=float, default=300.0,
-                   help="per-task wall budget before lease renewal stops")
-    p.add_argument("--max-failures", type=int, default=16,
-                   help="consecutive environmental failures before this "
-                   "worker removes itself (exit code 3)")
-    p.add_argument("--idle-exit", type=float, default=None, metavar="SECONDS",
-                   help="exit after this long idle (default: wait for the "
-                   "queue's stop marker)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-task log lines on stderr")
-    p.set_defaults(func=cmd_worker)
     return parser
 
 

@@ -6,12 +6,9 @@ into reusable pieces:
 * :class:`Task` / :class:`TaskResult` — content-addressed units of work,
 * :class:`RetryPolicy` / :class:`BreakerPolicy` — composable resilience
   policy objects,
-* :class:`Executor` backends — ``inline`` (calling thread), ``process``
-  (persistent worker subprocesses with timeouts, crash isolation, and
-  sabotage drills), and ``queue`` (a
-  shared-directory work queue served by elastic, multi-host
-  ``repro worker`` processes with atomic-rename claims, heartbeat-renewed
-  leases, work stealing, and first-write-wins result dedup),
+* :class:`Executor` backends — ``inline`` (calling thread) and
+  ``process`` (persistent worker subprocesses with timeouts, crash
+  isolation, and sabotage drills),
 * the task-kind registry mapping kind strings to runner functions on both
   sides of the process boundary.
 
@@ -29,17 +26,10 @@ from repro.exec.executors import (
     available_backends,
     default_worker_count,
     make_executor,
+    resolve_backend,
     validated_jobs,
 )
 from repro.exec.policy import BreakerPolicy, RetryPolicy
-from repro.exec.queue_executor import QueueExecutor
-from repro.exec.queue_worker import QueueWorker
-from repro.exec.queuedir import (
-    QueuePolicy,
-    QueueSnapshot,
-    WorkQueue,
-    worker_identity,
-)
 from repro.exec.registry import (
     register_task_kind,
     registered_kinds,
@@ -63,12 +53,6 @@ __all__ = [
     "Executor",
     "InlineExecutor",
     "ProcessPoolExecutor",
-    "QueueExecutor",
-    "QueuePolicy",
-    "QueueSnapshot",
-    "QueueWorker",
-    "WorkQueue",
-    "worker_identity",
     "ExecReport",
     "TaskAttemptError",
     "EventFn",
@@ -76,6 +60,7 @@ __all__ = [
     "available_backends",
     "default_worker_count",
     "make_executor",
+    "resolve_backend",
     "validated_jobs",
     "register_task_kind",
     "registered_kinds",

@@ -1,4 +1,4 @@
-"""Pluggable executors: one retry/quarantine/breaker loop, three backends.
+"""Pluggable executors: one retry/quarantine/breaker loop, two backends.
 
 :class:`Executor` owns the whole resilience story that used to be welded
 into the campaign runner — per-task retry with deterministic backoff
@@ -13,20 +13,17 @@ backend    attempt runs in       isolation  timeout  sabotage drills
 inline     the calling thread    none       no       no
 process    a persistent worker   full       yes      yes
            subprocess
-queue      any elastic worker    full +     yes      yes
-           on the shared queue   multi-host (lease)
 ========== ===================== ========== ======== =================
-
-The queue backend (:class:`~repro.exec.queue_executor.QueueExecutor`)
-lives in its own module: it replaces the in-process retry loop with the
-shared-directory lease/steal protocol of :mod:`repro.exec.queuedir`.
 
 The process backend is a **persistent pool**: each dispatch thread owns one
 ``python -m repro.exec.worker`` subprocess and feeds it request lines,
 so interpreter startup is paid once per worker, not once per task, and
 worker-side caches survive across tasks.  A worker that crashes, hangs
 past ``task_timeout``, or is sabotaged is killed and respawned; the
-failure costs one attempt, never the run.
+failure costs one attempt, never the run.  A fresh worker announces itself
+with a ready line once its imports are done, and ``task_timeout`` only
+starts when the request is sent to a ready worker: interpreter startup is
+bounded separately by :data:`WORKER_START_TIMEOUT`.
 
 Worker telemetry (spans + metric deltas) is ingested/merged into the
 parent's registry here, at attempt completion — consumers receive the raw
@@ -70,7 +67,15 @@ ResultFn = Callable[[TaskResult], None]
 
 def available_backends() -> tuple[str, ...]:
     """Names of the executor backends this build offers."""
-    return ("inline", "process", "queue")
+    return ("inline", "process")
+
+
+def resolve_backend(workers: int, backend: str = "auto") -> str:
+    """The backend ``backend`` names; ``auto`` is inline at 0 workers,
+    otherwise the process pool."""
+    if backend == "auto":
+        return "inline" if workers == 0 else "process"
+    return backend
 
 
 def default_worker_count() -> int:
@@ -205,9 +210,6 @@ class Executor:
     def _emit(self, event: str, task: Task, message: str, **info: Any) -> None:
         if self.events is not None:
             self.events(event, task, message, info)
-
-    def _sabotage_for(self, task: Task) -> dict | None:
-        return None
 
     def _ingest_worker_obs(self, task: Task, worker_obs: dict | None) -> None:
         """Merge a worker's telemetry payload into the parent registry.
@@ -422,6 +424,10 @@ class InlineExecutor(Executor):
             ) from exc
 
 
+#: Seconds a freshly spawned worker may take to import and report ready.
+WORKER_START_TIMEOUT = 60.0
+
+
 def _child_env() -> dict[str, str]:
     """Environment for worker subprocesses; guarantees ``repro`` imports
     and propagates the parent's observability state."""
@@ -478,6 +484,20 @@ class _WorkerHandle:
             if line.strip():
                 return line.strip()
         return ""
+
+    def wait_ready(self, timeout: float) -> bool:
+        """Whether the worker reported ready within ``timeout`` seconds."""
+        try:
+            line = self.read_line(timeout)
+        except TimeoutError:
+            return False
+        if line is None:
+            return False
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            return False
+        return isinstance(doc, dict) and doc.get("ready") is True
 
     def send(self, request: dict) -> None:
         self.send_line(json.dumps(request) + "\n")
@@ -595,9 +615,6 @@ class ProcessPoolExecutor(Executor):
         finally:
             self._sabotage = {}
 
-    def _sabotage_for(self, task: Task) -> dict | None:
-        return self._sabotage.get(task.key)
-
     def _respawn_delay(self, slot: int) -> float:
         """Exponential backoff before respawn attempt N on this slot.
 
@@ -642,6 +659,20 @@ class ProcessPoolExecutor(Executor):
                     1, backend=self.backend, outcome="spawn-failed"
                 )
             raise TaskAttemptError(f"worker spawn failed: {exc}") from exc
+        if not handle.wait_ready(WORKER_START_TIMEOUT):
+            # Never became ready: a broken environment or a stuck import.
+            # Same accounting as a failed spawn.
+            rc = handle.kill()
+            self._respawns[slot] += 1
+            if _obs.METER.enabled:
+                _obs.RESPAWNS.add(
+                    1, backend=self.backend, outcome="spawn-failed"
+                )
+            raise TaskAttemptError(
+                "worker spawn failed: not ready within "
+                f"{WORKER_START_TIMEOUT:g}s "
+                f"({self._death_message(rc, handle)})"
+            )
         if respawning or self._respawns[slot]:
             self._respawns[slot] += 1
             if _obs.METER.enabled:
@@ -666,7 +697,7 @@ class ProcessPoolExecutor(Executor):
             "kind": task.kind,
             "key": task.key,
             "attempt": attempt,
-            "sabotage": self._sabotage_for(task),
+            "sabotage": self._sabotage.get(task.key),
             "corr": task.fingerprint(),
         })
         # Splice the task's cached payload encoding into the request line:
@@ -737,41 +768,23 @@ def make_executor(
     task_timeout: float = 300.0,
     events: EventFn | None = None,
     backend: str = "auto",
-    queue_dir: str | os.PathLike | None = None,
-    lease_ttl: float = 15.0,
-    respawn: bool = True,
-    flight_dir: str | os.PathLike | None = None,
 ) -> Executor:
     """Build an executor by backend name.
 
     ``backend="auto"`` keeps the historical ``workers`` convention:
     ``0`` -> inline, ``N >= 1`` -> a process pool of N persistent
-    workers.  Explicit names select a backend directly; ``"queue"``
-    additionally needs ``queue_dir`` (the shared work-queue directory)
-    and accepts ``lease_ttl``.  Negative counts are rejected eagerly.
+    workers.  Explicit names select a backend directly.  Negative counts
+    are rejected eagerly.
     """
     workers = validated_jobs(workers)
     kwargs: dict[str, Any] = dict(
         retry=retry, breaker=breaker, task_timeout=task_timeout, events=events
     )
-    if backend == "auto":
-        backend = "inline" if workers == 0 else "process"
+    backend = resolve_backend(workers, backend)
     if backend == "inline":
         return InlineExecutor(**kwargs)
     if backend == "process":
         return ProcessPoolExecutor(workers=max(workers, 1), **kwargs)
-    if backend == "queue":
-        from repro.exec.queue_executor import QueueExecutor
-
-        if queue_dir is None:
-            raise ExecError(
-                "backend 'queue' needs queue_dir (the shared work-queue "
-                "directory coordinator and workers rendezvous on)"
-            )
-        return QueueExecutor(
-            queue_dir, workers=workers, lease_ttl=lease_ttl,
-            respawn=respawn, flight_dir=flight_dir, **kwargs
-        )
     raise ExecError(
         f"unknown executor backend {backend!r}; "
         f"choose from {('auto',) + available_backends()}"
@@ -786,8 +799,10 @@ __all__ = [
     "InlineExecutor",
     "ProcessPoolExecutor",
     "TaskAttemptError",
+    "WORKER_START_TIMEOUT",
     "available_backends",
     "default_worker_count",
+    "resolve_backend",
     "validated_jobs",
     "make_executor",
 ]

@@ -2,8 +2,8 @@
 
 :class:`RetryPolicy` and :class:`BreakerPolicy` are the retry/backoff and
 circuit-breaker knobs that used to live inside ``campaign/runner.py``,
-lifted out so every executor backend (inline, process pool, work queue)
-shares one implementation.
+lifted out so both executor backends (inline and process pool) share
+one implementation.
 
 Backoff jitter is **deterministic per (task, attempt)**: the RNG is seeded
 from the task's content-addressed fingerprint, so a resumed or re-driven

@@ -6,7 +6,8 @@ across tasks, amortizing interpreter/import startup (~0.3 s) and letting
 per-process caches (compiled circuits, masked designs) survive between
 tasks of the same run.
 
-Protocol, one JSON document per line in each direction::
+Protocol, one JSON document per line in each direction, after the worker
+announces ``{"schema": 1, "ready": true}`` once its imports are done::
 
     -> {"schema": 1, "kind": "...", "payload": {...}, "key": ...,
         "attempt": 0, "sabotage": null, "corr": "<fingerprint>"?}
@@ -124,8 +125,7 @@ def serve(stdin: IO[str], stdout: IO[str]) -> int:
             continue
         apply_sabotage(request.get("sabotage"), int(request.get("attempt", 0)))
         # The parent's correlation id (task fingerprint) crosses the
-        # protocol in the request so this worker's spans and log records
-        # join the fleet-wide telemetry on the same key.
+        # protocol in the request so this worker's spans carry the key.
         corr = request.get("corr")
         with obs.correlation(corr if isinstance(corr, str) else None):
             _respond(stdout, serve_request(request))
@@ -138,6 +138,9 @@ def serve(stdin: IO[str], stdout: IO[str]) -> int:
 
 
 def main() -> int:
+    # The parent starts a task's timeout only after this line, so slow
+    # imports never count against the first task a worker runs.
+    _respond(sys.stdout, {"schema": EXEC_SCHEMA, "ready": True})
     return serve(sys.stdin, sys.stdout)
 
 

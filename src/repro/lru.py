@@ -1,6 +1,6 @@
 """A bounded least-recently-used cache for process-global memo tables.
 
-Persistent pool and queue workers live for a whole campaign, so every
+Persistent process-pool workers live for a whole campaign, so every
 process-global cache keyed by content is bounded: once ``size`` entries are
 held, storing a new key evicts the entry that was read or stored longest
 ago.

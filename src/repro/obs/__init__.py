@@ -23,9 +23,7 @@ by ``benchmarks/bench_obs_overhead.py``).  Enable via:
 * CLI flags ``--trace FILE`` / ``--metrics FILE`` on any subcommand;
 * :func:`configure` from code.
 
-See DESIGN.md §12 for the span taxonomy and metric naming convention,
-and §17 for the live telemetry plane (:mod:`repro.obs.timeseries`,
-:mod:`repro.obs.log`, :mod:`repro.obs.flight`, ``repro obs serve``).
+See DESIGN.md §12 for the span taxonomy and metric naming convention.
 """
 
 from __future__ import annotations
@@ -41,13 +39,6 @@ from repro.obs.export import (
     write_metrics,
     write_trace,
 )
-from repro.obs.flight import FlightRecorder, load_flight
-from repro.obs.log import (
-    LogBuffer,
-    StructuredLogger,
-    correlation,
-    correlation_id,
-)
 from repro.obs.metrics import (
     BATCH_BUCKETS,
     TIME_BUCKETS_S,
@@ -55,13 +46,14 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.report import render_trace_summary, summarize_trace
-from repro.obs.timeseries import (
-    FleetSeries,
-    TelemetryTail,
-    TelemetryWriter,
-    snapshot_delta,
+from repro.obs.tracing import (
+    NOOP_SPAN,
+    Span,
+    TraceCollector,
+    Tracer,
+    correlation,
+    correlation_id,
 )
-from repro.obs.tracing import NOOP_SPAN, Span, TraceCollector, Tracer
 
 ENV_VAR = "REPRO_OBS"
 
@@ -72,9 +64,6 @@ _TRUTHY = frozenset({"1", "true", "on", "yes"})
 _METER = MetricsRegistry()
 _COLLECTOR = TraceCollector()
 _TRACERS: dict[str, Tracer] = {}
-_LOGS = LogBuffer()
-_LOGGERS: dict[str, StructuredLogger] = {}
-_FLIGHT: FlightRecorder | None = None
 
 
 def get_meter() -> MetricsRegistry:
@@ -90,14 +79,6 @@ def get_tracer(subsystem: str) -> Tracer:
     return tracer
 
 
-def get_logger(name: str) -> StructuredLogger:
-    """A structured logger writing to the shared bounded buffer."""
-    logger = _LOGGERS.get(name)
-    if logger is None:
-        logger = _LOGGERS[name] = StructuredLogger(name, _LOGS)
-    return logger
-
-
 def enabled() -> bool:
     """True when the observability layer is recording."""
     return _METER.enabled
@@ -108,48 +89,21 @@ def configure(enabled: bool | None = None, trace_jsonl: str | None = None) -> No
     if enabled is not None:
         _METER.enabled = enabled
         _COLLECTOR.enabled = enabled
-        _LOGS.enabled = enabled
     if trace_jsonl is not None:
         _COLLECTOR.set_jsonl(trace_jsonl or None)
 
 
 def reset() -> None:
-    """Drop all recorded series, spans, and logs (instruments stay
-    registered; an installed flight recorder keeps its ring)."""
+    """Drop all recorded series and spans (instruments stay registered)."""
     _METER.reset()
     _COLLECTOR.reset()
-    _LOGS.reset()
-
-
-def install_flight_recorder(recorder: FlightRecorder | None) -> FlightRecorder | None:
-    """Feed spans and log records into *recorder* (``None`` uninstalls).
-
-    Returns the recorder for chaining.  One recorder per process: the
-    sink hooks are checked only on the enabled recording paths, so an
-    installed-but-idle recorder costs nothing while obs is off.
-    """
-    global _FLIGHT
-    _FLIGHT = recorder
-    _COLLECTOR.sink = recorder
-    _LOGS.sink = recorder
-    return recorder
-
-
-def flight_recorder() -> FlightRecorder | None:
-    """The installed flight recorder, if any."""
-    return _FLIGHT
-
-
-def log_records() -> list[dict]:
-    """All buffered structured log records (oldest first)."""
-    return _LOGS.records()
 
 
 def enabled_from_env(environ=os.environ) -> bool:
     """Whether ``REPRO_OBS`` asks for observability to be on.
 
     Unknown tokens raise :class:`~repro.errors.ObsError` *eagerly* — a
-    mis-spelled ``REPRO_OBS=ture`` in a fleet launcher must fail the
+    mis-spelled ``REPRO_OBS=ture`` in a worker launcher must fail the
     worker loudly at import, not silently run a campaign untraced (the
     same contract as ``$REPRO_ENGINE_BACKEND``).
     """
@@ -204,7 +158,6 @@ __all__ = [
     "ENV_VAR",
     "get_meter",
     "get_tracer",
-    "get_logger",
     "enabled",
     "configure",
     "reset",
@@ -213,19 +166,8 @@ __all__ = [
     "merge_metrics",
     "span_records",
     "ingest_spans",
-    "log_records",
     "correlation",
     "correlation_id",
-    "LogBuffer",
-    "StructuredLogger",
-    "FlightRecorder",
-    "load_flight",
-    "install_flight_recorder",
-    "flight_recorder",
-    "FleetSeries",
-    "TelemetryTail",
-    "TelemetryWriter",
-    "snapshot_delta",
     "merge_snapshots",
     "render_prometheus",
     "chrome_trace",

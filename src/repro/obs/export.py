@@ -88,7 +88,7 @@ def render_prometheus(snapshot: dict) -> str:
 
 
 def _identity_label(worker, host) -> str:
-    """Perfetto row name for a fleet identity."""
+    """Perfetto row name for a worker/host identity."""
     if worker is not None and host is not None:
         return f"{worker} @ {host}"
     return str(worker if worker is not None else host)
@@ -101,8 +101,8 @@ def chrome_trace(records: list[dict]) -> dict:
     and each distinct pid contributes ``process_name``/``thread_name``
     metadata events so Perfetto labels the tracks.
 
-    Records carrying fleet identity (``worker``/``host``, stamped by a
-    coordinator on spans adopted from queue workers) are mapped onto a
+    Records carrying a worker identity (``worker``/``host``, stamped on
+    spans adopted from another host) are mapped onto a
     **synthetic pid per identity** — pids from different hosts collide,
     so the real pid cannot be the row key on a multi-host timeline.  The
     identity becomes the ``process_name``, each original ``(pid, tid)``

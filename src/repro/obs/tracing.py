@@ -9,6 +9,13 @@ Parent/child nesting is tracked per thread with a ``threading.local``
 stack, so concurrent dispatcher threads each build their own span tree.
 The three clock sources are injectable for deterministic golden tests.
 
+The **correlation id** joins a task's spans across processes: the
+process-pool worker binds it to the task fingerprint (the request's
+``corr`` field) for the duration of one task, and every span opened
+meanwhile carries it as ``args["corr"]``.  It is a :mod:`contextvars`
+variable, so concurrent dispatch threads and nested tasks each see
+their own id.
+
 When tracing is disabled, :meth:`Tracer.span` returns the shared
 :data:`NOOP_SPAN` — entering, exiting, and ``set()`` on it are no-ops —
 so an instrumented call site costs one attribute load and one branch.
@@ -16,14 +23,16 @@ so an instrumented call site costs one attribute load and one branch.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import json
 import os
 import threading
 import time
+from typing import Iterator
 
 from repro.errors import ObsError
-from repro.obs.log import correlation_id
 
 #: Fields of a serialised span record, in canonical order.
 SPAN_FIELDS = (
@@ -39,10 +48,34 @@ SPAN_FIELDS = (
     "args",
 )
 
-#: Optional per-record fields preserved across ingest: the worker/host
-#: identity a coordinator stamps onto spans it adopts from fleet workers,
+#: Optional per-record fields preserved across ingest: a worker/host
+#: identity stamped onto spans adopted from other processes or hosts,
 #: so a multi-host Chrome trace can map identities onto distinct rows.
 SPAN_IDENTITY_FIELDS = ("worker", "host")
+
+_CORRELATION: contextvars.ContextVar[str | None] = contextvars.ContextVar(
+    "repro_obs_correlation", default=None
+)
+
+
+def correlation_id() -> str | None:
+    """The active correlation id, or ``None`` outside any task context."""
+    return _CORRELATION.get()
+
+
+@contextlib.contextmanager
+def correlation(cid: str | None) -> Iterator[str | None]:
+    """Bind *cid* as the correlation id for the dynamic extent of the block.
+
+    ``None`` explicitly clears the id (a worker between tasks).  Nesting
+    restores the previous id on exit, so a sub-task context cannot leak
+    its id into the enclosing task.
+    """
+    token = _CORRELATION.set(cid)
+    try:
+        yield cid
+    finally:
+        _CORRELATION.reset(token)
 
 
 class _NoopSpan:
@@ -125,10 +158,6 @@ class TraceCollector:
         self._ids = itertools.count(1)
         self._local = threading.local()
         self._jsonl = None
-        #: Optional flight recorder fed span-open markers and finished
-        #: records; checked only on the enabled path (spans exist only
-        #: while recording), so disabled overhead is untouched.
-        self.sink = None
 
     # -- span lifecycle ---------------------------------------------------
 
@@ -155,15 +184,11 @@ class TraceCollector:
         span._ts_us = self._wall_ns() // 1000
         span._t0_perf = self._perf_ns()
         span._t0_cpu = self._cpu_ns()
-        # Stamp the active correlation id (task fingerprint) so spans,
-        # logs, and metric deltas of one task join on one key.
-        corr = correlation_id()
+        # Stamp the active correlation id (task fingerprint) so the spans
+        # of one task join on one key.
+        corr = _CORRELATION.get()
         if corr is not None:
             span.args.setdefault("corr", corr)
-        sink = self.sink
-        if sink is not None:
-            sink.record_span_open(span.name, span.cat, span._ts_us,
-                                  span.id, corr)
 
     def _exit(self, span: Span) -> None:
         dur_us = (self._perf_ns() - span._t0_perf) // 1000
@@ -192,9 +217,6 @@ class TraceCollector:
             if self._jsonl is not None:
                 self._jsonl.write(json.dumps(record, sort_keys=True) + "\n")
                 self._jsonl.flush()
-        sink = self.sink
-        if sink is not None:
-            sink.record_span(record)
 
     # -- record access ----------------------------------------------------
 

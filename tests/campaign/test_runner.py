@@ -76,11 +76,24 @@ def test_run_refuses_existing_checkpoint(tmp_path):
 
 
 def test_sabotage_requires_isolation(tmp_path):
+    path = tmp_path / "c.jsonl"
     with pytest.raises(CampaignError, match="isolated workers"):
         run_campaign(
-            tiny_spec(), tmp_path / "c.jsonl", INLINE,
+            tiny_spec(), path, INLINE,
             sabotage={0: {"mode": "kill"}},
         )
+    assert not path.exists()
+
+
+def test_sabotage_requires_isolation_on_inline_backend(tmp_path):
+    # Workers are requested, but the inline backend runs them in-process.
+    path = tmp_path / "c.jsonl"
+    with pytest.raises(CampaignError, match="isolated workers"):
+        run_campaign(
+            tiny_spec(), path, RunnerConfig(backend="inline", workers=2),
+            sabotage={0: {"mode": "kill"}},
+        )
+    assert not path.exists()
 
 
 def test_retry_absorbs_one_worker_sigkill(tmp_path):

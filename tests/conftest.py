@@ -19,7 +19,6 @@ def _obs_clean():
     """
     yield
     obs.configure(enabled=False, trace_jsonl="")
-    obs.install_flight_recorder(None)
     obs.reset()
 
 

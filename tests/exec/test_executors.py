@@ -8,6 +8,7 @@ contract, mirroring what the campaign resilience tests prove end-to-end.
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
@@ -43,7 +44,7 @@ def pool():
 
 class TestConfiguration:
     def test_available_backends(self):
-        assert available_backends() == ("inline", "process", "queue")
+        assert available_backends() == ("inline", "process")
 
     def test_default_worker_count_positive_and_capped(self):
         assert 1 <= default_worker_count() <= 8
@@ -62,16 +63,8 @@ class TestConfiguration:
         with make_executor(2) as ex:
             assert isinstance(ex, ProcessPoolExecutor)
             assert ex.workers == 2
-        with make_executor(
-            1, backend="queue", queue_dir=tmp_path / "q"
-        ) as ex:
-            from repro.exec import QueueExecutor
-
-            assert isinstance(ex, QueueExecutor)
         with pytest.raises(ExecError):
             make_executor(-2)
-        with pytest.raises(ExecError, match="queue_dir"):
-            make_executor(1, backend="queue")
         with pytest.raises(ExecError, match="backend"):
             make_executor(1, backend="carrier-pigeon")
 
@@ -291,6 +284,53 @@ class TestRespawnBackoff:
         assert pool._respawns == [0]
 
 
+class TestWorkerStartup:
+    """A worker's imports are bounded on their own, not by task_timeout."""
+
+    def _launcher(self, tmp_path, body: str) -> str:
+        # Stands in for the interpreter the pool runs ``-m repro.exec.worker``
+        # with.
+        path = tmp_path / "python-launcher"
+        path.write_text("#!/bin/sh\n" + body)
+        path.chmod(0o755)
+        return str(path)
+
+    def test_slow_startup_does_not_count_against_task_timeout(
+        self, tmp_path, monkeypatch
+    ):
+        launcher = self._launcher(
+            tmp_path, f'sleep 1\nexec "{sys.executable}" "$@"\n'
+        )
+        monkeypatch.setattr(sys, "executable", launcher)
+        with ProcessPoolExecutor(
+            workers=1, retry=NO_BACKOFF, task_timeout=0.5
+        ) as ex:
+            report = ex.run([probe("a", value=1)])
+        result = report.results["a"]
+        assert result.ok and result.attempts == 1
+
+    def test_worker_that_never_reports_ready_is_a_failed_spawn(
+        self, tmp_path, monkeypatch
+    ):
+        obs.configure(enabled=True)
+        launcher = self._launcher(tmp_path, "echo no interpreter >&2\nexit 1\n")
+        monkeypatch.setattr(sys, "executable", launcher)
+        with ProcessPoolExecutor(
+            workers=1, retry=NO_BACKOFF, task_timeout=10.0
+        ) as ex:
+            report = ex.run([probe("a", value=1)])
+        result = report.results["a"]
+        assert result.outcome == "quarantined"
+        assert "worker spawn failed: not ready" in result.error
+        assert "exited 1 (no interpreter)" in result.error
+        assert result.attempts == NO_BACKOFF.max_retries + 1
+        snap = obs.metrics_snapshot()
+        respawns = snap["metrics"]["repro_exec_respawns_total"]["series"]
+        assert respawns["backend=process,outcome=spawn-failed"] == (
+            NO_BACKOFF.max_retries + 1
+        )
+
+
 class TestObservability:
     def _series(self, snapshot, name):
         return snapshot["metrics"][name]["series"]
@@ -335,6 +375,34 @@ class TestObservability:
         drops = self._series(snap, "repro_exec_telemetry_drops_total")
         assert drops["backend=inline"] == 2
         assert [e[0] for e in events] == ["telemetry-drop", "telemetry-drop"]
+
+    def test_process_pool_worker_spans_carry_the_task_fingerprint(self):
+        from repro.campaign import CampaignSpec, plan_campaign
+
+        obs.configure(enabled=True)
+        shard = plan_campaign(CampaignSpec(
+            circuits=("comparator2",),
+            modes=({"kind": "delay"},),
+            shards_per_cell=1,
+            vectors_per_shard=4,
+            seed=3,
+            clock_fraction=0.9,
+        ))[0]
+        task = Task(
+            kind="campaign.shard", payload={"shard": shard.to_json()}, key=0
+        )
+        with ProcessPoolExecutor(
+            workers=1, retry=NO_BACKOFF, task_timeout=60.0
+        ) as ex:
+            report = ex.run([task])
+        assert report.complete
+        worker_spans = [
+            r for r in obs.span_records() if r["pid"] != os.getpid()
+        ]
+        assert worker_spans
+        assert {r["args"].get("corr") for r in worker_spans} == {
+            task.fingerprint()
+        }
 
     def test_task_spans_record_outcome(self):
         obs.configure(enabled=True)

@@ -1,25 +1,8 @@
-"""Structured logging: correlation binding, buffer bounds, sink mirror."""
+"""Correlation-id binding: the contextvar that stamps ``args.corr`` on spans."""
 
 from __future__ import annotations
 
-import json
-
-from repro import obs
-from repro.obs.log import (
-    LogBuffer,
-    StructuredLogger,
-    correlation,
-    correlation_id,
-    render_jsonl,
-)
-
-
-class Clock:
-    def __init__(self, t: float = 50.0):
-        self.t = t
-
-    def __call__(self) -> float:
-        return self.t
+from repro.obs.tracing import correlation, correlation_id
 
 
 class TestCorrelation:
@@ -45,81 +28,3 @@ class TestCorrelation:
         except RuntimeError:
             pass
         assert correlation_id() is None
-
-
-class TestLogBuffer:
-    def test_disabled_buffer_is_a_noop(self):
-        buffer = LogBuffer(enabled=False)
-        logger = StructuredLogger("test", buffer)
-        assert logger.info("event") is None
-        assert buffer.records() == []
-
-    def test_record_shape_and_correlation(self):
-        buffer = LogBuffer(enabled=True, clock=Clock(50.0))
-        logger = StructuredLogger("exec.test", buffer)
-        plain = logger.info("task.start", shard=3)
-        with correlation("fp-1"):
-            tagged = logger.warning("task.slow", wall=9.5)
-        assert plain == {
-            "ts": 50.0, "level": "info", "logger": "exec.test",
-            "event": "task.start", "shard": 3,
-        }
-        assert tagged["corr"] == "fp-1"
-        assert tagged["level"] == "warning"
-        assert "corr" not in plain
-        assert [r["event"] for r in buffer.records()] == [
-            "task.start", "task.slow"
-        ]
-
-    def test_buffer_is_bounded_oldest_first_out(self):
-        buffer = LogBuffer(enabled=True, limit=3)
-        logger = StructuredLogger("t", buffer)
-        for i in range(5):
-            logger.info(f"e{i}")
-        assert [r["event"] for r in buffer.records()] == ["e2", "e3", "e4"]
-
-    def test_sink_mirrors_records(self):
-        class Sink:
-            def __init__(self):
-                self.seen = []
-
-            def record_log(self, record):
-                self.seen.append(record)
-
-        buffer = LogBuffer(enabled=True)
-        buffer.sink = Sink()
-        StructuredLogger("t", buffer).error("boom", code=3)
-        assert [r["event"] for r in buffer.sink.seen] == ["boom"]
-
-    def test_reset_clears(self):
-        buffer = LogBuffer(enabled=True)
-        StructuredLogger("t", buffer).info("e")
-        buffer.reset()
-        assert buffer.records() == []
-
-    def test_render_jsonl_round_trips(self):
-        buffer = LogBuffer(enabled=True, clock=Clock(1.0))
-        logger = StructuredLogger("t", buffer)
-        logger.info("a", x=1)
-        logger.debug("b")
-        text = render_jsonl(buffer.records())
-        parsed = [json.loads(line) for line in text.splitlines()]
-        assert [r["event"] for r in parsed] == ["a", "b"]
-
-
-class TestGlobalLoggers:
-    def test_get_logger_shares_the_process_buffer(self):
-        obs.configure(enabled=True)
-        logger = obs.get_logger("campaign.test")
-        assert obs.get_logger("campaign.test") is logger
-        with obs.correlation("fp-9"):
-            logger.info("shard.done", shard=1)
-        records = obs.log_records()
-        assert records[-1]["event"] == "shard.done"
-        assert records[-1]["corr"] == "fp-9"
-        assert records[-1]["logger"] == "campaign.test"
-
-    def test_disabled_process_records_nothing(self):
-        obs.configure(enabled=False)
-        obs.get_logger("quiet").info("dropped")
-        assert obs.log_records() == []

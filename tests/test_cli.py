@@ -366,7 +366,7 @@ def test_exit_codes_documented_in_help(capsys):
 def test_info_reports_executor_backends(capsys):
     code, out, _ = run(capsys, "info")
     assert code == 0
-    assert "executor backends : inline, process, queue" in out
+    assert "executor backends : inline, process" in out
     assert "cpu count" in out
     assert "default workers" in out
 
@@ -385,6 +385,22 @@ def test_spcf_has_no_jobs_option(capsys):
         run(capsys, "spcf", "comparator2", "--jobs", "0")
     assert excinfo.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("worker", "q"),
+        ("obs", "serve"),
+        ("campaign", "run", "x.jsonl", "--backend", "queue"),
+    ],
+    ids=["worker", "obs-serve", "backend-queue"],
+)
+def test_removed_queue_surfaces_are_usage_errors(capsys, tmp_path, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        run(capsys, *argv)
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_campaign_negative_workers_is_a_usage_error(capsys):
