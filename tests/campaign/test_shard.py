@@ -1,11 +1,24 @@
 """Shard execution: determinism, empty batches, every fault mode."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.campaign import FAULT_KINDS, ShardSpec, derive_seed, run_shard
+from repro.campaign import (
+    FAULT_KINDS,
+    CampaignSpec,
+    ShardSpec,
+    derive_seed,
+    plan_campaign,
+    run_shard,
+)
 from repro.campaign import shard as shard_module
-from repro.campaign.spec import normalize_mode
+from repro.campaign.spec import canonical_json, normalize_mode
 from repro.errors import CampaignError
+
+#: ``run_shard`` records pinned byte for byte; see :func:`pinned_shards`.
+PINNED_RECORDS = Path(__file__).parent / "data" / "shard_records.json"
 
 
 def shard_for(kind: str, vectors: int = 8, seed: int = 5, **params) -> ShardSpec:
@@ -110,3 +123,41 @@ def test_design_cache_is_a_bounded_lru():
     run_shard(specs[0])
     key = (specs[-bound].circuit, specs[-bound].library, specs[-bound].threshold)
     assert key in cache
+
+
+def pinned_shards() -> list[ShardSpec]:
+    """The shards whose records ``data/shard_records.json`` pins.
+
+    C432 and alu4 x every fault mode x 2 shards at campaign seeds 0 and 1,
+    plus one shard per circuit and mode at 0, 1 and 200 vectors (an empty
+    batch, a single pair, and more pairs than one 64-bit lane).
+    """
+    circuits = ("C432", "alu4")
+    shards: list[ShardSpec] = []
+    for seed in (0, 1):
+        shards += plan_campaign(
+            CampaignSpec(circuits=circuits, modes=FAULT_KINDS,
+                         shards_per_cell=2, vectors_per_shard=32, seed=seed)
+        )
+    for vectors in (0, 1, 200):
+        shards += plan_campaign(
+            CampaignSpec(circuits=circuits, modes=FAULT_KINDS,
+                         shards_per_cell=1, vectors_per_shard=vectors, seed=7)
+        )
+    return shards
+
+
+def test_run_shard_matches_pinned_records():
+    """Every record is byte-identical to the pinned file.
+
+    The file was written by the per-pair shard code that the word-parallel
+    kernels replaced; regenerating it must be a deliberate, reviewed diff.
+    """
+    entries = json.loads(PINNED_RECORDS.read_text())
+    shards = pinned_shards()
+    assert [entry["shard"] for entry in entries] == [s.to_json() for s in shards]
+    for entry, shard in zip(entries, shards):
+        assert canonical_json(run_shard(shard)) == canonical_json(entry["record"]), (
+            f"{shard.circuit} {shard.mode_key} vectors={shard.vectors} "
+            f"seed={shard.seed}"
+        )
