@@ -3,8 +3,10 @@
 Measures the three costs that size a fault-injection campaign:
 
 * **shard throughput** — vector pairs/sec of :func:`run_shard` per fault
-  mode on ``comparator2`` (value modes evaluate zero-delay; timing modes
-  pay for two event-driven waveform simulations per pair),
+  mode on ``comparator2``; every mode packs the shard's pairs into words
+  and evaluates them at once (value modes as zero-delay passes with faults
+  injected, timing modes as one pure-delay sample of each circuit at the
+  clock edge),
 * **isolation overhead** — wall seconds per shard of the subprocess worker
   versus inline execution of the identical plan; the difference is the
   price of crash isolation (worker interpreter start + import + synthesis,

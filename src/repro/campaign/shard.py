@@ -8,9 +8,13 @@ different worker, or a resumed campaign reproduces bit-identical counts.
 The measurement itself is the paper's question asked under adversity: with
 a failure mode injected into the design, how many output errors reach the
 sampling flops *before* the masking mux patch, and how many survive *after*
-it?  Timing modes (``delay``, ``aging``, ``clock``) sample two-vector
-waveforms at the clock edge; value modes (``seu``, ``stuck``) compare
-zero-delay evaluations against the fault-free reference.
+it?  A shard draws all its vector pairs first, in a fixed RNG order, and
+packs them into Python-int words (bit ``k`` is pair ``k``), so each mode
+evaluates the whole shard in one word-parallel pass.  Timing modes
+(``delay``, ``aging``, ``clock``) sample the pure-delay value of every
+output at the clock edge (:func:`repro.sim.eventsim.sample_words`); value
+modes (``seu``, ``stuck``) compare zero-delay evaluations with injected
+faults against the fault-free reference.
 """
 
 from __future__ import annotations
@@ -21,14 +25,18 @@ from repro.benchcircuits import circuit_by_name
 from repro.campaign.spec import SCHEMA_VERSION, ShardSpec
 from repro.core.integrate import MaskedDesign, build_masked_design
 from repro.core.masking import synthesize_masking
-from repro.engine import CompiledCircuit, compile_circuit
+from repro.engine import CompiledCircuit, compile_circuit, patterns_to_words
 from repro.errors import CampaignError, ReproError
 from repro.lru import LRUCache
 from repro.netlist import builtin_library
 from repro.netlist.circuit import Circuit
 from repro.sim.aging import aging_model, speed_path_gates
-from repro.sim.eventsim import two_vector_waveforms
-from repro.sim.faults import eval_with_faults
+from repro.sim.eventsim import sample_words
+from repro.sim.faults import eval_words_with_faults
+
+# Bound here for the e2e benchmark's per-layer tracer, which patches them.
+from repro.sim.eventsim import two_vector_waveforms  # noqa: F401
+from repro.sim.faults import eval_with_faults  # noqa: F401
 
 #: Most distinct masked designs :data:`_design_cache` holds at once.
 DESIGN_CACHE_SIZE = 16
@@ -79,13 +87,41 @@ def _delay_scales(
     return {g: scale for g in pool}
 
 
+def _count_errors(
+    outputs: tuple[str, ...],
+    reference: dict[str, int],
+    unmasked: list[int],
+    masked: list[int],
+) -> tuple[dict[str, dict[str, int]], int, int]:
+    """Per-output error counts and erroneous-pair counts of a packed shard.
+
+    ``reference`` holds the fault-free words by net; ``unmasked`` and
+    ``masked`` the observed words of ``outputs`` and of their masked
+    counterparts, in output order.
+    """
+    counts = {}
+    any_un = any_mk = 0
+    for y, un_word, mk_word in zip(outputs, unmasked, masked):
+        un = un_word ^ reference[y]
+        mk = mk_word ^ reference[y]
+        counts[y] = {
+            "unmasked": un.bit_count(),
+            "masked": mk.bit_count(),
+            "recovered": (un & ~mk).bit_count(),
+            "introduced": (mk & ~un).bit_count(),
+        }
+        any_un |= un
+        any_mk |= mk
+    return counts, any_un.bit_count(), any_mk.bit_count()
+
+
 def _timing_shard(
     shard: ShardSpec,
     circuit: Circuit,
     design: MaskedDesign,
     rng: random.Random,
 ) -> tuple[dict[str, dict[str, int]], int, int, dict]:
-    """delay/aging/clock: sample faulty waveforms at the clock edge."""
+    """delay/aging/clock: sample the faulty circuits at the clock edge."""
     compiled_good = compile_circuit(circuit)
     delta = compiled_good.critical_delay()
     if shard.mode["kind"] == "clock":
@@ -104,28 +140,23 @@ def _timing_shard(
         compiled_masked.with_delay_scales(scales) if scales else compiled_masked
     )
 
-    counts = {y: {"unmasked": 0, "masked": 0, "recovered": 0, "introduced": 0}
-              for y in circuit.outputs}
-    pairs_unmasked = pairs_masked = 0
+    firsts, seconds = [], []
     for _ in range(shard.vectors):
-        v1 = _rng_pattern(rng, circuit.inputs)
-        v2 = _rng_pattern(rng, circuit.inputs)
-        reference = compiled_good.eval_pattern(v2)
-        ref = dict(zip(compiled_good.net_names, reference))
-        waves = two_vector_waveforms(faulty, v1, v2)
-        masked_waves = two_vector_waveforms(faulty_masked, v1, v2)
-        any_un = any_mk = False
-        for y in circuit.outputs:
-            good = bool(ref[y])
-            unmasked_err = waves[y].value_at(clock) != good
-            masked_err = (
-                masked_waves[design.output_map[y]].value_at(masked_clock) != good
-            )
-            _tally(counts[y], unmasked_err, masked_err)
-            any_un = any_un or unmasked_err
-            any_mk = any_mk or masked_err
-        pairs_unmasked += any_un
-        pairs_masked += any_mk
+        firsts.append(_rng_pattern(rng, circuit.inputs))
+        seconds.append(_rng_pattern(rng, circuit.inputs))
+    # The masked design keeps the original's inputs in order, so one
+    # packing serves both circuits.
+    v1, width = patterns_to_words(compiled_good, firsts)
+    v2, _ = patterns_to_words(compiled_good, seconds)
+    reference = eval_words_with_faults(compiled_good, v2, width)
+    unmasked = sample_words(faulty, v1, v2, width, clock, circuit.outputs)
+    masked = sample_words(
+        faulty_masked, v1, v2, width, masked_clock,
+        [design.output_map[y] for y in circuit.outputs],
+    )
+    counts, pairs_unmasked, pairs_masked = _count_errors(
+        circuit.outputs, reference, unmasked, masked
+    )
     detail = {"clock": clock, "masked_clock": masked_clock,
               "scaled_gates": sorted(scales)}
     return counts, pairs_unmasked, pairs_masked, detail
@@ -147,41 +178,32 @@ def _value_shard(
         stuck = {rng.choice(gate_pool): bool(rng.getrandbits(1))}
     flips_per_vector = int(shard.mode.get("flips", 1)) if kind == "seu" else 0
 
+    patterns = []
+    flips: dict[str, int] = {}
+    for k in range(shard.vectors):
+        patterns.append(_rng_pattern(rng, circuit.inputs))
+        if flips_per_vector:
+            for net in rng.sample(gate_pool, min(flips_per_vector, len(gate_pool))):
+                flips[net] = flips.get(net, 0) | 1 << k
+
     compiled_good = compile_circuit(circuit)
-    counts = {y: {"unmasked": 0, "masked": 0, "recovered": 0, "introduced": 0}
-              for y in circuit.outputs}
-    pairs_unmasked = pairs_masked = 0
-    for _ in range(shard.vectors):
-        pattern = _rng_pattern(rng, circuit.inputs)
-        flips = (
-            rng.sample(gate_pool, min(flips_per_vector, len(gate_pool)))
-            if flips_per_vector
-            else ()
-        )
-        ref = dict(zip(compiled_good.net_names, compiled_good.eval_pattern(pattern)))
-        faulty = eval_with_faults(circuit, pattern, flips=flips, stuck=stuck)
-        faulty_masked = eval_with_faults(
-            design.circuit, pattern, flips=flips, stuck=stuck
-        )
-        any_un = any_mk = False
-        for y in circuit.outputs:
-            good = bool(ref[y])
-            unmasked_err = faulty[y] != good
-            masked_err = faulty_masked[design.output_map[y]] != good
-            _tally(counts[y], unmasked_err, masked_err)
-            any_un = any_un or unmasked_err
-            any_mk = any_mk or masked_err
-        pairs_unmasked += any_un
-        pairs_masked += any_mk
+    compiled_masked = compile_circuit(design.circuit)
+    words, width = patterns_to_words(compiled_good, patterns)
+    reference = eval_words_with_faults(compiled_good, words, width)
+    faulty = eval_words_with_faults(
+        compiled_good, words, width, flips=flips, stuck=stuck
+    )
+    faulty_masked = eval_words_with_faults(
+        compiled_masked, words, width, flips=flips, stuck=stuck
+    )
+    counts, pairs_unmasked, pairs_masked = _count_errors(
+        circuit.outputs,
+        reference,
+        [faulty[y] for y in circuit.outputs],
+        [faulty_masked[design.output_map[y]] for y in circuit.outputs],
+    )
     detail = {"stuck": {n: int(v) for n, v in stuck.items()}} if stuck else {}
     return counts, pairs_unmasked, pairs_masked, detail
-
-
-def _tally(row: dict[str, int], unmasked_err: bool, masked_err: bool) -> None:
-    row["unmasked"] += unmasked_err
-    row["masked"] += masked_err
-    row["recovered"] += unmasked_err and not masked_err
-    row["introduced"] += masked_err and not unmasked_err
 
 
 def run_shard(shard: ShardSpec) -> dict:

@@ -9,10 +9,16 @@ from repro.sim.aging import (
     aging_model,
     speed_path_gates,
 )
-from repro.sim.eventsim import Waveform, settle_times, two_vector_waveforms
+from repro.sim.eventsim import (
+    Waveform,
+    sample_words,
+    settle_times,
+    two_vector_waveforms,
+)
 from repro.sim.faults import (
     SampleResult,
     eval_with_faults,
+    eval_words_with_faults,
     sample_at_clock,
     sample_many,
     timing_errors,
@@ -42,10 +48,12 @@ __all__ = [
     "Waveform",
     "two_vector_waveforms",
     "settle_times",
+    "sample_words",
     "SampleResult",
     "sample_at_clock",
     "sample_many",
     "eval_with_faults",
+    "eval_words_with_faults",
     "timing_errors",
     "AGING_MODELS",
     "LinearAging",

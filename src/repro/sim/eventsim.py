@@ -9,14 +9,16 @@ instead of with an event queue.
 
 The masked-sampling model in :mod:`repro.sim.faults` samples these waveforms
 at the clock edge; a *timing error* is a sampled value that differs from the
-settled value.
+settled value.  When only that one sample is wanted, :func:`sample_words`
+computes it for a whole batch of vector pairs at once without building any
+waveform.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.engine import CompiledCircuit, compile_circuit
 from repro.errors import SimulationError
@@ -127,3 +129,90 @@ def settle_times(
     compiled = compile_circuit(circuit)
     waves = two_vector_waveforms(compiled, v1, v2)
     return {net: waves[net].settle_time for net in compiled.outputs}
+
+
+def sample_words(
+    circuit: Circuit | CompiledCircuit,
+    v1_words: Sequence[int],
+    v2_words: Sequence[int],
+    width: int,
+    clock: int,
+    nets: Iterable[str],
+) -> list[int]:
+    """Value of each of ``nets`` at time ``clock``, for ``width`` vector pairs.
+
+    ``v1_words`` / ``v2_words`` are engine-ordered input words (bit ``k`` is
+    vector pair ``k``, as packed by :func:`repro.engine.patterns_to_words`);
+    the inputs switch from ``v1`` to ``v2`` at t = 0.  Bit ``k`` of the
+    returned word for a net equals
+    ``two_vector_waveforms(circuit, v1_k, v2_k)[net].value_at(clock)``.
+
+    Why this is exact: under the pure delay model a gate's waveform is its
+    function applied pointwise to its fanin waveforms, each shifted by the
+    pin delay, so ``v_z(t) = f_z(v_i(t - d_i))`` — the ``(node, t)``
+    recursion of Eqn. 1 on values.  An input reads ``v1`` for ``t < 0`` and
+    ``v2`` from ``t = 0`` on.  Every transition of a net happens at the sum
+    of the delays along some input-to-net path, never later than the net's
+    latest arrival time, so for ``t >= arrival`` the net already holds its
+    settled value, which one zero-delay pass over ``v2`` gives.  Only the
+    remaining ``(net, t)`` pairs are evaluated, once each, bitwise across
+    all pairs, so glitches appear in the samples exactly as in the
+    waveforms.
+
+    Two non-recursive passes: a demand pass in reverse topological order
+    collects, per net, the times ``t < arrival`` it must be known at; a
+    forward pass then evaluates them in gate order.
+    """
+    compiled = compile_circuit(circuit)
+    n_inputs = compiled.n_inputs
+    if len(v1_words) != n_inputs or len(v2_words) != n_inputs:
+        raise SimulationError(
+            f"({len(v1_words)}, {len(v2_words)}) input words for "
+            f"{n_inputs} inputs"
+        )
+    if width < 0:
+        raise SimulationError(f"pattern width {width} must be non-negative")
+    index = compiled.net_index
+    try:
+        targets = [index[net] for net in nets]
+    except KeyError as exc:
+        raise SimulationError(f"cannot sample unknown net {exc.args[0]!r}") from None
+    mask = (1 << width) - 1
+    early = [w & mask for w in v1_words]
+    settled = [w & mask for w in v2_words] + [0] * compiled.n_gates
+    plan = compiled.plan
+    for func, out, fanins in plan:
+        settled[out] = func(mask, *[settled[f] for f in fanins])
+
+    arrival = compiled.arrival()
+    need: list[set[int]] = [set() for _ in range(compiled.n_nets)]
+    for i in targets:
+        if clock < arrival[i]:
+            need[i].add(clock)
+    arcs = [tuple(zip(fanins, delays)) for fanins, delays in
+            zip(compiled.gate_fanins, compiled.gate_delays)]
+    for out in range(compiled.n_nets - 1, n_inputs - 1, -1):
+        times = need[out]
+        if not times:
+            continue
+        for f, d in arcs[out - n_inputs]:
+            late = arrival[f] + d
+            need[f].update(t - d for t in times if t < late)
+
+    memo: list[dict[int, int]] = [{} for _ in range(compiled.n_nets)]
+    for i in range(n_inputs):
+        memo[i] = dict.fromkeys(need[i], early[i])
+    for func, out, _fanins in plan:
+        times = need[out]
+        if not times:
+            continue
+        pins = arcs[out - n_inputs]
+        words = memo[out]
+        for t in times:
+            words[t] = func(mask, *[
+                memo[f][t - d] if t - d < arrival[f] else settled[f]
+                for f, d in pins
+            ])
+    return [
+        memo[i][clock] if clock < arrival[i] else settled[i] for i in targets
+    ]

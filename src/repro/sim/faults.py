@@ -13,7 +13,7 @@ the prediction/indicator outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.engine import CompiledCircuit, compile_circuit
 from repro.errors import SimulationError
@@ -83,26 +83,36 @@ def sample_many(
     return _generate()
 
 
-def eval_with_faults(
+def eval_words_with_faults(
     circuit: Circuit | CompiledCircuit,
-    pattern: Mapping[str, bool],
-    flips: Iterable[str] = (),
+    words: Sequence[int],
+    width: int,
+    flips: Mapping[str, int] | None = None,
     stuck: Mapping[str, bool] | None = None,
-) -> dict[str, bool]:
-    """Zero-delay evaluation with injected net faults, all nets out.
+) -> dict[str, int]:
+    """Zero-delay evaluation of ``width`` packed patterns with net faults.
 
-    ``flips`` are transient single-event upsets: the named nets are inverted
-    *after* their driver evaluates, and the upset propagates through the
-    fanout cone.  ``stuck`` pins nets at a constant (stuck-at faults).  A net
-    that is both flipped and stuck ends up at the inverted stuck value —
-    the flip is applied last, matching a particle strike on a tied node.
+    ``words`` are engine-ordered input words (bit ``k`` is pattern ``k``).
+    ``flips`` maps a net to the word of the patterns in which that net is
+    struck by a transient single-event upset: the net is inverted *after*
+    its driver evaluates, and the upset propagates through the fanout cone.
+    ``stuck`` pins nets at a constant (stuck-at faults) in every pattern.
+    A net that is both flipped and stuck ends up at the inverted stuck value
+    — the flip is applied last, matching a particle strike on a tied node.
+    Returns one word per net.
 
     The fault-injection campaign uses this for its SEU and stuck-at modes;
     errors are deviations of the primary outputs from the fault-free run.
     """
     compiled = compile_circuit(circuit)
+    if len(words) != compiled.n_inputs:
+        raise SimulationError(
+            f"{len(words)} input words for {compiled.n_inputs} inputs"
+        )
+    if width < 0:
+        raise SimulationError(f"pattern width {width} must be non-negative")
+    mask = (1 << width) - 1
     index = compiled.net_index
-    overrides: dict[int, tuple[bool, int]] = {}
 
     def _idx(net: str) -> int:
         try:
@@ -112,29 +122,42 @@ def eval_with_faults(
                 f"cannot inject fault on unknown net {net!r}"
             ) from None
 
-    for net, value in (stuck or {}).items():
-        overrides[_idx(net)] = (True, 1 if value else 0)
-    for net in flips:
-        i = _idx(net)
-        pinned, value = overrides.get(i, (False, 0))
-        overrides[i] = (pinned, value ^ 1) if pinned else (False, 1)
+    pinned = {_idx(net): mask if value else 0 for net, value in (stuck or {}).items()}
+    struck = {_idx(net): word & mask for net, word in (flips or {}).items()}
+    faulted = pinned.keys() | struck.keys()
 
     def _apply(i: int, value: int) -> int:
-        pinned, override = overrides.get(i, (False, 0))
-        if pinned:
-            return override
-        # A bare flip entry stores the xor mask in ``override``.
-        return value ^ override if i in overrides else value
+        return pinned.get(i, value) ^ struck.get(i, 0)
 
-    values = [0] * compiled.n_nets
-    for i, net in enumerate(compiled.inputs):
-        try:
-            values[i] = _apply(i, 1 if pattern[net] else 0)
-        except KeyError:
-            raise SimulationError(f"pattern missing input {net!r}") from None
+    values = [w & mask for w in words] + [0] * compiled.n_gates
+    for i in faulted:
+        if i < compiled.n_inputs:
+            values[i] = _apply(i, values[i])
     for func, out, fanins in compiled.plan:
-        values[out] = _apply(out, func(1, *[values[f] for f in fanins]))
-    return {net: bool(v) for net, v in zip(compiled.net_names, values)}
+        value = func(mask, *[values[f] for f in fanins])
+        values[out] = _apply(out, value) if out in faulted else value
+    return dict(zip(compiled.net_names, values))
+
+
+def eval_with_faults(
+    circuit: Circuit | CompiledCircuit,
+    pattern: Mapping[str, bool],
+    flips: Iterable[str] = (),
+    stuck: Mapping[str, bool] | None = None,
+) -> dict[str, bool]:
+    """One pattern through :func:`eval_words_with_faults`, all nets out.
+
+    ``flips`` names the nets struck by an upset in this pattern.
+    """
+    compiled = compile_circuit(circuit)
+    try:
+        bits = [1 if pattern[net] else 0 for net in compiled.inputs]
+    except KeyError as exc:
+        raise SimulationError(f"pattern missing input {exc.args[0]!r}") from None
+    values = eval_words_with_faults(
+        compiled, bits, 1, flips=dict.fromkeys(flips, 1), stuck=stuck
+    )
+    return {net: bool(v) for net, v in values.items()}
 
 
 def timing_errors(

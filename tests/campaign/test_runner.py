@@ -212,6 +212,41 @@ run_campaign(
 """
 
 
+def _live_group_members(pgid: int) -> list[int]:
+    """PIDs of the not-yet-exited (non-zombie) processes in group ``pgid``."""
+    proc = Path("/proc")
+    if not proc.is_dir():
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    members = []
+    for entry in proc.iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
+
+
+def _reap_group(pgid: int) -> None:
+    """SIGKILL what is left of process group ``pgid`` and wait until it is gone."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        return
+    deadline = time.monotonic() + 30.0
+    while _live_group_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _live_group_members(pgid) == [], "driver's process group survived"
+
+
 def test_resume_after_whole_process_sigkill_is_bit_identical(tmp_path):
     """SIGKILL the *campaign process* mid-run (not just a worker); the
     fsync'd journal must carry the finished shards into a resumed run whose
@@ -228,6 +263,9 @@ def test_resume_after_whole_process_sigkill_is_bit_identical(tmp_path):
         [sys.executable, "-c",
          _DRIVER.format(spec=spec.to_json(), checkpoint=str(checkpoint))],
         env=env,
+        # Its own process group, so the pool worker the SIGKILL orphans can
+        # be found and reaped afterwards.
+        start_new_session=True,
     )
     try:
         # Shards 0 and 1 complete; the drill hangs the worker on shard 2,
@@ -250,6 +288,7 @@ def test_resume_after_whole_process_sigkill_is_bit_identical(tmp_path):
         if driver.poll() is None:
             driver.kill()
             driver.wait(timeout=30)
+        _reap_group(driver.pid)
 
     state = load_journal(checkpoint)
     assert len(state.results) >= 2

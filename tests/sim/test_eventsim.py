@@ -1,9 +1,14 @@
 """Tests for the two-vector event-driven timing simulator."""
 
+import random
+import sys
+
 import pytest
 
 from repro.benchcircuits import comparator2
-from repro.netlist import Circuit, unit_library
+from repro.engine import compile_circuit, patterns_to_words
+from repro.errors import SimulationError
+from repro.netlist import Circuit, lsi10k_like_library, unit_library
 from repro.sim import (
     Waveform,
     exhaustive_patterns,
@@ -12,6 +17,7 @@ from repro.sim import (
     stabilization_times,
     two_vector_waveforms,
 )
+from repro.sim.eventsim import sample_words
 from tests.conftest import random_dag_circuit
 
 LIB = unit_library()
@@ -86,7 +92,104 @@ def test_glitch_visible_in_waveform():
 
 
 def test_missing_input_rejected():
-    from repro.errors import SimulationError
-
     with pytest.raises(SimulationError):
         two_vector_waveforms(comparator2(), {}, {})
+
+
+def _random_pairs(inputs, count, seed):
+    rng = random.Random(seed)
+    draw = lambda: {net: bool(rng.getrandbits(1)) for net in inputs}  # noqa: E731
+    return [(draw(), draw()) for _ in range(count)]
+
+
+def _assert_samples_match_waveforms(compiled, pairs, clocks, nets):
+    """``sample_words`` bit k == the waveform of pair k at every clock."""
+    v1, width = patterns_to_words(compiled, [a for a, _ in pairs])
+    v2, _ = patterns_to_words(compiled, [b for _, b in pairs])
+    waves = [two_vector_waveforms(compiled, a, b) for a, b in pairs]
+    for clock in sorted(clocks):
+        words = sample_words(compiled, v1, v2, width, clock, nets)
+        for net, word in zip(nets, words):
+            got = [bool(word >> k & 1) for k in range(width)]
+            want = [w[net].value_at(clock) for w in waves]
+            assert got == want, (net, clock)
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["nominal", "scaled"])
+@pytest.mark.parametrize("seed", range(6))
+def test_sample_words_matches_waveforms(seed, scaled):
+    """Bit for bit against ``two_vector_waveforms(...).value_at(clock)`` at
+    clock 0, at every output's arrival and arrival - 1, and past the
+    critical delay."""
+    circuit = random_dag_circuit(
+        seed, num_inputs=6, num_gates=30, num_outputs=4,
+        library=lsi10k_like_library(),
+    )
+    compiled = compile_circuit(circuit)
+    if scaled:
+        rng = random.Random(seed)
+        slow = rng.sample(compiled.gate_names, 10)
+        compiled = compiled.with_delay_scales(
+            {g: rng.choice((1.5, 2.0, 3.7)) for g in slow}
+        )
+    arrival = compiled.arrival()
+    clocks = {0, compiled.critical_delay() + 1}
+    for i in compiled.output_index:
+        clocks |= {arrival[i], max(arrival[i] - 1, 0)}
+    pairs = _random_pairs(compiled.inputs, 70, seed)
+    _assert_samples_match_waveforms(compiled, pairs, clocks, compiled.net_names)
+
+
+def test_sample_words_sees_the_glitch():
+    c = Circuit("t", inputs=("a",), outputs=("g",))
+    c.add_gate("s1", LIB.get("INV"), ("a",))
+    c.add_gate("s2", LIB.get("INV"), ("s1",))
+    c.add_gate("g", LIB.get("XOR2"), ("a", "s2"))
+    compiled = compile_circuit(c)
+    pairs = [({"a": a}, {"a": b}) for a in (False, True) for b in (False, True)]
+    _assert_samples_match_waveforms(compiled, pairs, range(-1, 6), ("g",))
+    # Pairs 1 and 2 (a switches) glitch to 1 inside [2, 4); the others stay 0.
+    v1, width = patterns_to_words(compiled, [a for a, _ in pairs])
+    v2, _ = patterns_to_words(compiled, [b for _, b in pairs])
+    assert sample_words(compiled, v1, v2, width, 3, ["g"]) == [0b0110]
+
+
+def test_sample_words_handles_chains_deeper_than_the_recursion_limit():
+    """Both passes are loops: a chain deeper than the interpreter's
+    recursion limit (the default 1000 here; importing the BDD package
+    raises it) samples without a ``RecursionError``."""
+    depth = 2000
+    c = Circuit("chain", inputs=("a",), outputs=(f"g{depth}",))
+    for i in range(depth):
+        c.add_gate(f"g{i + 1}", LIB.get("INV"), (f"g{i}" if i else "a",))
+    compiled = compile_circuit(c)
+    pairs = [({"a": False}, {"a": True}), ({"a": True}, {"a": False}),
+             ({"a": True}, {"a": True})]
+    v1, width = patterns_to_words(compiled, [a for a, _ in pairs])
+    v2, _ = patterns_to_words(compiled, [b for _, b in pairs])
+    clocks = (0, depth // 2, depth - 1, depth)
+    nets = ("g1", f"g{depth // 2}", f"g{depth}")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert depth > sys.getrecursionlimit()
+        samples = {t: sample_words(compiled, v1, v2, width, t, nets) for t in clocks}
+    finally:
+        sys.setrecursionlimit(limit)
+    waves = [two_vector_waveforms(compiled, a, b) for a, b in pairs]
+    for t, words in samples.items():
+        for net, word in zip(nets, words):
+            assert [bool(word >> k & 1) for k in range(width)] == [
+                w[net].value_at(t) for w in waves
+            ], (net, t)
+
+
+def test_sample_words_rejects_bad_arguments():
+    compiled = compile_circuit(comparator2())
+    words = [0] * compiled.n_inputs
+    with pytest.raises(SimulationError, match="unknown net"):
+        sample_words(compiled, words, words, 1, 0, ["zz9"])
+    with pytest.raises(SimulationError, match="input words"):
+        sample_words(compiled, words[1:], words, 1, 0, compiled.outputs)
+    with pytest.raises(SimulationError, match="width"):
+        sample_words(compiled, words, words, -1, 0, compiled.outputs)

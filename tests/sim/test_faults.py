@@ -1,8 +1,11 @@
 """Tests for clocked sampling and timing-error injection."""
 
+import random
+
 import pytest
 
 from repro.benchcircuits import comparator2
+from repro.engine import compile_circuit, patterns_to_words
 from repro.errors import SimulationError
 from repro.sim import (
     eval_with_faults,
@@ -13,7 +16,9 @@ from repro.sim import (
     simulate,
     timing_errors,
 )
+from repro.sim.faults import eval_words_with_faults
 from repro.sta import analyze
+from tests.conftest import random_dag_circuit
 
 
 def test_sampling_at_full_period_is_error_free():
@@ -119,3 +124,55 @@ def test_error_rate_grows_with_aging():
     assert rates[0] == 0
     assert rates[0] <= rates[1] <= rates[2]
     assert rates[2] > 0
+
+
+def _reference_with_faults(circuit, pattern, flipped, stuck):
+    """Per-pattern oracle: named cell evaluation in topological order."""
+    def apply(net, value):
+        return stuck.get(net, value) != (net in flipped)
+
+    values = {net: apply(net, pattern[net]) for net in circuit.inputs}
+    for name in circuit.topo_order():
+        gate = circuit.gates[name]
+        value = gate.cell.evaluate_seq([values[f] for f in gate.fanins])
+        values[name] = apply(name, value)
+    return values
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eval_words_with_faults_matches_per_pattern(seed):
+    """Every bit of the word result equals the per-pattern oracle, with a
+    flipped primary input and a net that is both flipped and stuck."""
+    circuit = random_dag_circuit(seed, num_inputs=6, num_gates=24, num_outputs=3)
+    compiled = compile_circuit(circuit)
+    rng = random.Random(seed)
+    width = 70
+    patterns = [
+        {net: bool(rng.getrandbits(1)) for net in circuit.inputs}
+        for _ in range(width)
+    ]
+    gates = sorted(circuit.gates)
+    both, only_stuck, only_flipped = rng.sample(gates, 3)
+    stuck = {both: bool(rng.getrandbits(1)), only_stuck: bool(rng.getrandbits(1))}
+    flips = {
+        net: rng.getrandbits(width)
+        for net in (both, only_flipped, circuit.inputs[0])
+    }
+    words, _ = patterns_to_words(compiled, patterns)
+    got = eval_words_with_faults(compiled, words, width, flips=flips, stuck=stuck)
+    for k, pattern in enumerate(patterns):
+        flipped = {net for net, word in flips.items() if word >> k & 1}
+        want = _reference_with_faults(circuit, pattern, flipped, stuck)
+        assert {net: bool(word >> k & 1) for net, word in got.items()} == want
+        assert eval_with_faults(circuit, pattern, flipped, stuck) == want
+
+
+def test_eval_words_with_faults_unknown_net():
+    compiled = compile_circuit(comparator2())
+    words = [0] * compiled.n_inputs
+    with pytest.raises(SimulationError, match="unknown net 'zz9'"):
+        eval_words_with_faults(compiled, words, 4, flips={"zz9": 1})
+    with pytest.raises(SimulationError, match="unknown net 'zz9'"):
+        eval_words_with_faults(compiled, words, 4, stuck={"zz9": True})
+    with pytest.raises(SimulationError, match="input words"):
+        eval_words_with_faults(compiled, words[1:], 4)
