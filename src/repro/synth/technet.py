@@ -12,6 +12,7 @@ the off-set (the masking synthesis selects cubes from both).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -211,6 +212,28 @@ class TechNetwork:
                 acc = acc | term
             fns[name] = acc
         return fns
+
+    def digest(self) -> str:
+        """SHA-256 of the network: inputs, outputs, then every node in
+        topological order as its name, fanins and on/off cube values.
+
+        Two networks share a digest iff they are node for node identical,
+        cube order included.
+        """
+        h = hashlib.sha256(repr((self.inputs, self.outputs)).encode())
+        for name in self.topo_order():
+            node = self._nodes[name]
+            h.update(
+                repr(
+                    (
+                        name,
+                        node.fanins,
+                        [c.values for c in node.on_cover.cubes],
+                        [c.values for c in node.off_cover.cubes],
+                    )
+                ).encode()
+            )
+        return h.hexdigest()
 
     def copy(self, name: str | None = None) -> "TechNetwork":
         out = TechNetwork(name or self.name, self.inputs, self.outputs)
