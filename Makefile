@@ -1,14 +1,15 @@
 # Developer entry points. `make check` is the CI gate: tier-1 tests, the
 # warning-level lint sweep over every builtin benchmark, the
 # abstract-interpretation sweep, the path-sensitization gate, the campaign
-# crash/quarantine/resume smoke drill, and the precert speedup gate.
+# crash/quarantine/resume smoke drill, the precert speedup gate, and the
+# lift/collapse golden-network check.
 
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test lint-circuits analyze paths campaign-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf e2e-check
+.PHONY: check test lint-circuits analyze paths campaign-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf bench-collapse e2e-check
 
-check: test lint-circuits analyze paths campaign-smoke bench-spcf
+check: test lint-circuits analyze paths campaign-smoke bench-spcf bench-collapse
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -72,3 +73,9 @@ e2e-check:
 # via precertify + the multi-root compile.  Writes BENCH_spcf.json.
 bench-spcf:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_spcf.py --check
+
+# Lift and collapse stage timings over the 20 Table 2 circuits.  Writes
+# BENCH_collapse.json; the gate is only that every lifted and collapsed
+# network matches tests/synth/data/collapsed_networks.json (never time).
+bench-collapse:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_collapse.py --check

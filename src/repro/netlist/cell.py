@@ -20,6 +20,7 @@ from repro.errors import LibraryError
 from repro.logic.cube import Cube
 from repro.logic.expr import BoolExpr, parse_expr
 from repro.logic.qm import primes_of_truth_table
+from repro.lru import LRUCache
 
 _MAX_CELL_INPUTS = 10
 
@@ -83,7 +84,7 @@ class Cell:
         cached = _expr_cache.get(self._key)
         if cached is None:
             cached = parse_expr(self.expression)
-            _expr_cache[self._key] = cached
+            _expr_cache.put(self._key, cached)
         return cached
 
     @property
@@ -108,7 +109,7 @@ class Cell:
                 }
                 rows.append(expr.evaluate(assignment))
             cached = tuple(rows)
-            _tt_cache[self._key] = cached
+            _tt_cache.put(self._key, cached)
         return cached
 
     def primes(self) -> tuple[tuple[Cube, ...], tuple[Cube, ...]]:
@@ -117,7 +118,7 @@ class Cell:
         if cached is None:
             on, off = primes_of_truth_table(self.truth_table())
             cached = (tuple(on), tuple(off))
-            _primes_cache[self._key] = cached
+            _primes_cache.put(self._key, cached)
         return cached
 
     def evaluate(self, pin_values: Mapping[str, bool]) -> bool:
@@ -141,6 +142,14 @@ class Cell:
         return max(self.pin_delays, default=0)
 
 
-_expr_cache: dict[tuple, BoolExpr] = {}
-_tt_cache: dict[tuple, tuple[bool, ...]] = {}
-_primes_cache: dict[tuple, tuple[tuple[Cube, ...], tuple[Cube, ...]]] = {}
+#: Most distinct cell functions each derived-artifact cache holds at once
+#: (a library has a few dozen cells).
+CELL_CACHE_SIZE = 1024
+
+# Keyed by the cell's content (name, pins, expression), so equal cells of
+# different library objects share entries.
+_expr_cache: LRUCache[BoolExpr] = LRUCache(CELL_CACHE_SIZE)
+_tt_cache: LRUCache[tuple[bool, ...]] = LRUCache(CELL_CACHE_SIZE)
+_primes_cache: LRUCache[tuple[tuple[Cube, ...], tuple[Cube, ...]]] = LRUCache(
+    CELL_CACHE_SIZE
+)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from repro.errors import ObsError
-from repro.obs.tracing import SPAN_FIELDS, SPAN_IDENTITY_FIELDS
+from repro.obs.tracing import SPAN_FIELDS
 
 CHROME_TRACE_SCHEMA = {
     "required_top": ("traceEvents",),
@@ -87,65 +87,21 @@ def render_prometheus(snapshot: dict) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _identity_label(worker, host) -> str:
-    """Perfetto row name for a worker/host identity."""
-    if worker is not None and host is not None:
-        return f"{worker} @ {host}"
-    return str(worker if worker is not None else host)
-
-
 def chrome_trace(records: list[dict]) -> dict:
     """Convert span records to a Chrome ``trace_event`` JSON object.
 
     Spans become complete events (``ph: "X"``, microsecond ``ts``/``dur``)
     and each distinct pid contributes ``process_name``/``thread_name``
     metadata events so Perfetto labels the tracks.
-
-    Records carrying a worker identity (``worker``/``host``, stamped on
-    spans adopted from another host) are mapped onto a
-    **synthetic pid per identity** — pids from different hosts collide,
-    so the real pid cannot be the row key on a multi-host timeline.  The
-    identity becomes the ``process_name``, each original ``(pid, tid)``
-    pair becomes a named thread row, and the identity fields are kept in
-    ``args`` so :func:`load_trace` round-trips them.  Traces without
-    identity fields are byte-identical to the single-process format.
     """
-    # Synthetic pids for identity rows start above every real pid in the
-    # trace so the two namespaces cannot collide.
-    identity_pids: dict[tuple, int] = {}
-    max_pid = 0
-    for rec in records:
-        worker, host = rec.get("worker"), rec.get("host")
-        if worker is not None or host is not None:
-            identity_pids.setdefault((worker, host), 0)
-        max_pid = max(max_pid, rec["pid"])
-    for i, ident in enumerate(identity_pids):
-        identity_pids[ident] = max_pid + 1 + i
-    identity_tids: dict[tuple, dict] = {}
-
     events = []
     seen_pids: dict[int, str] = {}
     seen_tids: dict[tuple, str] = {}
     for rec in records:
-        worker, host = rec.get("worker"), rec.get("host")
         args = dict(rec.get("args") or {})
-        if worker is not None or host is not None:
-            ident = (worker, host)
-            pid = identity_pids[ident]
-            rows = identity_tids.setdefault(ident, {})
-            tid = rows.setdefault((rec["pid"], rec["tid"]), len(rows) + 1)
-            seen_pids.setdefault(pid, _identity_label(worker, host))
-            seen_tids.setdefault(
-                (pid, tid), f"pid {rec['pid']} thread {rec['tid']}"
-            )
-            if worker is not None:
-                args["worker"] = worker
-            if host is not None:
-                args["host"] = host
-        else:
-            pid, tid = rec["pid"], rec["tid"]
-            seen_pids.setdefault(pid, f"repro pid {pid}")
-            seen_tids.setdefault((pid, tid), f"thread {tid}")
+        pid, tid = rec["pid"], rec["tid"]
+        seen_pids.setdefault(pid, f"repro pid {pid}")
+        seen_tids.setdefault((pid, tid), f"thread {tid}")
         args["span_id"] = rec["id"]
         if rec.get("parent") is not None:
             args["parent_span_id"] = rec["parent"]
@@ -261,10 +217,6 @@ def load_trace(path: str) -> list[dict]:
                 "id": args.pop("span_id", None),
                 "parent": args.pop("parent_span_id", None),
             }
-            for field in SPAN_IDENTITY_FIELDS:
-                value = args.pop(field, None)
-                if value is not None:
-                    rec[field] = value
             rec["args"] = args
             records.append(rec)
         return records
@@ -281,11 +233,7 @@ def load_trace(path: str) -> list[dict]:
             ) from exc
         if "name" not in rec or "ts_us" not in rec:
             raise ObsError(f"trace file {path}:{lineno} missing span fields")
-        new = {field: rec.get(field) for field in SPAN_FIELDS}
-        for field in SPAN_IDENTITY_FIELDS:
-            if rec.get(field) is not None:
-                new[field] = rec[field]
-        records.append(new)
+        records.append({field: rec.get(field) for field in SPAN_FIELDS})
     return records
 
 

@@ -48,11 +48,6 @@ SPAN_FIELDS = (
     "args",
 )
 
-#: Optional per-record fields preserved across ingest: a worker/host
-#: identity stamped onto spans adopted from other processes or hosts,
-#: so a multi-host Chrome trace can map identities onto distinct rows.
-SPAN_IDENTITY_FIELDS = ("worker", "host")
-
 _CORRELATION: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "repro_obs_correlation", default=None
 )
@@ -237,9 +232,6 @@ class TraceCollector:
             if not isinstance(rec, dict) or "name" not in rec or "ts_us" not in rec:
                 raise ObsError("malformed span record during ingest")
             new = {field: rec.get(field) for field in SPAN_FIELDS}
-            for field in SPAN_IDENTITY_FIELDS:
-                if rec.get(field) is not None:
-                    new[field] = rec[field]
             old_id = rec.get("id")
             new_id = next(self._ids)
             if old_id is not None:

@@ -8,17 +8,79 @@ complex nodes of 10–15 inputs).  Elimination is the classic SIS-style pass:
 a node is absorbed when the merged support and the re-extracted SOPs stay
 within bounds, preferring low-fanout nodes (absorbing a single-fanout node
 never duplicates logic).
+
+Both stages compute on truth tables (:mod:`repro.logic.truthtable`): every
+function they touch has at most ``max_support + 1`` variables, and the
+table ISOP returns the same cubes, in the same order, as ``bdd.isop`` over
+a manager registering the variables in the same order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro.bdd.manager import BddManager
 from repro.errors import SynthesisError
+from repro.logic import truthtable
+from repro.logic.cover import Cover
+from repro.logic.cube import Cube
+from repro.lru import LRUCache
+from repro.netlist.cell import Cell
 from repro.netlist.circuit import Circuit
-from repro.spcf.timedfunc import expr_to_function
-from repro.synth.technet import TechNetwork, TechNode, node_from_function
+from repro.synth.technet import TechNetwork, TechNode
+
+# benchmarks/e2e/tracer.py probes this name here (synth.collapse.candidates).
+from repro.synth.technet import node_from_function  # noqa: F401
+
+#: ``(kept, on cubes, off cubes)`` of a table as :func:`truthtable.sop`
+#: gives them: the function's support among the table's variables and its
+#: ISOP covers over those positions.  A node renames them to its nets.
+Sop = tuple[tuple[int, ...], tuple[Cube, ...], tuple[Cube, ...]]
+
+#: Most entries each of :data:`_lift_cache` and :data:`_merge_cache` holds.
+SOP_CACHE_SIZE = 4096
+
+#: Covers of a cell keyed by its content and the position of each pin's net
+#: among the gate's distinct fanins (the fanin-duplication pattern).
+_lift_cache: LRUCache[Sop] = LRUCache(SOP_CACHE_SIZE)
+
+#: Covers of a merge candidate keyed by its table: different nets often
+#: merge into the same function of the same positions.
+_merge_cache: LRUCache[Sop] = LRUCache(SOP_CACHE_SIZE)
+
+
+def _node(name: str, variables: tuple[str, ...], sop: Sop) -> TechNode:
+    """The node whose table variable ``i`` is the net ``variables[i]``."""
+    kept, on, off = sop
+    fanins = tuple(variables[i] for i in kept)
+    return TechNode(name, fanins, Cover(fanins, on), Cover(fanins, off))
+
+
+def _cell_sop(cell: Cell, pattern: tuple[int, ...]) -> Sop:
+    """Covers of ``cell`` with pin ``j`` reading distinct fanin ``pattern[j]``."""
+    key = (cell.name, cell.inputs, cell.expression, pattern)
+    cached = _lift_cache.get(key)
+    if cached is None:
+        rows = cell.truth_table()  # pin 0 is the MSB of the row index
+        k = max(pattern, default=-1) + 1
+        table = 0
+        for m in range(1 << k):
+            row = 0
+            for position in pattern:
+                row = (row << 1) | ((m >> position) & 1)
+            if rows[row]:
+                table |= 1 << m
+        cached = truthtable.sop(table, k)
+        _lift_cache.put(key, cached)
+    return cached
+
+
+def _table_sop(table: int, k: int) -> Sop:
+    """:func:`truthtable.sop` through :data:`_merge_cache`."""
+    cached = _merge_cache.get((table, k))
+    if cached is None:
+        cached = truthtable.sop(table, k)
+        _merge_cache.put((table, k), cached)
+    return cached
 
 
 def circuit_to_technet(circuit: Circuit) -> TechNetwork:
@@ -27,15 +89,10 @@ def circuit_to_technet(circuit: Circuit) -> TechNetwork:
     net = TechNetwork(circuit.name, circuit.inputs, circuit.outputs)
     for name in circuit.topo_order():
         gate = circuit.gates[name]
-        cell = gate.cell
         distinct = tuple(dict.fromkeys(gate.fanins))
-        mgr = BddManager(distinct)
-        env = {
-            pin: mgr.var(fanin)
-            for pin, fanin in zip(cell.inputs, gate.fanins)
-        }
-        fn = expr_to_function(cell.expr, env, mgr)
-        net.add_node(node_from_function(name, distinct, fn))
+        index = {f: i for i, f in enumerate(distinct)}
+        pattern = tuple(index[f] for f in gate.fanins)
+        net.add_node(_node(name, distinct, _cell_sop(gate.cell, pattern)))
     net.validate()
     return net
 
@@ -53,6 +110,8 @@ def collapse(
     ----------
     max_support:
         Upper bound on the fanin count of any merged node (paper: 10–15).
+        At most ``truthtable.MAX_VARS - 1``: a merge candidate's table also
+        holds the eliminated node.
     max_cubes:
         Upper bound on the cube count of either re-extracted cover; keeps
         the ISOPs (and later the cube-selection pass) tractable.
@@ -67,6 +126,11 @@ def collapse(
     """
     if max_support < 2:
         raise SynthesisError(f"max_support {max_support} too small")
+    if max_support >= truthtable.MAX_VARS:
+        raise SynthesisError(
+            f"max_support {max_support} too large (at most "
+            f"{truthtable.MAX_VARS - 1})"
+        )
 
     def best_cost(tech_node: TechNode) -> tuple[int, float]:
         from repro.synth.mapping import trial_cost
@@ -104,11 +168,17 @@ def collapse(
             if len(support) > max_support:
                 ok = False
                 break
-            mgr = BddManager(dict.fromkeys((*support, name)))
-            node_fn = node.on_cover.to_function(mgr)
-            reader_fn = reader.on_cover.to_function(mgr)
-            combined = reader_fn.compose({name: node_fn})
-            candidate = node_from_function(reader_name, support, combined)
+            variables = (*support, name)
+            k = len(variables)
+            index = {v: i for i, v in enumerate(variables)}
+            node_table = truthtable.cover_table(
+                node.on_cover.cubes, [index[f] for f in node.fanins], k
+            )
+            reader_table = truthtable.cover_table(
+                reader.on_cover.cubes, [index[f] for f in reader.fanins], k
+            )
+            combined = truthtable.compose(reader_table, k - 1, node_table, k)
+            candidate = _node(reader_name, variables, _table_sop(combined, k))
             # XOR-rich functions have no compact SOP (a k-input parity has
             # 2^(k-1) cubes); refusing candidates whose cover exceeds its
             # support size keeps such structures as separate nodes.

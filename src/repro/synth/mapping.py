@@ -30,13 +30,41 @@ _TRIAL_MISSES = _METER.counter(
     "trial_cost calls that factored and costed a cover",
 )
 
-#: Most distinct ``(library, cover, inverted)`` costs :data:`_trial_cache`
-#: holds at once; above the largest one-pass workload (~37k on Table 2).
+#: Most distinct costs :data:`_trial_cache` holds at once; above the largest
+#: one-pass workload (~4.6k shape keys on Table 2).
 TRIAL_CACHE_SIZE = 65536
 
-#: Keyed by the library object itself: the key keeps the library alive, so
+#: Net-name prefix of the cost-only :class:`GateBuilder` in :func:`trial_cost`.
+TRIAL_PREFIX = "t_"
+
+#: Keyed by :func:`_trial_key`.  The key holds the library object itself, so
 #: a later library can never alias its entries through a reused ``id``.
 _trial_cache: LRUCache[tuple[int, float]] = LRUCache(TRIAL_CACHE_SIZE)
+
+
+def _trial_key(cover: Cover, library: Library, inverted: bool) -> tuple:
+    """Cache key of a cover's cost: its shape, not its net names.
+
+    Names reach the cost only through comparisons: :meth:`GateBuilder.emit`
+    sorts the fanins of symmetric cells (which picks the pin delays),
+    strash matches names for equality, and a cover input sorts before or
+    after the builder's fresh :data:`TRIAL_PREFIX` nets.  So the key keeps
+    the cube values, the rank of each name among the cover's names (ties
+    included) and whether it sorts before the prefix.  A name starting with
+    the prefix makes :meth:`GateBuilder.fresh` skip it, which the shape
+    cannot tell, so such covers keep the named key.
+    """
+    names = cover.names
+    if any(n.startswith(TRIAL_PREFIX) for n in names):
+        return (library, cover, inverted)
+    order = sorted(names)
+    return (
+        library,
+        tuple(c.values for c in cover.cubes),
+        tuple(map(order.index, names)),
+        tuple(n < TRIAL_PREFIX for n in names),
+        inverted,
+    )
 
 
 def trial_cost(
@@ -52,13 +80,13 @@ def trial_cost(
     :meth:`Circuit.area` report on the same gates in a scratch circuit.
     A cover that needs no gate costs ``(0, 0.0)``.
     """
-    key = (library, cover, inverted)
+    key = _trial_key(cover, library, inverted)
     cached = _trial_cache.get(key)
     if cached is not None:
         _TRIAL_HITS.add()
         return cached
     _TRIAL_MISSES.add()
-    builder = GateBuilder(None, library, "t_", inputs=cover.names)
+    builder = GateBuilder(None, library, TRIAL_PREFIX, inputs=cover.names)
     net = decompose_cover(cover, builder, invert_output=inverted)
     result = (builder.arrival.get(net, 0), builder.area)
     _trial_cache.put(key, result)

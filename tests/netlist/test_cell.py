@@ -68,3 +68,27 @@ def test_aoi_cell_truth_table():
     for idx in range(8):
         a, b, cc = (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
         assert table[idx] == (not ((a and b) or cc))
+
+
+def test_derived_caches_stay_bounded_over_many_libraries(monkeypatch):
+    from repro.lru import LRUCache
+    from repro.netlist import Library
+    from repro.netlist import cell as cell_module
+
+    names = ("_expr_cache", "_tt_cache", "_primes_cache")
+    for name in names:
+        cache = getattr(cell_module, name)
+        assert isinstance(cache, LRUCache)
+        assert cache.size == cell_module.CELL_CACHE_SIZE
+        monkeypatch.setattr(cell_module, name, LRUCache(8))
+    libraries = []
+    for i in range(40):
+        lib = Library(f"lib{i}")
+        # Distinct content per library: a new cell name and expression.
+        made = lib.add(Cell(f"G{i}", ("a", "b"), f"a & b | {i % 2}", 1.0, (1, 2)))
+        made.primes()
+        libraries.append(lib)
+    assert all(len(getattr(cell_module, name)) == 8 for name in names)
+    # An evicted cell derives the same artifacts again.
+    first = libraries[0].get("G0")
+    assert first.truth_table() == (False, False, False, True)

@@ -175,73 +175,3 @@ def test_self_shares_of_nested_spans_add_up_to_at_most_100():
     assert sum(env) > 100.0
     assert sum(self_pct) <= 100.0
     assert self_pct == [20.0, 20.0, 60.0]
-
-
-def identity_records() -> list[dict]:
-    """Two workers on two hosts whose *real* pids collide (4242 both)."""
-    records = sample_records()
-    for rec in records:
-        rec["worker"], rec["host"] = "w1", "hostA"
-    other = json.loads(json.dumps(records[0]))
-    other["worker"], other["host"] = "w2", "hostB"
-    return records + [other]
-
-
-def test_chrome_trace_maps_identities_onto_synthetic_pids():
-    trace = chrome_trace(identity_records())
-    validate_chrome_trace(trace)
-    events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-    by_worker = {e["args"]["worker"]: e for e in events}
-    # Distinct synthetic pid per (worker, host), all above the real pids
-    # so colliding multi-host pids cannot share a row.
-    assert by_worker["w1"]["pid"] != by_worker["w2"]["pid"]
-    assert all(e["pid"] > 4242 for e in events)
-    # Per-identity tids restart from 1.
-    assert by_worker["w1"]["tid"] == 1
-    assert by_worker["w2"]["tid"] == 1
-    process_names = {
-        m["pid"]: m["args"]["name"]
-        for m in trace["traceEvents"]
-        if m["ph"] == "M" and m["name"] == "process_name"
-    }
-    assert process_names[by_worker["w1"]["pid"]] == "w1 @ hostA"
-    assert process_names[by_worker["w2"]["pid"]] == "w2 @ hostB"
-    thread_names = {
-        (m["pid"], m["tid"]): m["args"]["name"]
-        for m in trace["traceEvents"]
-        if m["ph"] == "M" and m["name"] == "thread_name"
-    }
-    # The original (pid, tid) stays legible as the thread label.
-    assert thread_names[(by_worker["w1"]["pid"], 1)] == "pid 4242 thread 7"
-
-
-def test_chrome_trace_without_identity_is_byte_identical():
-    # The single-process wire format must not change when no record
-    # carries worker/host — the golden test pins it; this pins the
-    # equality explicitly against a trace built after the identity pass.
-    plain = sample_records()
-    assert json.dumps(chrome_trace(plain), sort_keys=True) == json.dumps(
-        chrome_trace([dict(r) for r in plain]), sort_keys=True
-    )
-    assert all(
-        "worker" not in e.get("args", {})
-        for e in chrome_trace(plain)["traceEvents"]
-    )
-
-
-def test_identity_round_trips_through_both_formats(tmp_path):
-    records = identity_records()
-    jsonl = tmp_path / "t.jsonl"
-    write_trace(str(jsonl), records)
-    assert load_trace(str(jsonl)) == records  # JSONL is lossless
-
-    chrome = tmp_path / "t.json"
-    write_trace(str(chrome), records)
-    loaded = load_trace(str(chrome))
-    # Chrome rows use synthetic pids, but the identity fields come back
-    # to the top level and the span payload survives.
-    assert [(r["worker"], r["host"]) for r in loaded] == [
-        (r["worker"], r["host"]) for r in records
-    ]
-    assert [r["name"] for r in loaded] == [r["name"] for r in records]
-    assert all("worker" not in r["args"] for r in loaded)

@@ -69,6 +69,8 @@ def test_max_support_guard():
     c = comparator2()
     with pytest.raises(SynthesisError):
         collapse(circuit_to_technet(c), max_support=1)
+    with pytest.raises(SynthesisError, match="too large"):
+        collapse(circuit_to_technet(c), max_support=16)
 
 
 def test_duplicate_fanin_gate_lifts_cleanly():
@@ -81,3 +83,31 @@ def test_duplicate_fanin_gate_lifts_cleanly():
     tn = circuit_to_technet(c)
     assert tn.node("g").fanins == ("a",)
     assert functions_match(c, tn)
+
+
+def test_cover_caches_are_bounded_and_exact(monkeypatch):
+    import importlib
+
+    from repro.lru import LRUCache
+    from repro.netlist import Circuit
+
+    # repro.synth re-exports the collapse() function under the module's name.
+    collapse_module = importlib.import_module("repro.synth.collapse")
+    names = ("_lift_cache", "_merge_cache")
+    for name in names:
+        cache = getattr(collapse_module, name)
+        assert isinstance(cache, LRUCache)
+        assert cache.size == collapse_module.SOP_CACHE_SIZE
+    lib = lsi10k_like_library()
+    c = random_dag_circuit(3, num_inputs=6, num_gates=24, library=lib)
+    c.add_gate("m", lib.get("MUX2"), (c.inputs[0], c.inputs[1], c.inputs[0]))
+    c.add_gate("n", lib.get("AOI21"), ("m", c.inputs[2], "m"))
+    c.add_output("n")
+    expected = collapse(circuit_to_technet(c), max_support=8, library=lib)
+    for name in names:
+        monkeypatch.setattr(collapse_module, name, LRUCache(2))
+    for _ in range(2):
+        again = collapse(circuit_to_technet(c), max_support=8, library=lib)
+        assert again.digest() == expected.digest()
+        assert all(len(getattr(collapse_module, name)) == 2 for name in names)
+    assert functions_match(c, expected)

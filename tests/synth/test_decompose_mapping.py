@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchcircuits import comparator2
 from repro.benchcircuits.generators import make_benchmark
@@ -27,6 +29,7 @@ from repro.synth.mapping import trial_cost
 from tests.conftest import random_dag_circuit
 
 LIB = unit_library()
+LSI = lsi10k_like_library()
 NAMES = ("a", "b", "c", "d")
 
 
@@ -322,3 +325,58 @@ def test_collapse_and_map_identical_under_sta_oracle(make_circuit, monkeypatch):
     oracle_net, oracle_mapped = run()
     assert technet_rows(fast_net) == technet_rows(oracle_net)
     assert circuit_rows(fast_mapped) == circuit_rows(oracle_mapped)
+
+
+#: Names on both sides of the builder prefix "t_", none starting with it:
+#: "t" and "t0" sort before "t_", "ta" after it.
+PLAIN_NAMES = ("a", "b", "k", "n3", "s", "t", "t0", "ta", "u", "x1", "z")
+
+
+@st.composite
+def covers_and_renamings(draw):
+    """A cover over plain names and a renaming keeping order and prefix flag."""
+    names = draw(st.lists(st.sampled_from(PLAIN_NAMES), min_size=1,
+                          max_size=6, unique=True))
+    rows = draw(st.lists(st.text(alphabet="01--", min_size=len(names),
+                                 max_size=len(names)), max_size=6))
+    before = sorted(n for n in names if n < mapping.TRIAL_PREFIX)
+    after = sorted(n for n in names if n > mapping.TRIAL_PREFIX)
+    # Each side gets fresh names in its own range, in the same order.
+    rename = {n: f"a{i:02d}" for i, n in enumerate(before)}
+    rename.update({n: f"w{i:02d}" for i, n in enumerate(after)})
+    cover = Cover.from_strings(names, rows)
+    return cover, Cover(tuple(rename[n] for n in names), cover.cubes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(covers_and_renamings(), st.booleans(), st.sampled_from([LIB, LSI]))
+def test_trial_cost_shape_key_is_exact_under_renaming(case, inverted, library):
+    cover, renamed = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mapping, "_trial_cache", LRUCache(mapping.TRIAL_CACHE_SIZE))
+        warm = trial_cost(cover, library, inverted)
+        assert trial_cost(renamed, library, inverted) == warm
+    assert warm == sta_trial_cost(renamed, library, inverted)
+
+
+def test_trial_cost_key_tells_inputs_before_and_after_the_prefix(monkeypatch):
+    # AND2(a, b) is a fresh "t_" net; the second AND2 sorts "c" before it
+    # but "z" after it, so the slower pin (9 vs 8) goes to different nets.
+    monkeypatch.setattr(mapping, "_trial_cache", LRUCache(mapping.TRIAL_CACHE_SIZE))
+    before = Cover.from_strings(("a", "b", "c"), ["111"])
+    after = Cover.from_strings(("a", "b", "z"), ["111"])
+    assert sta_trial_cost(before, LSI) != sta_trial_cost(after, LSI)
+    assert trial_cost(before, LSI) == sta_trial_cost(before, LSI)
+    assert trial_cost(after, LSI) == sta_trial_cost(after, LSI)
+
+
+def test_trial_cost_keeps_named_key_for_prefixed_inputs(monkeypatch):
+    # An input named like a fresh net makes the builder skip that name,
+    # so it costs differently from a same-shaped cover over plain names.
+    monkeypatch.setattr(mapping, "_trial_cache", LRUCache(mapping.TRIAL_CACHE_SIZE))
+    plain = Cover.from_strings(("b", "c", "u"), ["111"])
+    prefixed = Cover.from_strings(("b", "c", "t_and_0"), ["111"])
+    assert sta_trial_cost(plain, LSI) != sta_trial_cost(prefixed, LSI)
+    assert trial_cost(plain, LSI) == sta_trial_cost(plain, LSI)
+    assert trial_cost(prefixed, LSI) == sta_trial_cost(prefixed, LSI)
+    assert (LSI, prefixed, False) in mapping._trial_cache
