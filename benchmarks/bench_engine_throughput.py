@@ -1,27 +1,15 @@
-"""Engine throughput — patterns/sec, reference walk vs compiled backends.
+"""Engine throughput — patterns/sec, reference walk vs compiled word evaluator.
 
-Measures zero-delay simulation throughput on the builtin suite three ways:
+Measures zero-delay simulation throughput on the builtin suite two ways:
 
 * ``reference`` — the seed implementation: one dict-based topological walk
   per pattern (kept verbatim below as the honest baseline),
-* ``python`` — the compiled engine's pure-Python big-int word backend at its
-  preferred batch size (16 Ki patterns per word),
-* ``numpy`` — the engine's levelized ``uint64``-lane backend on its *native*
-  lane interface (:meth:`NumpyWordBackend.eval_lanes`) at its preferred
-  batch size (1 Mi patterns), skipped when NumPy is not importable.  The
-  big-int-interface throughput (``eval_words``, which pays int<->lane
-  conversions both ways) is recorded alongside as ``numpy_words_pps`` —
-  that is the number that justifies keeping "python" the default backend
-  for the dict/word API.
-
-Each backend is measured at its own best batch shape because that is how a
-Monte-Carlo caller would use it; bit-exactness between the backends is
-asserted on a shared batch before any timing is trusted.
+* ``python`` — the compiled engine's big-int word evaluator
+  (:func:`repro.engine.eval_words`) at 16 Ki patterns per word.
 
 Results are printed as a table and written to ``BENCH_engine.json`` next to
 the repo root so the performance trajectory is tracked across PRs.  The
-compiled pure-Python backend must clear 5x over the reference walk; the
-NumPy backend's native path must not be slower than pure Python overall.
+compiled evaluator must clear 5x over the reference walk.
 
 Run standalone (``python benchmarks/bench_engine_throughput.py``) or via
 ``pytest benchmarks/ --benchmark-only -s``.
@@ -34,12 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.engine import (
-    compile_circuit,
-    numpy_available,
-    pack_input_words,
-    select_backend,
-)
+from repro.engine import compile_circuit, eval_words, pack_input_words
 from repro.netlist import lsi10k_like_library
 from repro.benchcircuits import circuit_by_name
 from repro.sim import pack_patterns, random_patterns
@@ -47,12 +30,8 @@ from repro.sim import pack_patterns, random_patterns
 #: Circuits benchmarked; a cross-section of the builtin suite.
 CIRCUITS = ("cmb", "x2", "cu", "C432", "comparator6")
 
-#: Patterns per batch for the big-int word backends (their sweet spot).
+#: Patterns per batch for the big-int word evaluator.
 WORD_PATTERNS = 16384
-
-#: Patterns per batch for the numpy backend's native lane path; large enough
-#: to amortize per-ufunc dispatch, the regime the lane backend exists for.
-NUMPY_PATTERNS = 1 << 20
 
 #: Patterns for the (much slower) reference walk; throughput extrapolates.
 REFERENCE_PATTERNS = 256
@@ -87,7 +66,7 @@ def _best_of(repeats, fn):
 
 
 def measure_circuit(name: str, library=None) -> dict:
-    """Patterns/sec for one circuit under all three evaluators."""
+    """Patterns/sec for one circuit under both evaluators."""
     circuit = circuit_by_name(name, library)
     compiled = compile_circuit(circuit)
 
@@ -106,33 +85,9 @@ def measure_circuit(name: str, library=None) -> dict:
     words, width = pack_patterns(circuit.inputs, pats)
     packed = pack_input_words(compiled, words, width)
 
-    python = select_backend("python")
-    t, py_vals = _best_of(REPEATS, lambda: python.eval_words(compiled, packed, width))
+    t, _ = _best_of(REPEATS, lambda: eval_words(compiled, packed, width))
     row["python_pps"] = width / t
     row["speedup_python"] = row["python_pps"] / row["reference_pps"]
-
-    if numpy_available():
-        import numpy as np
-
-        numpy_backend = select_backend("numpy")
-        # Bit-exactness first, on the shared batch, before timing anything.
-        np_vals = numpy_backend.eval_words(compiled, packed, width)
-        assert np_vals == py_vals, f"{name}: backend results differ"
-
-        t, _ = _best_of(
-            REPEATS, lambda: numpy_backend.eval_words(compiled, packed, width)
-        )
-        row["numpy_words_pps"] = width / t
-
-        rng = np.random.default_rng(11)
-        lanes = rng.integers(
-            0, 2**64, size=(compiled.n_inputs, NUMPY_PATTERNS // 64), dtype=np.uint64
-        )
-        t, _ = _best_of(REPEATS, lambda: numpy_backend.eval_lanes(compiled, lanes))
-        row["numpy_patterns"] = NUMPY_PATTERNS
-        row["numpy_native_pps"] = NUMPY_PATTERNS / t
-        row["speedup_numpy"] = row["numpy_native_pps"] / row["reference_pps"]
-        row["numpy_vs_python"] = row["numpy_native_pps"] / row["python_pps"]
     return row
 
 
@@ -141,9 +96,7 @@ def run_suite(library=None) -> dict:
     payload = {
         "benchmark": "engine_throughput",
         "word_patterns": WORD_PATTERNS,
-        "numpy_patterns": NUMPY_PATTERNS,
         "reference_patterns": REFERENCE_PATTERNS,
-        "numpy_available": numpy_available(),
         "rows": rows,
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -153,19 +106,13 @@ def run_suite(library=None) -> dict:
 def print_table(payload: dict) -> None:
     print(
         f"\n{'circuit':14s} {'gates':>6s} {'reference':>12s} "
-        f"{'python':>12s} {'numpy-lanes':>12s} {'numpy-words':>12s} "
-        f"{'py-speedup':>11s} {'np/py':>7s}"
+        f"{'python':>12s} {'py-speedup':>11s}"
     )
     for row in payload["rows"]:
-        native = row.get("numpy_native_pps")
-        via_words = row.get("numpy_words_pps")
         print(
             f"{row['circuit']:14s} {row['gates']:6d} "
             f"{row['reference_pps']:12.0f} {row['python_pps']:12.0f} "
-            f"{(f'{native:12.0f}' if native else '         n/a')} "
-            f"{(f'{via_words:12.0f}' if via_words else '         n/a')} "
-            f"{row['speedup_python']:10.1f}x "
-            f"{row.get('numpy_vs_python', float('nan')):7.2f}"
+            f"{row['speedup_python']:10.1f}x"
         )
     print(f"(patterns/sec; JSON written to {RESULT_PATH})")
 
@@ -174,18 +121,8 @@ def check_targets(payload: dict) -> None:
     """The acceptance gates of the engine PR, rechecked on every run."""
     for row in payload["rows"]:
         assert row["speedup_python"] >= 5.0, (
-            f"{row['circuit']}: compiled python backend only "
+            f"{row['circuit']}: compiled word evaluator only "
             f"{row['speedup_python']:.1f}x over the reference walk"
-        )
-    if payload["numpy_available"]:
-        ratios = [row["numpy_vs_python"] for row in payload["rows"]]
-        geomean = 1.0
-        for r in ratios:
-            geomean *= r
-        geomean **= 1.0 / len(ratios)
-        assert geomean >= 1.0, (
-            f"numpy native-lane path slower than pure python overall "
-            f"(geomean {geomean:.2f})"
         )
 
 

@@ -4,14 +4,15 @@ The obs acceptance gate: with ``REPRO_OBS`` unset, the instrumented hot
 paths must run within **2%** of a pristine build that never heard of
 :mod:`repro.obs`.  The instrumentation discipline under test is "one
 attribute load and one branch per *call*" (never per gate), so the
-stress configuration uses the smallest batches the backends are actually
-used with — that is where per-call overhead is proportionally largest.
+stress configuration uses the smallest batches the word evaluator is
+actually used with — that is where per-call overhead is proportionally
+largest.
 
-Three variants are timed per backend:
+Three variants are timed:
 
-* ``pristine``  — local verbatim copies of the eval loops with the
+* ``pristine``  — a local verbatim copy of the eval loop with the
   ``if _METER.enabled`` guard deleted (the honest "never instrumented"
-  baseline; kept in sync with ``repro.engine.backends`` by the
+  baseline; kept in sync with ``repro.engine.words`` by the
   bit-exactness assertion below),
 * ``disabled``  — the shipped code with observability off (the default),
 * ``enabled``   — the shipped code recording counters and histograms.
@@ -24,9 +25,9 @@ sampled in tight round-robin rounds and the gated quantity is the
 machine conditions, so the slowdown divides out), re-estimated over
 several independent trials and medianed again.
 
-Gates (``check_targets``): disabled/pristine ≤ 1.02 for both the python
-``eval_words`` path and the numpy ``eval_lanes`` path.  The enabled
-ratio is reported but not gated — recording costs whatever it costs.
+Gate (``check_targets``): disabled/pristine ≤ 1.02 on the ``eval_words``
+path.  The enabled ratio is reported but not gated — recording costs
+whatever it costs.
 
 Results go to ``BENCH_obs.json`` next to the repo root.  Run standalone
 (``python benchmarks/bench_obs_overhead.py``), in CI check mode
@@ -46,13 +47,8 @@ from pathlib import Path
 
 from repro import obs
 from repro.benchcircuits import circuit_by_name
-from repro.engine import (
-    compile_circuit,
-    numpy_available,
-    pack_input_words,
-    select_backend,
-)
-from repro.engine.backends import _check_width
+from repro.engine import compile_circuit, eval_words, pack_input_words
+from repro.engine.ir import check_width
 from repro.errors import EngineError
 from repro.netlist import lsi10k_like_library
 from repro.sim import pack_patterns, random_patterns
@@ -62,14 +58,12 @@ from repro.sim import pack_patterns, random_patterns
 #: enough that a per-gate recording mistake would blow the 2% gate at once,
 #: large enough that the measurement is not dominated by timer jitter.
 WORD_WIDTH = 1024
-NUMPY_LANES = 16  # 1024 patterns, grouped-gather regime
 
 #: Eval calls per timing sample.  Samples are kept *short* (a few hundred
 #: microseconds) so each round's pristine/disabled/enabled samples run
 #: under near-identical machine conditions; per-call jitter is handled by
 #: the median over rounds, not by sample length.
 PYTHON_CALLS = 10
-NUMPY_CALLS = 5
 
 #: Paired rounds per trial; each round yields one disabled/pristine and
 #: one enabled/pristine ratio, medianed per trial.
@@ -86,12 +80,12 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 
 def _pristine_eval_words(compiled, input_words, width):
-    """``PythonWordBackend.eval_words`` minus only the obs guard.
+    """``repro.engine.eval_words`` minus only the obs guard.
 
     The validation lines predate obs and belong to the baseline — dropping
     them would charge their cost to the observability layer.
     """
-    _check_width(width)
+    check_width(width)
     if len(input_words) != compiled.n_inputs:
         raise EngineError(
             f"{len(input_words)} input words for {compiled.n_inputs} inputs"
@@ -103,38 +97,6 @@ def _pristine_eval_words(compiled, input_words, width):
     for func, out, fanins in compiled.plan:
         values[out] = func(mask, *[values[f] for f in fanins])
     return values
-
-
-def _make_pristine_eval_lanes(np):
-    """``NumpyWordBackend.eval_lanes`` minus only the obs guard."""
-
-    from repro.engine.backends import _GROUPED_LANES_MAX, _LANE_MASK
-
-    mask = np.uint64(_LANE_MASK)
-
-    def pristine_eval_lanes(backend, compiled, input_lanes):
-        lanes = np.asarray(input_lanes, dtype=np.uint64)
-        if lanes.ndim != 2 or lanes.shape[0] != compiled.n_inputs:
-            raise EngineError(
-                f"input lane matrix {getattr(lanes, 'shape', None)} does not "
-                f"match {compiled.n_inputs} inputs"
-            )
-        n_lanes = lanes.shape[1]
-        values = np.empty((compiled.n_nets, n_lanes), dtype=np.uint64)
-        values[: compiled.n_inputs] = lanes
-        if n_lanes <= _GROUPED_LANES_MAX:
-            for func, outs, fanin_matrix, n_pins in backend._group_plan(compiled):
-                if n_pins == 0:
-                    values[outs] = func(mask)
-                else:
-                    ins = values[fanin_matrix]
-                    values[outs] = func(mask, *(ins[:, p] for p in range(n_pins)))
-        else:
-            for func, out, fanins in compiled.plan:
-                values[out] = func(mask, *(values[f] for f in fanins))
-        return values
-
-    return pristine_eval_lanes
 
 
 def _measure_paired(repeats, calls, variants):
@@ -186,7 +148,7 @@ def _measure_paired(repeats, calls, variants):
 
 
 def measure(repeats: int = REPEATS, library=None) -> dict:
-    """Time pristine/disabled/enabled for both backends on one circuit."""
+    """Time pristine/disabled/enabled ``eval_words`` on one circuit."""
     circuit = circuit_by_name(CIRCUIT, library)
     compiled = compile_circuit(circuit)
     was_enabled = obs.enabled()
@@ -194,15 +156,14 @@ def measure(repeats: int = REPEATS, library=None) -> dict:
     pats = list(random_patterns(circuit.inputs, WORD_WIDTH, seed=7))
     words, width = pack_patterns(circuit.inputs, pats)
     packed = pack_input_words(compiled, words, width)
-    python = select_backend("python")
 
     # The pristine copy must still be *the same computation* or its timing
     # means nothing; obs must stay off here so the shipped path records
     # nothing either.
     obs.configure(enabled=False)
-    assert _pristine_eval_words(compiled, packed, width) == python.eval_words(
+    assert _pristine_eval_words(compiled, packed, width) == eval_words(
         compiled, packed, width
-    ), "pristine eval_words copy drifted from repro.engine.backends"
+    ), "pristine eval_words copy drifted from repro.engine.words"
 
     def off():
         obs.configure(enabled=False)
@@ -221,53 +182,17 @@ def measure(repeats: int = REPEATS, library=None) -> dict:
             ),
             "disabled": (
                 off,
-                lambda: python.eval_words(compiled, packed, width),
+                lambda: eval_words(compiled, packed, width),
             ),
             "enabled": (
                 on,
-                lambda: python.eval_words(compiled, packed, width),
+                lambda: eval_words(compiled, packed, width),
             ),
         },
     )
     obs.configure(enabled=False)
     py["patterns_per_call"] = width
     rows["python_eval_words"] = py
-
-    if numpy_available():
-        import numpy as np
-
-        numpy_backend = select_backend("numpy")
-        pristine_eval_lanes = _make_pristine_eval_lanes(np)
-        rng = np.random.default_rng(7)
-        lanes = rng.integers(
-            0, 2**64, size=(compiled.n_inputs, NUMPY_LANES), dtype=np.uint64
-        )
-        assert np.array_equal(
-            pristine_eval_lanes(numpy_backend, compiled, lanes),
-            numpy_backend.eval_lanes(compiled, lanes),
-        ), "pristine eval_lanes copy drifted from repro.engine.backends"
-
-        npy = _measure_paired(
-            repeats,
-            NUMPY_CALLS,
-            {
-                "pristine": (
-                    off,
-                    lambda: pristine_eval_lanes(numpy_backend, compiled, lanes),
-                ),
-                "disabled": (
-                    off,
-                    lambda: numpy_backend.eval_lanes(compiled, lanes),
-                ),
-                "enabled": (
-                    on,
-                    lambda: numpy_backend.eval_lanes(compiled, lanes),
-                ),
-            },
-        )
-        obs.configure(enabled=False)
-        npy["patterns_per_call"] = NUMPY_LANES * 64
-        rows["numpy_eval_lanes"] = npy
 
     obs.configure(enabled=was_enabled)
     obs.reset()
@@ -276,7 +201,6 @@ def measure(repeats: int = REPEATS, library=None) -> dict:
         "circuit": CIRCUIT,
         "rounds": ROUNDS,
         "repeats": repeats,
-        "numpy_available": numpy_available(),
         "rows": rows,
     }
 

@@ -4,7 +4,7 @@ Fixpoint passes with pluggable lattice domains proving properties the
 sampling subsystems (engine, campaign) can only observe:
 
 * **ternary domain** (:mod:`.ternary`) — word-parallel Kleene 0/1/X
-  evaluation through the dual-rail engine backends; ``SAFE`` verdicts are
+  evaluation through the dual-rail engine evaluator; ``SAFE`` verdicts are
   proofs of hazard-freedom, reported hazards are event-simulator replays,
 * **arrival-interval domain** (:mod:`.intervals`) — per-net ``[lo, hi]``
   stabilization bounds cross-checked against :mod:`repro.sta.timing`,

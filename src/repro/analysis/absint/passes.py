@@ -118,7 +118,6 @@ class AbsintConfig:
     paths_max_inputs: int = 12
     paths_limit: int = 4096
     paths_replay_budget: int = 8
-    backend: str | None = None
     select: frozenset[str] | None = None
     ignore: frozenset[str] = field(default_factory=frozenset)
 
@@ -333,7 +332,6 @@ class AbsintContext:
                         config=PathsConfig(
                             limit=self.config.paths_limit,
                             replay_budget=self.config.paths_replay_budget,
-                            backend=self.config.backend,
                         ),
                     )
                 except ReproError:
@@ -406,7 +404,7 @@ def check_constant(
     if compiled.n_inputs > config.binary_exhaustive_inputs:
         return
     dead = set(unreachable_nets(compiled))
-    for net, value in sorted(constant_nets(compiled, config.backend).items()):
+    for net, value in sorted(constant_nets(compiled).items()):
         if net in dead:
             continue  # already ABS002; constancy of dead logic is moot
         yield (

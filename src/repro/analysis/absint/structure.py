@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.engine import CompiledCircuit, select_backend
+from repro.engine import CompiledCircuit, eval_words
 
 #: One structural finding: ``(location, message, data)``.
 StructFinding = tuple[str, str, dict]
@@ -41,9 +41,7 @@ def unreachable_nets(compiled: CompiledCircuit) -> tuple[str, ...]:
     )
 
 
-def constant_nets(
-    compiled: CompiledCircuit, backend: str | None = None
-) -> dict[str, int]:
+def constant_nets(compiled: CompiledCircuit) -> dict[str, int]:
     """Gate nets whose global function is constant, with the constant.
 
     Exhaustive word-parallel evaluation over all ``2**n`` stimuli; callers
@@ -62,7 +60,7 @@ def constant_nets(
             word |= ((1 << period) - 1) << j
             j += 2 * period
         words.append(word)
-    values = select_backend(backend).eval_words(compiled, words, width)
+    values = eval_words(compiled, words, width)
     out: dict[str, int] = {}
     for pos in range(compiled.n_gates):
         idx = n + pos

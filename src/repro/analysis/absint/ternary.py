@@ -3,10 +3,9 @@
 A *transition class* abstracts a two-vector transition at the clock edge:
 each primary input is assigned ``0`` (stays low), ``1`` (stays high), or
 ``X`` (changes, or is unknown).  Evaluating the class through the dual-rail
-Kleene backends (:meth:`~repro.engine.PythonWordBackend.eval_ternary_words`)
-gives, per net, either a definite value or X — this is Eichelberger's
-classic ternary hazard test run word-parallel, thousands of classes per
-backend call.
+Kleene evaluator (:func:`~repro.engine.eval_ternary_words`) gives, per
+net, either a definite value or X — this is Eichelberger's classic ternary
+hazard test run word-parallel, thousands of classes per call.
 
 Soundness (the "no false negatives" half of the contract): compositional
 Kleene evaluation over each cell's expression tree over-approximates the
@@ -31,7 +30,12 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from repro.engine import CompiledCircuit, compile_circuit, select_backend
+from repro.engine import (
+    CompiledCircuit,
+    compile_circuit,
+    eval_ternary_words,
+    eval_words,
+)
 from repro.errors import AbsintError
 from repro.netlist.circuit import Circuit
 from repro.sim.eventsim import two_vector_waveforms
@@ -145,9 +149,7 @@ def enumerate_classes(
 
 
 def pack_classes(
-    compiled: CompiledCircuit,
-    classes: Sequence[TransitionClass],
-    backend: str | None = None,
+    compiled: CompiledCircuit, classes: Sequence[TransitionClass]
 ) -> tuple[list[int], list[int]]:
     """Rail words of every net, one pattern bit per transition class."""
     width = len(classes)
@@ -169,15 +171,11 @@ def pack_classes(
                 raise AbsintError(
                     f"transition class value {v!r} is not 0, 1, or X"
                 )
-    return select_backend(backend).eval_ternary_words(
-        compiled, ones, zeros, width
-    )
+    return eval_ternary_words(compiled, ones, zeros, width)
 
 
 def ternary_class_values(
-    circuit: Circuit | CompiledCircuit,
-    cls: TransitionClass,
-    backend: str | None = None,
+    circuit: Circuit | CompiledCircuit, cls: TransitionClass
 ) -> dict[str, int]:
     """Ternary value of every net for one class: ``0``, ``1``, or ``X``.
 
@@ -185,7 +183,7 @@ def ternary_class_values(
     README example; bulk analysis goes through :func:`pack_classes`.
     """
     compiled = compile_circuit(circuit)
-    hi, lo = pack_classes(compiled, [cls], backend)
+    hi, lo = pack_classes(compiled, [cls])
     out: dict[str, int] = {}
     for name, h, l in zip(compiled.net_names, hi, lo):
         out[name] = X if (h & l & 1) else (1 if h & 1 else 0)
@@ -276,7 +274,7 @@ def analyze_hazards(
             safe_classes,
         )
 
-    hi, lo = pack_classes(compiled, classes, config.backend)
+    hi, lo = pack_classes(compiled, classes)
     replays = 0
     total_analyzed = 0  # completion analyses are whole-circuit evaluations,
     # so the cap is global — a 1000-output netlist must not do 1000x the work
@@ -312,7 +310,7 @@ def analyze_hazards(
                 continue
             analyzed += 1
             total_analyzed += 1
-            out_word = select_backend(config.backend).eval_words(
+            out_word = eval_words(
                 compiled, _completion_words(compiled, cls, x_positions), 1 << k
             )[out_idx]
             zeros_c = [c for c in range(1 << k) if not (out_word >> c) & 1]

@@ -38,8 +38,7 @@ from typing import Any, Callable, Sequence
 
 from repro.analysis.absint.ternary import X, pack_classes
 from repro.bdd.manager import BddManager, Function, conjunction, disjunction
-from repro.engine import CompiledCircuit
-from repro.engine.backends import select_backend
+from repro.engine import CompiledCircuit, eval_words
 from repro.engine.ir import cell_word_function
 from repro.errors import PathsError
 from repro.netlist.circuit import Circuit, Gate
@@ -149,12 +148,10 @@ def exhaustive_input_words(n_inputs: int) -> tuple[list[int], int, int]:
     return words, width, mask
 
 
-def net_value_words(
-    compiled: CompiledCircuit, backend: str | None
-) -> tuple[list[int], int, int]:
+def net_value_words(compiled: CompiledCircuit) -> tuple[list[int], int, int]:
     """``(net_words, width, mask)``: every net under all ``2**n`` stimuli."""
     words, width, mask = exhaustive_input_words(compiled.n_inputs)
-    values = select_backend(backend).eval_words(compiled, words, width)
+    values = eval_words(compiled, words, width)
     return values, width, mask
 
 
@@ -224,14 +221,12 @@ def minterm_to_vector(j: int, n_inputs: int) -> list[int]:
 # ------------------------------------------------------------- ternary plane
 
 
-def ternary_constant_nets(
-    compiled: CompiledCircuit, backend: str | None
-) -> dict[str, bool]:
+def ternary_constant_nets(compiled: CompiledCircuit) -> dict[str, bool]:
     """Nets proven constant by one all-X word pass (Kleene monotonicity)."""
     out: dict[str, bool] = {}
     if compiled.n_inputs == 0:
         return out
-    hi, lo = pack_classes(compiled, [(X,) * compiled.n_inputs], backend)
+    hi, lo = pack_classes(compiled, [(X,) * compiled.n_inputs])
     for idx in range(compiled.n_inputs, compiled.n_nets):
         if hi[idx] & lo[idx] & 1:
             continue  # still X: not constant

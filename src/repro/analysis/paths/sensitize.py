@@ -59,7 +59,6 @@ class PathsConfig:
     prefilter_max_inputs: int = 12
     bdd_max_inputs: int = 24
     replay_budget: int = 8
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -331,9 +330,9 @@ def analyze_paths(
             "bdd_paths": 0,
             "replays": 0,
         }
-        constants = conditions.ternary_constant_nets(compiled, cfg.backend)
+        constants = conditions.ternary_constant_nets(compiled)
         words = (
-            conditions.net_value_words(compiled, cfg.backend)
+            conditions.net_value_words(compiled)
             if 0 < compiled.n_inputs <= cfg.prefilter_max_inputs
             else None
         )

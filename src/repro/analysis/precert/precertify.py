@@ -42,13 +42,11 @@ class PrecertConfig:
 
     ``refute_budget`` bounds the event-simulator replays shared across all
     refutable outputs (0 disables refutation: undecided top-level
-    obligations stay ``required``).  ``backend`` selects the word backend
-    for the all-X ternary constant scan.
+    obligations stay ``required``).
     """
 
     refute_budget: int = 8
     seed: int = 0
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.refute_budget < 0:
@@ -58,7 +56,7 @@ class PrecertConfig:
 
 
 def _constant_certificates(
-    compiled: CompiledCircuit, backend: str | None
+    compiled: CompiledCircuit,
 ) -> dict[tuple[str, int | None], Certificate]:
     """Nets whose global function is constant, proved by one all-X pass.
 
@@ -71,7 +69,7 @@ def _constant_certificates(
     out: dict[tuple[str, int | None], Certificate] = {}
     if compiled.n_inputs == 0:
         return out
-    hi, lo = pack_classes(compiled, [(X,) * compiled.n_inputs], backend)
+    hi, lo = pack_classes(compiled, [(X,) * compiled.n_inputs])
     for idx in range(compiled.n_inputs, compiled.n_nets):
         if hi[idx] & lo[idx] & 1:
             continue  # X: not constant
@@ -185,7 +183,7 @@ def precertify(
     ) as span:
         arrival = compiled.arrival()
         min_stable = compiled.min_stable()
-        certs = _constant_certificates(compiled, cfg.backend)
+        certs = _constant_certificates(compiled)
         roots = [(y, t) for t in resolved for y in compiled.outputs]
         obligations = enumerate_obligations(
             compiled, roots, arrival, min_stable

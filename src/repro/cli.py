@@ -91,9 +91,8 @@ from repro.analysis import (
 )
 from repro.analysis.absint import AbsintConfig, analyze_circuit, analyze_suite
 from repro.core import build_masked_design, mask_circuit, synthesize_masking
-from repro.engine import available_backends, numpy_available, validated_backend_name
 from repro.errors import BlifError, CampaignError, ReproError
-from repro.exec import available_backends as exec_backends, default_worker_count
+from repro.exec import available_backends, default_worker_count
 from repro.netlist import (
     Circuit,
     Library,
@@ -343,7 +342,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report_potential=args.report_potential,
         report_precert=args.precert,
         report_paths=args.paths,
-        backend=args.backend,
         select=frozenset(args.select) if args.select else None,
         ignore=frozenset(args.ignore or ()),
     )
@@ -638,10 +636,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         sources.append("--metrics")
     print(f"repro version     : {__version__}")
     print(f"python            : {sys.version.split()[0]} ({sys.platform})")
-    print(f"engine backends   : {', '.join(available_backends())}")
-    print(f"default backend   : {validated_backend_name()}")
-    print(f"numpy             : {'available' if numpy_available() else 'not available'}")
-    print(f"executor backends : {', '.join(exec_backends())}")
+    print(f"executor backends : {', '.join(available_backends())}")
     print(f"cpu count         : {os.cpu_count() or 'unknown'}")
     print(f"default workers   : {default_worker_count()}")
     print(f"observability     : {obs_state}"
@@ -805,8 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", action="store_true",
                    help="also classify speed-paths as false/true and report "
                    "them (ABS011/ABS012)")
-    p.add_argument("--backend", default=None, choices=("python", "numpy"),
-                   help="word backend for the ternary domain")
     p.add_argument("--select", nargs="*", metavar="PASS",
                    help="run only these pass ids or names")
     p.add_argument("--ignore", nargs="*", metavar="PASS",
@@ -862,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "info",
-        help="toolkit version, engine backends, observability status",
+        help="toolkit version, executor backends, observability status",
         parents=[obs_parent],
     )
     p.set_defaults(func=cmd_info)

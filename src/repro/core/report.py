@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from repro.core.integrate import MaskedDesign, build_masked_design
 from repro.core.masking import MaskingResult
-from repro.engine import compile_circuit, pack_input_words, select_backend
+from repro.engine import compile_circuit, eval_words, pack_input_words
 from repro.errors import SimulationError
 from repro.sim.logicsim import pack_patterns, random_patterns
 from repro.spcf.timedfunc import expr_to_function
@@ -120,16 +120,13 @@ def _verify_masking_sampled(
     patterns = list(random_patterns(circuit.inputs, num_patterns, seed=seed))
     words, width = pack_patterns(circuit.inputs, patterns)
     mask = (1 << width) - 1
-    backend = select_backend()
 
     orig = compile_circuit(circuit)
-    orig_vals = backend.eval_words(orig, pack_input_words(orig, words, width), width)
+    orig_vals = eval_words(orig, pack_input_words(orig, words, width), width)
     orig_of = dict(zip(orig.net_names, orig_vals))
 
     masking = compile_circuit(result.masking_circuit)
-    mask_vals = backend.eval_words(
-        masking, pack_input_words(masking, words, width), width
-    )
+    mask_vals = eval_words(masking, pack_input_words(masking, words, width), width)
     mask_of = dict(zip(masking.net_names, mask_vals))
 
     unsound: list[str] = []

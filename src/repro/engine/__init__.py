@@ -2,28 +2,14 @@
 
 ``repro.engine`` turns a :class:`~repro.netlist.circuit.Circuit` into a
 :class:`CompiledCircuit` — levelized, integer-indexed flat arrays — and
-evaluates packed pattern words through interchangeable backends (pure-Python
-big ints, or NumPy ``uint64`` lanes when NumPy is importable).  The
+evaluates packed pattern words on arbitrary-precision Python ints.  The
 simulation, STA, and Monte-Carlo verification passes all run on this IR;
 the per-net dict APIs in :mod:`repro.sim` and :mod:`repro.sta` are thin
 adapters over it.  See DESIGN.md ("Compiled circuit engine") for the
-lowering and backend-selection rules.
+lowering.
 """
 
-from repro.engine.backends import (
-    NumpyWordBackend,
-    PythonWordBackend,
-    available_backends,
-    evaluate_ternary_words,
-    evaluate_words,
-    lanes_to_words,
-    numpy_available,
-    select_backend,
-    words_to_lanes,
-)
 from repro.engine.ir import (
-    BACKEND_ENV_VAR,
-    KNOWN_BACKEND_NAMES,
     CompiledCircuit,
     cell_prime_tables,
     cell_ternary_function,
@@ -33,7 +19,12 @@ from repro.engine.ir import (
     pack_input_words,
     patterns_to_words,
     run_program,
-    validated_backend_name,
+)
+from repro.engine.words import (
+    eval_ternary_words,
+    eval_words,
+    evaluate_ternary_words,
+    evaluate_words,
 )
 
 __all__ = [
@@ -46,16 +37,8 @@ __all__ = [
     "cell_prime_tables",
     "pack_input_words",
     "patterns_to_words",
-    "PythonWordBackend",
-    "NumpyWordBackend",
-    "available_backends",
-    "numpy_available",
-    "select_backend",
+    "eval_words",
+    "eval_ternary_words",
     "evaluate_words",
     "evaluate_ternary_words",
-    "words_to_lanes",
-    "lanes_to_words",
-    "BACKEND_ENV_VAR",
-    "KNOWN_BACKEND_NAMES",
-    "validated_backend_name",
 ]

@@ -19,8 +19,7 @@ Cell functions are compiled twice:
   :func:`run_program` (the readable reference, also used by tests), and
 * a **generated Python function** per distinct cell (cached library-wide)
   taking ``(mask, pin0, pin1, ...)`` words and returning the output word.
-  ``NOT`` is emitted as ``mask ^ x`` so the same source works for both
-  arbitrary-precision ints and NumPy ``uint64`` lanes.
+  ``NOT`` is emitted as ``mask ^ x``, so no word needs masking afterwards.
 
 The lowering is cached on the circuit against :attr:`Circuit.version`, so
 repeated passes over an unmodified circuit compile exactly once.
@@ -29,14 +28,14 @@ repeated passes over an unmodified circuit compile exactly once.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.errors import EngineError, SimulationError
 from repro.logic.expr import BoolExpr
-from repro.netlist.cell import Cell
+from repro.lru import LRUCache
+from repro.netlist.cell import CELL_CACHE_SIZE, Cell
 from repro.netlist.circuit import Circuit
 
 _TRACER = obs.get_tracer("engine")
@@ -55,36 +54,6 @@ _IR_GATES = _METER.gauge(
 _IR_NETS = _METER.gauge(
     "repro_engine_ir_nets", "net count of the most recently lowered circuit"
 )
-
-#: Environment variable overriding automatic backend selection.
-BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
-
-#: Every backend name the engine knows about, importable or not.
-KNOWN_BACKEND_NAMES = ("python", "numpy")
-
-
-def validated_backend_name(name: str | None = None, default: str = "python") -> str:
-    """Resolve and validate a backend name (case/whitespace tolerant).
-
-    ``None`` falls through to ``$REPRO_ENGINE_BACKEND``, then ``default``;
-    an unset or empty variable is the documented "no preference" state.  An
-    *unknown* value raises :class:`~repro.errors.EngineError` naming the
-    valid choices — it must never silently fall back, whether it arrives as
-    an explicit argument or through the environment.
-    """
-    source = "backend name"
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR)
-        source = f"${BACKEND_ENV_VAR}"
-    if name is None or not name.strip():
-        return default
-    normalized = name.strip().lower()
-    if normalized not in KNOWN_BACKEND_NAMES:
-        raise EngineError(
-            f"unknown engine backend {name!r} (from {source}); "
-            f"choose from {KNOWN_BACKEND_NAMES}"
-        )
-    return normalized
 
 #: Opcodes of the postfix gate programs (``run_program`` is the interpreter).
 OP_LOAD = 0  #: push the word of fanin pin ``arg``
@@ -162,15 +131,14 @@ def _expr_source(e: BoolExpr, pin_index: Mapping[str, int]) -> str:
     return "(" + sep.join(_expr_source(a, pin_index) for a in e.args) + ")"
 
 
-_func_cache: dict[tuple, Callable[..., int]] = {}
+_func_cache: LRUCache[Callable[..., int]] = LRUCache(CELL_CACHE_SIZE)
 
 
 def cell_word_function(cell: Cell) -> Callable[..., int]:
     """The generated word-evaluation function of ``cell`` (cached per cell).
 
-    Signature ``f(mask, pin0, ..., pinN) -> word``; valid for Python ints
-    (with ``mask = (1 << width) - 1``) and for NumPy ``uint64`` arrays (with
-    ``mask = uint64(~0)``), since complement is emitted as ``mask ^ x``.
+    Signature ``f(mask, pin0, ..., pinN) -> word`` with
+    ``mask = (1 << width) - 1``; complement is emitted as ``mask ^ x``.
     """
     key = cell._key
     func = _func_cache.get(key)
@@ -181,11 +149,13 @@ def cell_word_function(cell: Cell) -> Callable[..., int]:
         namespace: dict[str, Any] = {}
         exec(compile(src, f"<cell {cell.name}>", "exec"), namespace)
         func = namespace["_f"]
-        _func_cache[key] = func
+        _func_cache.put(key, func)
     return func
 
 
-_ternary_cache: dict[tuple, Callable[..., tuple[int, int]]] = {}
+_ternary_cache: LRUCache[Callable[..., tuple[int, int]]] = LRUCache(
+    CELL_CACHE_SIZE
+)
 
 
 def cell_ternary_function(cell: Cell) -> Callable[..., tuple[int, int]]:
@@ -203,8 +173,7 @@ def cell_ternary_function(cell: Cell) -> Callable[..., tuple[int, int]]:
         XOR  ...                -> ((h1 & l2) | (l1 & h2), (h1 & h2) | (l1 & l2))
 
     Like :func:`cell_word_function`, the generated source uses only ``&``,
-    ``|`` and ``mask``, so the same function evaluates arbitrary-precision
-    Python ints and NumPy ``uint64`` lanes.  Evaluation is compositional
+    ``|`` and ``mask``.  Evaluation is compositional
     over the cell's expression tree (SSA-style temporaries, linear size), a
     sound over-approximation of the natural ternary extension of the cell
     function: an X that the natural extension would mask can survive (e.g.
@@ -258,11 +227,11 @@ def cell_ternary_function(cell: Cell) -> Callable[..., tuple[int, int]]:
         namespace: dict[str, Any] = {}
         exec(compile(src, f"<ternary cell {cell.name}>", "exec"), namespace)
         func = namespace["_f"]
-        _ternary_cache[key] = func
+        _ternary_cache.put(key, func)
     return func
 
 
-_prime_cache: dict[tuple, tuple[tuple, tuple]] = {}
+_prime_cache: LRUCache[tuple[tuple, tuple]] = LRUCache(CELL_CACHE_SIZE)
 
 
 def cell_prime_tables(
@@ -292,7 +261,7 @@ def cell_prime_tables(
             return tuple(rows)
 
         cached = (table(on), table(off))
-        _prime_cache[key] = cached
+        _prime_cache.put(key, cached)
     return cached
 
 
@@ -589,13 +558,7 @@ def compile_circuit(circuit: "Circuit | CompiledCircuit") -> CompiledCircuit:
     Passing an already-compiled circuit is a no-op, so every evaluation
     entry point can accept either form.  The cache is invalidated by
     :attr:`Circuit.version`, so structural edits trigger a fresh lowering.
-
-    The backend environment variable is validated here — the common entry
-    of every evaluation path — so a misspelt ``REPRO_ENGINE_BACKEND``
-    raises immediately instead of being silently ignored by paths (single
-    patterns, waveforms) that never consult a word backend.
     """
-    validated_backend_name()
     if isinstance(circuit, CompiledCircuit):
         return circuit
     cached: CompiledCircuit | None = getattr(circuit, "_compiled_ir", None)
@@ -612,10 +575,21 @@ def compile_circuit(circuit: "Circuit | CompiledCircuit") -> CompiledCircuit:
     return compiled
 
 
+def check_width(width: int) -> None:
+    """Reject negative widths before they reach a shift.
+
+    ``width == 0`` is a legitimate empty batch: every word is masked to 0
+    and the result is well-formed all-zero words.
+    """
+    if width < 0:
+        raise EngineError(f"pattern width {width} must be non-negative")
+
+
 def pack_input_words(
     compiled: CompiledCircuit, words: Mapping[str, int], width: int
 ) -> list[int]:
     """Input words keyed by net name -> engine-ordered list, masked to width."""
+    check_width(width)
     mask = (1 << width) - 1
     row = []
     for net in compiled.inputs:

@@ -45,7 +45,7 @@ class SimulationError(ReproError):
 
 
 class EngineError(ReproError):
-    """Raised by :mod:`repro.engine` (unknown backend, malformed word batch)."""
+    """Raised by :mod:`repro.engine` (malformed word batch, negative width)."""
 
 
 class ObsError(ReproError):

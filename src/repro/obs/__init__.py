@@ -14,7 +14,7 @@ Entry points::
 
 Everything is **off by default**: instruments record nothing and
 ``tracer.span()`` returns a shared no-op span, so instrumented hot paths
-cost one attribute load and one branch (<2% on ``eval_lanes``; enforced
+cost one attribute load and one branch (<2% on ``eval_words``; enforced
 by ``benchmarks/bench_obs_overhead.py``).  Enable via:
 
 * the ``REPRO_OBS`` environment variable (``1/true/on/yes``; an
@@ -104,8 +104,7 @@ def enabled_from_env(environ=os.environ) -> bool:
 
     Unknown tokens raise :class:`~repro.errors.ObsError` *eagerly* — a
     mis-spelled ``REPRO_OBS=ture`` in a worker launcher must fail the
-    worker loudly at import, not silently run a campaign untraced (the
-    same contract as ``$REPRO_ENGINE_BACKEND``).
+    worker loudly at import, not silently run a campaign untraced.
     """
     raw = environ.get(ENV_VAR, "")
     token = raw.strip().lower()

@@ -9,9 +9,8 @@ Two evaluation modes:
 
 Both are thin adapters over :mod:`repro.engine`: the circuit is lowered once
 to a :class:`~repro.engine.CompiledCircuit` (cached on the circuit) and
-evaluated on flat integer-indexed arrays.  ``simulate_words`` dispatches to
-the selected word backend — NumPy ``uint64`` lanes when NumPy is importable,
-pure-Python big ints otherwise — with bit-identical results.
+evaluated on flat integer-indexed arrays.  ``simulate_words`` packs its
+patterns into arbitrary-precision Python ints (:func:`repro.engine.eval_words`).
 
 Pattern sources (:func:`exhaustive_patterns`, :func:`random_patterns`,
 :func:`pack_patterns`) are shared by tests, the masking validator, and the
@@ -40,14 +39,9 @@ def simulate_words(
     circuit: Circuit,
     words: Mapping[str, int],
     width: int,
-    backend: str | None = None,
 ) -> dict[str, int]:
-    """Bit-parallel simulation of ``width`` patterns packed into ints.
-
-    ``backend`` picks the word engine ("python" / "numpy"); the default
-    follows :func:`repro.engine.select_backend` (NumPy when available).
-    """
-    return evaluate_words(circuit, words, width, backend=backend)
+    """Bit-parallel simulation of ``width`` patterns packed into ints."""
+    return evaluate_words(circuit, words, width)
 
 
 def exhaustive_patterns(inputs: Sequence[str]) -> Iterator[dict[str, bool]]:

@@ -1,4 +1,4 @@
-"""Kleene-ternary domain: semantics, backend parity, and the hazard oracle.
+"""Kleene-ternary domain: semantics, word packing, and the hazard oracle.
 
 The load-bearing test here is ``test_no_false_negatives_vs_eventsim``: for
 small circuits we enumerate *every* two-vector transition, replay it on the
@@ -23,7 +23,7 @@ from repro.analysis.absint import (
     pack_classes,
     ternary_class_values,
 )
-from repro.engine import compile_circuit, numpy_available, select_backend
+from repro.engine import compile_circuit, eval_words
 from repro.errors import AbsintError
 from repro.netlist import Circuit, lsi10k_like_library, unit_library
 from repro.sim import two_vector_waveforms
@@ -124,7 +124,7 @@ def test_pack_classes_rejects_bad_values(unit_lib):
 
 
 # ---------------------------------------------------------------------------
-# Backend parity: python big-ints == numpy words, bit for bit
+# Packing: many classes per word == each class evaluated alone, bit for bit
 # ---------------------------------------------------------------------------
 
 circuits = st.builds(
@@ -137,45 +137,33 @@ circuits = st.builds(
 )
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 @settings(max_examples=40, deadline=None)
 @given(circuit=circuits, data=st.data())
-def test_ternary_backends_bit_identical(circuit, data):
+def test_packed_classes_match_single_class_values(circuit, data):
+    """Multi-digit rail words agree, class by class, with one-class passes."""
     compiled = compile_circuit(circuit)
     config = AbsintConfig(exhaustive_inputs=5)
     classes, _ = enumerate_classes(compiled.n_inputs, config)
+    width = data.draw(st.integers(min_value=1, max_value=300))
     classes = data.draw(
-        st.lists(st.sampled_from(classes), min_size=1, max_size=80)
+        st.lists(st.sampled_from(classes), min_size=width, max_size=width)
     )
-    py_hi, py_lo = pack_classes(compiled, classes, backend="python")
-    np_hi, np_lo = pack_classes(compiled, classes, backend="numpy")
-    assert py_hi == np_hi
-    assert py_lo == np_lo
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-def test_ternary_backends_identical_past_grouping_limit(unit_lib):
-    """Width > 256 forces the numpy backend onto its multi-lane path."""
-    c = random_dag_circuit(seed=5, num_inputs=5, num_gates=15, library=unit_lib)
-    compiled = compile_circuit(c)
-    classes, _ = enumerate_classes(5, AbsintConfig(exhaustive_inputs=5))
-    classes = (classes * 3)[:300]
-    py = pack_classes(compiled, classes, backend="python")
-    np_ = pack_classes(compiled, classes, backend="numpy")
-    assert py == np_
+    hi, lo = pack_classes(compiled, classes)
+    for j, cls in enumerate(classes):
+        alone = ternary_class_values(compiled, cls)
+        for idx, name in enumerate(compiled.net_names):
+            h, l = (hi[idx] >> j) & 1, (lo[idx] >> j) & 1
+            assert alone[name] == (X if h & l else h), (name, j)
 
 
 def test_ternary_agrees_with_binary_on_definite_classes(unit_lib):
     """A class with no X input is just a binary vector; rails must agree."""
     c = random_dag_circuit(seed=11, num_inputs=4, num_gates=12, library=unit_lib)
     compiled = compile_circuit(c)
-    backend = select_backend("python")
     for code in range(16):
         cls = tuple((code >> i) & 1 for i in range(4))
         values = ternary_class_values(compiled, cls)
-        words = backend.eval_words(
-            compiled, [(code >> i) & 1 for i in range(4)], 1
-        )
+        words = eval_words(compiled, [(code >> i) & 1 for i in range(4)], 1)
         for net, word in zip(compiled.net_names, words):
             assert values[net] == (word & 1)
 
@@ -256,12 +244,11 @@ def test_hazard_kinds_match_endpoint_values():
 
     circuit = circuit_by_name("comparator2")
     compiled = compile_circuit(circuit)
-    backend = select_backend("python")
     analysis = analyze_hazards(circuit, AbsintConfig())
     for w in analysis.witnesses:
         idx = compiled.net_index[w.output]
-        y1 = backend.eval_words(compiled, list(w.v1), 1)[idx] & 1
-        y2 = backend.eval_words(compiled, list(w.v2), 1)[idx] & 1
+        y1 = eval_words(compiled, list(w.v1), 1)[idx] & 1
+        y2 = eval_words(compiled, list(w.v2), 1)[idx] & 1
         if w.kind == "static-0":
             assert (y1, y2) == (0, 0)
         elif w.kind == "static-1":

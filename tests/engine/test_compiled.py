@@ -1,4 +1,4 @@
-"""Unit tests for the compiled circuit IR and backend selection."""
+"""Unit tests for the compiled circuit IR and the word evaluator."""
 
 from __future__ import annotations
 
@@ -7,24 +7,20 @@ from itertools import product
 import pytest
 
 from repro.engine import (
-    BACKEND_ENV_VAR,
     CompiledCircuit,
-    PythonWordBackend,
-    available_backends,
     cell_prime_tables,
     cell_word_function,
     compile_circuit,
     compile_program,
+    eval_words,
+    evaluate_ternary_words,
     evaluate_words,
-    numpy_available,
     pack_input_words,
     run_program,
-    select_backend,
-    validated_backend_name,
 )
 from repro.errors import EngineError, SimulationError
 from repro.netlist import lsi10k_like_library, unit_library
-from repro.sim import simulate
+from repro.sim import simulate, simulate_words
 from repro.sta import analyze
 
 from tests.conftest import random_dag_circuit
@@ -195,7 +191,7 @@ def test_word_interface_errors(unit_lib):
     with pytest.raises(SimulationError, match="missing input"):
         pack_input_words(cc, {"x0": 1}, 4)
     with pytest.raises(EngineError, match="input words"):
-        PythonWordBackend().eval_words(cc, [1, 2], 4)
+        eval_words(cc, [1, 2], 4)
     with pytest.raises(EngineError, match="input bits"):
         cc.eval_bits([1])
 
@@ -208,51 +204,18 @@ def test_evaluate_words_accepts_circuit_or_compiled(unit_lib):
     )
 
 
-# ---------------------------------------------------------------- backends
-
-
-def test_select_backend_rules(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert select_backend().name == "python"
-    assert select_backend("python").name == "python"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-    with pytest.raises(EngineError, match="unknown engine backend"):
-        select_backend()
-    with pytest.raises(EngineError, match="unknown engine backend"):
-        select_backend("vhdl")
-    assert "python" in available_backends()
-
-
-def test_validated_backend_name_normalizes(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert validated_backend_name("  PYTHON ") == "python"
-    assert validated_backend_name(None) == "python"  # unset env -> default
-    monkeypatch.setenv(BACKEND_ENV_VAR, "   ")
-    assert validated_backend_name(None) == "python"  # blank env -> default
-    with pytest.raises(EngineError, match=r"choose from \('python', 'numpy'\)"):
-        validated_backend_name("fpga")
-
-
-def test_bogus_env_backend_rejected_on_every_compile(monkeypatch, unit_lib):
-    """A typo'd REPRO_ENGINE_BACKEND must fail loudly at the engine's
-    front door — even on paths that never touch a word backend, and even
-    when the compile itself is a cache hit."""
-    c = random_dag_circuit(14, num_inputs=3, num_gates=4, library=unit_lib)
-    compile_circuit(c)  # populate the cache
-    monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-    with pytest.raises(EngineError, match=r"\$REPRO_ENGINE_BACKEND"):
-        compile_circuit(c)
-    with pytest.raises(EngineError, match="unknown engine backend"):
-        simulate(c, {net: False for net in c.inputs})
-
-
 def test_negative_width_is_engine_error(unit_lib):
     cc = compile_circuit(
         random_dag_circuit(15, num_inputs=3, num_gates=4, library=unit_lib)
     )
     words = {net: 0 for net in cc.inputs}
     with pytest.raises(EngineError, match="width"):
-        PythonWordBackend().eval_words(cc, pack_input_words(cc, words, 1), -1)
+        eval_words(cc, pack_input_words(cc, words, 1), -1)
+    # The dict entry points validate before packing, not with a shift error.
+    with pytest.raises(EngineError, match="width"):
+        simulate_words(cc, words, -1)
+    with pytest.raises(EngineError, match="width"):
+        evaluate_ternary_words(cc, words, words, -1)
 
 
 def test_zero_width_empty_batch_is_legal(unit_lib):
@@ -263,29 +226,6 @@ def test_zero_width_empty_batch_is_legal(unit_lib):
     out = evaluate_words(cc, words, 0)
     assert set(out) == set(cc.net_names)
     assert all(word == 0 for word in out.values())
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
-def test_numpy_backend_listed_and_selectable(monkeypatch):
-    assert available_backends() == ("python", "numpy")
-    monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-    assert select_backend().name == "numpy"
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
-def test_lane_roundtrip_and_shape_check(unit_lib):
-    from repro.engine import lanes_to_words, words_to_lanes
-
-    words = [(1 << 130) - 7, 0, 12345]
-    lanes = words_to_lanes(words, 130)
-    assert lanes.shape == (3, 3)
-    assert lanes_to_words(lanes, 130) == [w & ((1 << 130) - 1) for w in words]
-
-    cc = compile_circuit(
-        random_dag_circuit(13, num_inputs=3, num_gates=4, library=unit_lib)
-    )
-    with pytest.raises(EngineError, match="lane matrix"):
-        select_backend("numpy").eval_lanes(cc, words_to_lanes([1, 2], 8))
 
 
 # --------------------------------------------- netlist caching (satellites)

@@ -3,23 +3,16 @@
 The oracle here is deliberately *independent* of the engine: a per-pattern
 dict-based topological walk through ``Cell.evaluate``, the semantics the
 seed repo shipped with.  Hypothesis drives random DAG circuits (arbitrary
-reconvergence and fanout) and random pattern batches; every backend must
-reproduce the oracle bit for bit.
+reconvergence and fanout) and random pattern batches; the word evaluator
+must reproduce the oracle bit for bit.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    compile_circuit,
-    numpy_available,
-    pack_input_words,
-    select_backend,
-    words_to_lanes,
-)
+from repro.engine import compile_circuit
 from repro.netlist import lsi10k_like_library, unit_library
 from repro.sim import pack_patterns, random_patterns, simulate_words
 
@@ -53,43 +46,13 @@ def naive_simulate(circuit, pattern):
 def test_python_backend_matches_naive_walk(circuit, width):
     patterns = list(random_patterns(circuit.inputs, width, seed=99))
     words, width = pack_patterns(circuit.inputs, patterns)
-    result = simulate_words(circuit, words, width, backend="python")
+    result = simulate_words(circuit, words, width)
     for i, pattern in enumerate(patterns):
         expected = naive_simulate(circuit, pattern)
         for net, word in result.items():
             assert bool((word >> i) & 1) == expected[net], (
                 f"net {net} pattern {i}"
             )
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
-@settings(max_examples=60, deadline=None)
-@given(circuit=circuits, width=st.integers(min_value=1, max_value=150))
-def test_numpy_backend_matches_python_backend(circuit, width):
-    patterns = list(random_patterns(circuit.inputs, width, seed=7))
-    words, width = pack_patterns(circuit.inputs, patterns)
-    via_python = simulate_words(circuit, words, width, backend="python")
-    via_numpy = simulate_words(circuit, words, width, backend="numpy")
-    assert via_python == via_numpy
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
-@settings(max_examples=30, deadline=None)
-@given(circuit=circuits, width=st.integers(min_value=1, max_value=300))
-def test_numpy_native_lanes_match_python_words(circuit, width):
-    """The lane-matrix path agrees with big-int words lane by lane."""
-    patterns = list(random_patterns(circuit.inputs, width, seed=3))
-    words, width = pack_patterns(circuit.inputs, patterns)
-    compiled = compile_circuit(circuit)
-    packed = pack_input_words(compiled, words, width)
-    expected = select_backend("python").eval_words(compiled, packed, width)
-    lanes = select_backend("numpy").eval_lanes(
-        compiled, words_to_lanes(packed, width)
-    )
-    mask = (1 << width) - 1
-    for i in range(compiled.n_nets):
-        got = int.from_bytes(lanes[i].tobytes(), "little") & mask
-        assert got == expected[i], f"net {compiled.net_names[i]}"
 
 
 @settings(max_examples=40, deadline=None)

@@ -71,24 +71,35 @@ def test_aoi_cell_truth_table():
 
 
 def test_derived_caches_stay_bounded_over_many_libraries(monkeypatch):
+    from repro.engine import ir as ir_module
     from repro.lru import LRUCache
     from repro.netlist import Library
     from repro.netlist import cell as cell_module
 
-    names = ("_expr_cache", "_tt_cache", "_primes_cache")
-    for name in names:
-        cache = getattr(cell_module, name)
+    caches = [
+        (cell_module, "_expr_cache"),
+        (cell_module, "_tt_cache"),
+        (cell_module, "_primes_cache"),
+        (ir_module, "_func_cache"),
+        (ir_module, "_ternary_cache"),
+        (ir_module, "_prime_cache"),
+    ]
+    for module, name in caches:
+        cache = getattr(module, name)
         assert isinstance(cache, LRUCache)
         assert cache.size == cell_module.CELL_CACHE_SIZE
-        monkeypatch.setattr(cell_module, name, LRUCache(8))
+        monkeypatch.setattr(module, name, LRUCache(8))
     libraries = []
     for i in range(40):
         lib = Library(f"lib{i}")
         # Distinct content per library: a new cell name and expression.
         made = lib.add(Cell(f"G{i}", ("a", "b"), f"a & b | {i % 2}", 1.0, (1, 2)))
         made.primes()
+        ir_module.cell_word_function(made)
+        ir_module.cell_ternary_function(made)
+        ir_module.cell_prime_tables(made)
         libraries.append(lib)
-    assert all(len(getattr(cell_module, name)) == 8 for name in names)
+    assert all(len(getattr(module, name)) == 8 for module, name in caches)
     # An evicted cell derives the same artifacts again.
     first = libraries[0].get("G0")
     assert first.truth_table() == (False, False, False, True)
