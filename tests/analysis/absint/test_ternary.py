@@ -137,23 +137,37 @@ circuits = st.builds(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(circuit=circuits, data=st.data())
-def test_packed_classes_match_single_class_values(circuit, data):
+def _assert_packed_matches_single_class(compiled, classes):
     """Multi-digit rail words agree, class by class, with one-class passes."""
-    compiled = compile_circuit(circuit)
-    config = AbsintConfig(exhaustive_inputs=5)
-    classes, _ = enumerate_classes(compiled.n_inputs, config)
-    width = data.draw(st.integers(min_value=1, max_value=300))
-    classes = data.draw(
-        st.lists(st.sampled_from(classes), min_size=width, max_size=width)
-    )
     hi, lo = pack_classes(compiled, classes)
     for j, cls in enumerate(classes):
         alone = ternary_class_values(compiled, cls)
         for idx, name in enumerate(compiled.net_names):
             h, l = (hi[idx] >> j) & 1, (lo[idx] >> j) & 1
             assert alone[name] == (X if h & l else h), (name, j)
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit=circuits, data=st.data())
+def test_ternary_backends_bit_identical(circuit, data):
+    """Packing many classes per word == evaluating each class alone."""
+    compiled = compile_circuit(circuit)
+    config = AbsintConfig(exhaustive_inputs=5)
+    classes, _ = enumerate_classes(compiled.n_inputs, config)
+    classes = data.draw(
+        st.lists(st.sampled_from(classes), min_size=1, max_size=80)
+    )
+    _assert_packed_matches_single_class(compiled, classes)
+
+
+def test_ternary_backends_identical_past_grouping_limit(unit_lib):
+    """Width > 256 spans several machine words; every class must survive."""
+    c = random_dag_circuit(seed=5, num_inputs=5, num_gates=15, library=unit_lib)
+    compiled = compile_circuit(c)
+    classes, _ = enumerate_classes(5, AbsintConfig(exhaustive_inputs=5))
+    classes = (classes * 3)[:300]
+    assert len(classes) == 300
+    _assert_packed_matches_single_class(compiled, classes)
 
 
 def test_ternary_agrees_with_binary_on_definite_classes(unit_lib):
