@@ -58,6 +58,9 @@ class BddManager:
         self._and_cache: dict[tuple[int, int], int] = {}
         self._xor_cache: dict[tuple[int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
+        # satcount's per-node counts, one memo per ``nvars``.  Nodes are
+        # never freed, so a count stays valid for the manager's lifetime.
+        self._count_memo: dict[int, dict[int, int]] = {}
         # Per-operation call counters and exact computed-table hit/miss
         # counters.  Off by default: managers created while observability is
         # disabled carry no wrappers at all, so the recursive hot paths keep
@@ -448,18 +451,21 @@ class BddManager:
         cache[u] = r
         return r
 
-    def _exists(self, u: int, levels: frozenset[int], cache: dict[int, int]) -> int:
+    def _exists(
+        self, u: int, levels: frozenset[int], deepest: int, cache: dict[int, int]
+    ) -> int:
+        """Quantify ``levels`` out of ``u``; ``deepest`` is ``max(levels)``."""
         if u < 2:
             return u
         level = self._level[u]
-        if all(lv < level for lv in levels):
+        if level > deepest:
             # Every quantified variable is above this node: nothing to do.
             return u
         r = cache.get(u)
         if r is not None:
             return r
-        lo = self._exists(self._lo[u], levels, cache)
-        hi = self._exists(self._hi[u], levels, cache)
+        lo = self._exists(self._lo[u], levels, deepest, cache)
+        hi = self._exists(self._hi[u], levels, deepest, cache)
         if level in levels:
             r = self._or(lo, hi)
         else:
@@ -507,7 +513,10 @@ class BddManager:
         level = self._level[u]
         if level >= nvars:
             raise BddError("satcount nvars smaller than function support")
-        return self._scaled_count(u, nvars, {}) << level
+        memo = self._count_memo.get(nvars)
+        if memo is None:
+            memo = self._count_memo[nvars] = {}
+        return self._scaled_count(u, nvars, memo) << level
 
     # ------------------------------------------------------------- iterators
 
@@ -640,7 +649,7 @@ class Function:
         levels = frozenset(mgr.level_of(n) for n in names)
         if not levels:
             return self
-        return Function(mgr, mgr._exists(self.node, levels, {}))
+        return Function(mgr, mgr._exists(self.node, levels, max(levels), {}))
 
     def forall(self, names: Iterable[str]) -> "Function":
         """Universally quantify the given variables."""

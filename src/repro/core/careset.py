@@ -58,6 +58,27 @@ def cover_image(
     return acc
 
 
+def _reachable(
+    node: TechNode,
+    sigma: Function,
+    functions: Mapping[str, Function],
+    mgr: BddManager,
+) -> Function:
+    """Local minterms of ``node`` reachable from ``sigma``, over aux variables.
+
+    Builds the relation ``sigma AND (aux_i <-> F_i)`` in ``mgr`` and
+    quantifies every non-aux variable.  Variables outside the relation's
+    support quantify to themselves, so a manager shared with other nodes
+    (holding their aux variables) yields the same function.
+    """
+    aux = {f: mgr.ensure_var(AUX_PREFIX + f) for f in node.fanins}
+    relation = sigma
+    for f in node.fanins:
+        relation = relation & aux[f].iff(functions[f])
+    pis = [n for n in mgr.var_names if not n.startswith(AUX_PREFIX)]
+    return relation.exists(pis)
+
+
 def local_image_cover(
     node: TechNode,
     sigma: Function,
@@ -66,21 +87,15 @@ def local_image_cover(
 ) -> Cover:
     """Exact image of ``sigma`` at the node's local input space, as a cover.
 
-    Builds the transition relation ``sigma AND (aux_i == F_i)`` in ``mgr``,
-    quantifies out the primary inputs, and re-expresses the result as an
-    irredundant SOP over the node's fanin names.
+    Re-expresses :func:`_reachable` as an irredundant SOP over the node's
+    fanin names.  The cubes follow ``mgr``'s aux-variable order, which
+    depends on the nodes handled before; the function they cover does not.
     """
     from repro.bdd.isop import isop_function
 
-    aux = {f: mgr.ensure_var(AUX_PREFIX + f) for f in node.fanins}
-    relation = sigma
-    for f in node.fanins:
-        relation = relation & aux[f].iff(functions[f])
-    pis = relation.support() - {AUX_PREFIX + f for f in node.fanins}
-    reachable = relation.exists(pis)
     cubes = [
         {name[len(AUX_PREFIX):]: value for name, value in cube.items()}
-        for cube in isop_function(reachable)
+        for cube in isop_function(_reachable(node, sigma, functions, mgr))
     ]
     return Cover.from_cube_dicts(node.fanins, cubes)
 
@@ -97,12 +112,7 @@ def local_care_sets(
     on demand at the bottom of the variable order): the sets of local input
     minterms reachable from ``sigma`` for which the node evaluates to 0 / 1.
     """
-    aux = {f: mgr.ensure_var(AUX_PREFIX + f) for f in node.fanins}
-    relation = sigma
-    for f in node.fanins:
-        relation = relation & aux[f].iff(functions[f])
-    pis = [n for n in mgr.var_names if not n.startswith(AUX_PREFIX)]
-    reachable = relation.exists(pis)
+    reachable = _reachable(node, sigma, functions, mgr)
     rename = {f: AUX_PREFIX + f for f in node.fanins}
     on_local = node.on_cover.to_function(mgr, rename=rename)
     return reachable & ~on_local, reachable & on_local

@@ -3,7 +3,8 @@
 Pipeline implemented by :class:`MaskingSynthesizer`:
 
 1. compute the exact SPCF ``Sigma_y`` of every critical output
-   (:mod:`repro.spcf.shortpath`),
+   (:mod:`repro.spcf.shortpath`) on the BDD manager of
+   :data:`_manager_cache`,
 2. extract the technology-independent network ``T`` of the circuit and
    collapse it into complex nodes of ≤ ``max_support`` inputs (threshold
    independent, so cached per circuit content, library and bounds),
@@ -74,6 +75,15 @@ _COLLAPSE_MISSES = _METER.counter(
     "mask runs that lifted and collapsed their circuit",
 )
 
+_MANAGER_HITS = _METER.counter(
+    "repro_synth_bdd_manager_cache_hits_total",
+    "mask runs that reused the cached BDD manager of their circuit",
+)
+_MANAGER_MISSES = _METER.counter(
+    "repro_synth_bdd_manager_cache_misses_total",
+    "mask runs that created a BDD manager for their circuit",
+)
+
 #: Most distinct collapsed networks :data:`_collapse_cache` holds at once.
 COLLAPSE_CACHE_SIZE = 16
 
@@ -83,15 +93,29 @@ COLLAPSE_CACHE_SIZE = 16
 #: a copy, so a caller editing ``MaskingResult.technet`` cannot poison it.
 _collapse_cache: LRUCache[TechNetwork] = LRUCache(COLLAPSE_CACHE_SIZE)
 
+#: Most BDD managers :data:`_manager_cache` holds at once.  A manager keeps
+#: every node it ever built, so only the last circuit's stays alive: a sweep
+#: that runs all thresholds of one circuit before the next needs one entry.
+MANAGER_CACHE_SIZE = 1
 
-def _collapse_key(
-    circuit: Circuit, library: Library, max_support: int, max_cubes: int
-) -> tuple:
-    """Everything the lifted and collapsed network depends on.
+#: One BDD manager per circuit content (:func:`_circuit_key`), shared by
+#: every default :class:`MaskingSynthesizer` run on that circuit: the SPCF,
+#: the technet's global functions, the care-set relations, verification and
+#: power all land in one node store, so a later threshold rebuilds its
+#: functions through computed-table hits.  Every count taken in it is exact
+#: and over the primary inputs, which come first in its order, so sharing
+#: changes no result.  The key also holds whether observability was on, as a
+#: manager fixes its op counting when it is created.  Explicit ``context=``
+#: and ``paths=`` runs keep their own manager, and a bare
+#: :class:`SpcfContext` still starts a fresh one.
+_manager_cache: LRUCache[BddManager] = LRUCache(MANAGER_CACHE_SIZE)
+
+
+def _circuit_key(circuit: Circuit) -> tuple:
+    """The circuit's content: name, inputs, outputs and gates.
 
     Gates are listed in topological order because that order fixes the
-    lift's node insertion order, which collapse's worklist follows.  The
-    library is keyed by identity, like :data:`repro.synth.mapping._trial_cache`.
+    lift's node insertion order, which collapse's worklist follows.
     """
     gates = circuit.gates
     return (
@@ -99,10 +123,31 @@ def _collapse_key(
         circuit.inputs,
         circuit.outputs,
         tuple(gates[name] for name in circuit.topo_order()),
-        library,
-        max_support,
-        max_cubes,
     )
+
+
+def _collapse_key(
+    circuit: Circuit, library: Library, max_support: int, max_cubes: int
+) -> tuple:
+    """Everything the lifted and collapsed network depends on.
+
+    The library is keyed by identity, like
+    :data:`repro.synth.mapping._trial_cache`.
+    """
+    return (_circuit_key(circuit), library, max_support, max_cubes)
+
+
+def _shared_manager(circuit: Circuit) -> BddManager:
+    """The cached BDD manager of ``circuit``'s content (created on a miss)."""
+    key = (_circuit_key(circuit), obs.enabled())
+    manager = _manager_cache.get(key)
+    if manager is None:
+        _MANAGER_MISSES.add()
+        manager = BddManager(circuit.inputs)
+        _manager_cache.put(key, manager)
+    else:
+        _MANAGER_HITS.add()
+    return manager
 
 
 @dataclass(frozen=True)
@@ -213,9 +258,14 @@ class MaskingSynthesizer:
                 target=paths.certificates.target,
                 certificates=certs,
             )
-        self.context = context or SpcfContext(
-            circuit, threshold=threshold, target=target
-        )
+        if context is None:
+            context = SpcfContext(
+                circuit,
+                threshold=threshold,
+                target=target,
+                manager=_shared_manager(circuit),
+            )
+        self.context = context
 
     # ------------------------------------------------------------------ run
 
@@ -574,6 +624,9 @@ def synthesize_masking(
     prune the SPCF recursion via true-arrival certificates and its true
     paths rank the critical outputs, so masking effort never targets a
     statically unsensitizable path.
+
+    Without ``paths`` the run shares the BDD manager of
+    :data:`_manager_cache`; with it the run keeps its own.
     """
     return MaskingSynthesizer(
         circuit,

@@ -231,7 +231,12 @@ def overhead_report(
     verification: VerificationReport | None = None,
     power_method: str = "bdd",
 ) -> OverheadReport:
-    """Compute the paper's Table-2 metrics for one synthesized circuit."""
+    """Compute the paper's Table-2 metrics for one synthesized circuit.
+
+    Power is built into ``result.context.manager`` when it orders the
+    circuit's inputs first, so that manager grows by the power functions of
+    the original and the masked design.
+    """
     if design is None:
         design = build_masked_design(result)
     if verification is None:
@@ -247,8 +252,17 @@ def overhead_report(
     mask_area = result.masking_circuit.area() + mux_area
     orig_area = original.area()
 
-    orig_power = switching_power(original, method=power_method)
-    combined_power = switching_power(design.circuit, method=power_method)
+    # Both calls build into the run's manager, so the second finds the
+    # original gates' functions and counts already there.  A caller's
+    # manager that holds other variables ahead of the inputs cannot count
+    # over them, so power then builds in fresh managers.
+    mgr = result.context.manager
+    if mgr.var_names[: len(original.inputs)] != original.inputs:
+        mgr = None
+    orig_power = switching_power(original, method=power_method, manager=mgr)
+    combined_power = switching_power(
+        design.circuit, method=power_method, manager=mgr
+    )
     mask_power = combined_power - orig_power
 
     union_count = result.spcf.count() if result.outputs else 0

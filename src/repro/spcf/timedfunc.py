@@ -2,7 +2,9 @@
 
 :class:`SpcfContext` bundles, for one circuit and one speed-path threshold:
 
-* a BDD manager with one variable per primary input (in topological PI order),
+* a BDD manager with one variable per primary input (in topological PI order):
+  a fresh one by default, or the caller's (a default masking run passes
+  :data:`repro.core.masking._manager_cache`'s),
 * the *global function* ``F[net]`` of every net over the primary inputs,
   built **lazily**: a net's BDD is composed on first access, so a query that
   discharges most of a circuit statically never pays for the cold cones,

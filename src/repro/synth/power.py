@@ -11,6 +11,9 @@ temporal-independence model the activity of a net with signal probability
 
 Only *relative* power matters for the paper's Table 2 (overhead of the
 masking circuit versus the original), which this model captures.
+
+The BDD method builds in a fresh manager unless given one that orders the
+circuit's inputs first (see :data:`repro.core.masking._manager_cache`).
 """
 
 from __future__ import annotations
@@ -24,9 +27,22 @@ from repro.sim.logicsim import random_patterns, pack_patterns, simulate_words
 from repro.spcf.timedfunc import expr_to_function
 
 
-def signal_probabilities_bdd(circuit: Circuit) -> dict[str, Fraction]:
-    """Exact probability of each net being 1 under uniform random inputs."""
-    mgr = BddManager(circuit.inputs)
+def signal_probabilities_bdd(
+    circuit: Circuit, manager: BddManager | None = None
+) -> dict[str, Fraction]:
+    """Exact probability of each net being 1 under uniform random inputs.
+
+    ``manager`` must order the circuit's inputs first, as counts are taken
+    over its first ``len(circuit.inputs)`` levels.
+    """
+    if manager is None:
+        mgr = BddManager(circuit.inputs)
+    elif manager.var_names[: len(circuit.inputs)] != circuit.inputs:
+        raise SimulationError(
+            f"BDD manager does not order the inputs of {circuit.name!r} first"
+        )
+    else:
+        mgr = manager
     fns = {net: mgr.var(net) for net in circuit.inputs}
     n = len(circuit.inputs)
     probs: dict[str, Fraction] = {net: Fraction(1, 2) for net in circuit.inputs}
@@ -57,11 +73,18 @@ def signal_probabilities_sim(
 
 
 def switching_power(
-    circuit: Circuit, method: str = "bdd", vectors: int = 2048
+    circuit: Circuit,
+    method: str = "bdd",
+    vectors: int = 2048,
+    manager: BddManager | None = None,
 ) -> float:
-    """Total switching power: ``sum(load_cap * 2 p (1-p))`` over gate outputs."""
+    """Total switching power: ``sum(load_cap * 2 p (1-p))`` over gate outputs.
+
+    ``manager`` is the BDD manager of ``method="bdd"`` (see
+    :func:`signal_probabilities_bdd`); the ``"sim"`` method ignores it.
+    """
     if method == "bdd":
-        probs = signal_probabilities_bdd(circuit)
+        probs = signal_probabilities_bdd(circuit, manager=manager)
     elif method == "sim":
         probs = signal_probabilities_sim(circuit, vectors=vectors)
     else:

@@ -125,6 +125,16 @@ def test_count_rejects_too_small_nvars(mgr):
         f.count(2)
 
 
+def test_count_memo_is_kept_per_nvars(mgr):
+    f = (mgr.var("x1") & ~mgr.var("x3")) | mgr.var("x4")
+    n = mgr.num_vars
+    count = f.count(n)
+    assert count == brute_count(f, VARS)
+    assert f.node in mgr._count_memo[n]
+    assert f.count(n + 3) == count << 3
+    assert f.count(n) == count
+
+
 def test_fraction(mgr):
     a, b = mgr.var("x0"), mgr.var("x1")
     assert float((a & b).fraction()) == 0.25
@@ -265,3 +275,21 @@ def test_quantification_bounds(tree, idx):
     name = VARS[idx]
     assert fn.forall([name]).is_subset_of(fn)
     assert fn.is_subset_of(fn.exists([name]))
+
+
+@given(
+    exprs(),
+    st.sets(st.sampled_from(VARS + ["x6", "x7"])),
+)
+@settings(max_examples=80, deadline=None)
+def test_exists_is_the_or_of_cofactors(tree, names):
+    # x6 and x7 sit below every node of the function; other drawn names
+    # may lie outside its support.
+    mgr = BddManager(VARS + ["x6", "x7"])
+    fn = build_fn(tree, mgr)
+    expected = fn
+    for name in sorted(names):
+        expected = expected.restrict({name: False}) | expected.restrict(
+            {name: True}
+        )
+    assert fn.exists(names) == expected

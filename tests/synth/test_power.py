@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.bdd import BddManager
 from repro.benchcircuits import comparator2
 from repro.errors import SimulationError
 from repro.netlist import Circuit, unit_library
@@ -60,3 +61,14 @@ def test_power_scales_with_activity():
     ca = Circuit("a", inputs=("a", "b"), outputs=("g",))
     ca.add_gate("g", LIB.get("AND2"), ("a", "b"))
     assert switching_power(cx) > switching_power(ca)
+
+
+def test_given_manager_must_order_the_inputs_first():
+    c = comparator2()
+    fresh = signal_probabilities_bdd(c)
+    below = BddManager(c.inputs + ("extra",))
+    assert signal_probabilities_bdd(c, manager=below) == fresh
+    assert switching_power(c, manager=below) == switching_power(c)
+    for names in (c.inputs[::-1], ("extra",) + c.inputs, c.inputs[:-1]):
+        with pytest.raises(SimulationError):
+            signal_probabilities_bdd(c, manager=BddManager(names))
