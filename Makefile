@@ -1,8 +1,8 @@
 # Developer entry points. `make check` is the CI gate: tier-1 tests, the
 # warning-level lint sweep over every builtin benchmark, the
 # abstract-interpretation sweep, the path-sensitization gate, the campaign
-# crash/quarantine/resume smoke drill, the precert speedup gate, and the
-# lift/collapse golden-network check.
+# crash/quarantine/resume smoke drill, the multi-root SPCF speedup gate, and
+# the lift/collapse golden-network check.
 
 PYTHON ?= python
 PYTHONPATH := src
@@ -23,9 +23,10 @@ lint-circuits:
 analyze:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro analyze all --fail-on error
 
-# Path-sensitization acceptance gate: the builtin sweep must keep the SPCF
-# bit-identical under tightened-arrival certificates, strictly improve the
-# summed precert discharge count, and record the prefilter discharge rate.
+# Path-sensitization gate: over the builtin sweep, every output whose
+# speed-paths are all prunable must get an empty Sigma_y from the plain
+# short-path SPCF (at least one such output), and the prefilter discharge
+# rate is recorded.  Writes BENCH_paths.json.
 paths:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_paths.py --check
 
@@ -68,9 +69,9 @@ e2e-check:
 	$(PYTHON) benchmarks/e2e/run.py --workload table2 --workload threshold_sweep --repeats 1 --trace 0
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/e2e -q
 
-# Pre-certification acceptance gate: the serial 5-threshold exact short-path
-# sweep must be bit-identical with certificates on and >= 2x faster (median)
-# via precertify + the multi-root compile.  Writes BENCH_spcf.json.
+# Multi-root SPCF gate: the serial 5-threshold exact short-path sweep over
+# one lazy shared context must be bit-identical to one eager context per
+# target and >= 2x faster (median).  Writes BENCH_spcf.json.
 bench-spcf:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_spcf.py --check
 

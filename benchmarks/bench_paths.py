@@ -1,22 +1,16 @@
-"""Static path-sensitization sweep: prefilter reach + tightening gates.
+"""Static path-sensitization sweep: prefilter reach + pruned-output gate.
 
-The ``repro.analysis.paths`` PR's acceptance gate.  Every builtin circuit
-with at most 12 primary inputs (the exhaustive-plane ceiling) runs through
-:func:`repro.analysis.paths.analyze_paths` at the default 90% threshold,
-and three facts are asserted per circuit (``check_targets``):
+Every builtin circuit with at most 12 primary inputs (the exhaustive-plane
+ceiling) runs through :func:`repro.analysis.paths.analyze_paths` at the
+default 90% threshold, and two facts are checked (``check_targets``):
 
-* **bit-identity** — feeding the path-tightened true-arrival bounds into
-  :func:`repro.analysis.precert.precertify` and compiling the SPCF against
-  those certificates yields the **same ROBDD cube sequences** as the
-  plain compile.  Tightening is an optimization hint, never a semantic
-  change: a pruned false path contributes nothing to Sigma_y, so removing
-  it from the arrival bound cannot move a single bit.
-* **discharge monotonicity** — the precert discharge count with tightened
-  arrivals is never below the plain count on any circuit, and is
-  **strictly higher summed across the sweep** (the ``bypass``
-  demonstrator guarantees at least one newly discharged obligation: its
-  only speed-path is false and prunable, so the output's true arrival
-  drops to the target and the obligation discharges "on-time").
+* **pruned outputs are never late** — an output whose over-target paths
+  are *all* prunable (their Eqn. 1 activation conditions are
+  unsatisfiable) must get an empty Sigma_y from the plain
+  :func:`repro.spcf.spcf_shortpath` at the same target.  At least one
+  such output must occur across the sweep (the ``bypass`` demonstrator:
+  its only speed-path is false and prunable), so the check never passes
+  vacuously.
 * **prefilter discharge rate recorded** — the fraction of paths settled
   by the ternary/word planes before any BDD work is computed and stored
   per circuit and as a sweep-wide aggregate, so regressions in the
@@ -36,8 +30,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis.paths import analyze_paths, tightened_arrivals
-from repro.analysis.precert import precertify
+from repro.analysis.paths import analyze_paths
 from repro.benchcircuits import circuit_by_name
 from repro.netlist import lsi10k_like_library
 from repro.spcf import spcf_shortpath
@@ -66,13 +59,6 @@ THRESHOLD = 0.9
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_paths.json"
 
 
-def _canonical(result):
-    """Cross-manager comparable form: output -> ROBDD cube sequence."""
-    return {
-        y: list(fn.cubes()) for y, fn in sorted(result.per_output.items())
-    }
-
-
 def _timed(fn):
     gc.collect()
     t0 = time.perf_counter()
@@ -87,14 +73,11 @@ def run_circuit(name: str, library) -> dict:
     )
     stats = analysis.stats
     target = analysis.target
-    tighten = tightened_arrivals(analysis)
-
-    plain_certs = precertify(circuit, targets=[target], threshold=THRESHOLD)
-    tight_certs = precertify(
-        circuit, targets=[target], threshold=THRESHOLD, tighten=tighten
-    )
-    base = spcf_shortpath(circuit, target=target)
-    tight = spcf_shortpath(circuit, target=target, certificates=tight_certs)
+    by_output: dict[str, list[bool]] = {}
+    for cert in analysis.certificates:
+        by_output.setdefault(cert.end, []).append(cert.prunable)
+    pruned = sorted(y for y, flags in by_output.items() if all(flags))
+    sigma = spcf_shortpath(circuit, target=target).per_output
 
     prefilter = stats["prefilter_ternary"] + stats["prefilter_exhaustive"]
     return {
@@ -112,12 +95,8 @@ def run_circuit(name: str, library) -> dict:
         "prefilter_rate": round(prefilter / stats["paths"], 4)
         if stats["paths"]
         else 1.0,
-        "tightened_outputs": len(tighten),
-        "plain_discharged": plain_certs.counts()["discharged"],
-        "tight_discharged": tight_certs.counts()["discharged"],
-        "plain_discharge_rate": round(plain_certs.discharge_rate(), 4),
-        "tight_discharge_rate": round(tight_certs.discharge_rate(), 4),
-        "identical": _canonical(base) == _canonical(tight),
+        "pruned_outputs": pruned,
+        "pruned_sigma_false": all(sigma[y].is_false for y in pruned),
         "analyze_s": analyze_s,
     }
 
@@ -134,8 +113,7 @@ def measure(library=None) -> dict:
         "prefilter_rate": round(total_prefilter / total_paths, 4)
         if total_paths
         else 1.0,
-        "plain_discharged": sum(r["plain_discharged"] for r in rows.values()),
-        "tight_discharged": sum(r["tight_discharged"] for r in rows.values()),
+        "pruned_outputs": sum(len(r["pruned_outputs"]) for r in rows.values()),
         "rows": rows,
     }
 
@@ -143,41 +121,35 @@ def measure(library=None) -> dict:
 def print_table(payload: dict) -> None:
     print(
         f"{'circuit':18s} {'in':>4s} {'paths':>6s} {'false':>6s} "
-        f"{'true':>5s} {'unres':>6s} {'pre%':>6s} {'tight':>6s} "
-        f"{'disch':>11s} {'time':>8s} ident"
+        f"{'true':>5s} {'unres':>6s} {'pre%':>6s} {'pruned':>6s} "
+        f"{'time':>8s} sigma=0"
     )
     for name, row in payload["rows"].items():
         print(
             f"{name:18s} {row['inputs']:4d} {row['paths']:6d} "
             f"{row['false']:6d} {row['true']:5d} {row['unresolved']:6d} "
-            f"{100 * row['prefilter_rate']:5.1f}% {row['tightened_outputs']:6d} "
-            f"{row['plain_discharged']:4d} -> {row['tight_discharged']:4d} "
-            f"{row['analyze_s'] * 1e3:6.1f}ms {row['identical']}"
+            f"{100 * row['prefilter_rate']:5.1f}% "
+            f"{len(row['pruned_outputs']):6d} "
+            f"{row['analyze_s'] * 1e3:6.1f}ms {row['pruned_sigma_false']}"
         )
     print(
         f"prefilter settled {100 * payload['prefilter_rate']:.1f}% of "
-        f"{payload['total_paths']} paths before BDD work; precert "
-        f"discharges {payload['plain_discharged']} -> "
-        f"{payload['tight_discharged']} with tightened arrivals "
+        f"{payload['total_paths']} paths before BDD work; "
+        f"{payload['pruned_outputs']} output(s) with only prunable paths "
         f"(JSON written to {RESULT_PATH})"
     )
 
 
 def check_targets(payload: dict) -> None:
-    """The acceptance gates: bit-identity + strict discharge improvement."""
+    """The acceptance gate: every all-prunable output has an empty Sigma."""
     for name, row in payload["rows"].items():
-        assert row["identical"], (
-            f"{name}: SPCF with tightened-arrival certificates is not "
-            f"bit-identical to the plain compile"
+        assert row["pruned_sigma_false"], (
+            f"{name}: an output whose speed-paths are all prunable "
+            f"({row['pruned_outputs']}) has a non-empty Sigma_y"
         )
-        assert row["tight_discharged"] >= row["plain_discharged"], (
-            f"{name}: tightening lowered the precert discharge count "
-            f"({row['plain_discharged']} -> {row['tight_discharged']})"
-        )
-    assert payload["tight_discharged"] > payload["plain_discharged"], (
-        f"path tightening did not strictly improve the summed precert "
-        f"discharge count ({payload['plain_discharged']} -> "
-        f"{payload['tight_discharged']})"
+    assert payload["pruned_outputs"] > 0, (
+        "no output with only prunable speed-paths in the sweep; the "
+        "pruned-output check would pass vacuously"
     )
 
 

@@ -1,15 +1,15 @@
-"""SPCF threshold-sweep speedup from pre-certification + multi-root compile.
+"""SPCF threshold-sweep speedup from the lazy multi-root compile.
 
-The precert PR's acceptance gate.  A five-point threshold sweep (50%..90%
-of the critical delay) is computed two ways on each circuit:
+A five-point threshold sweep (50%..90% of the critical delay) is computed
+two ways on each circuit:
 
-* ``baseline``  — the pre-PR configuration: one fresh *eager* context per
-  threshold (the whole-circuit global-function BDD build paid once per
-  target), short-path recursion from scratch each time;
-* ``optimized`` — :func:`repro.analysis.precert.precertify` once for all
-  targets, then one :func:`repro.spcf.multiroot.compute_multi` pass over a
-  single shared lazy context consulting the certificates (the precertify
-  call is timed *inside* the optimized window — the gate is end-to-end).
+* ``baseline``  — one fresh *eager* context per threshold (the
+  whole-circuit global-function BDD build paid once per target),
+  short-path recursion from scratch each time;
+* ``optimized`` — one :func:`repro.spcf.multiroot.compute_multi` pass over
+  a single shared lazy context: cones are built on first use, and the
+  manager and the ``stable(net, t)`` memo carry over from one target to
+  the next.
 
 Gates (``check_targets``):
 
@@ -34,7 +34,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analysis.precert import PrecertConfig, precertify
 from repro.benchcircuits import circuit_by_name
 from repro.netlist import lsi10k_like_library
 from repro.spcf import SpcfContext, spcf_multiroot, spcf_shortpath
@@ -71,7 +70,7 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_spcf.json"
 
 
 def _baseline_sweep(circuit, targets):
-    """One fresh eager context per target (the pre-PR configuration)."""
+    """One fresh eager context per target."""
     results = {}
     for tgt in targets:
         ctx = SpcfContext(circuit, target=tgt, eager=True)
@@ -79,16 +78,9 @@ def _baseline_sweep(circuit, targets):
     return results
 
 
-#: Refutation replays concrete witnesses through the event simulator for
-#: audit evidence; refuted obligations go to the BDD plane regardless, so
-#: the speed-oriented configuration turns the replay budget off.
-_SPEED_CONFIG = PrecertConfig(refute_budget=0)
-
-
 def _optimized_sweep(circuit, targets):
-    """Precertify once, then one multi-root pass over a shared lazy context."""
-    certs = precertify(circuit, targets=targets, config=_SPEED_CONFIG)
-    return spcf_multiroot(circuit, targets=targets, certificates=certs), certs
+    """One multi-root pass over a shared lazy context."""
+    return spcf_multiroot(circuit, targets=targets)
 
 
 def _canonical(result):
@@ -120,25 +112,19 @@ def run_circuit(name: str, repeats: int, library) -> dict:
     )
 
     base = _baseline_sweep(circuit, targets)
-    opt, certs = _optimized_sweep(circuit, targets)
+    opt = _optimized_sweep(circuit, targets)
     identical = all(
         _canonical(base[tgt]) == _canonical(opt[tgt]) for tgt in targets
     )
 
     baseline_s = _time(lambda: _baseline_sweep(circuit, targets), repeats)
     optimized_s = _time(lambda: _optimized_sweep(circuit, targets), repeats)
-    counts = certs.counts()
     return {
         "inputs": len(circuit.inputs),
         "gates": circuit.num_gates,
         "targets": list(targets),
         "outputs": sum(len(r.per_output) for r in base.values()),
         "identical": identical,
-        "obligations": len(certs),
-        "discharged": counts["discharged"],
-        "refuted": counts["refuted"],
-        "required": counts["required"],
-        "discharge_rate": round(certs.discharge_rate(), 4),
         "baseline_s": baseline_s,
         "optimized_s": optimized_s,
         "speedup": round(baseline_s / optimized_s, 3),
@@ -160,13 +146,12 @@ def measure(repeats: int = REPEATS, library=None) -> dict:
 
 def print_table(payload: dict) -> None:
     print(
-        f"{'circuit':18s} {'in':>4s} {'gates':>6s} {'oblig':>6s} "
-        f"{'disch%':>7s} {'base':>9s} {'opt':>9s} {'speedup':>8s} ident"
+        f"{'circuit':18s} {'in':>4s} {'gates':>6s} "
+        f"{'base':>9s} {'opt':>9s} {'speedup':>8s} ident"
     )
     for name, row in payload["rows"].items():
         print(
             f"{name:18s} {row['inputs']:4d} {row['gates']:6d} "
-            f"{row['obligations']:6d} {100 * row['discharge_rate']:6.1f}% "
             f"{row['baseline_s'] * 1e3:7.1f}ms {row['optimized_s'] * 1e3:7.1f}ms "
             f"{row['speedup']:7.2f}x {row['identical']}"
         )
@@ -196,7 +181,7 @@ def run_suite(repeats: int = REPEATS, library=None) -> dict:
     return payload
 
 
-def test_spcf_precert_speedup(benchmark, lsi_lib):
+def test_spcf_multiroot_speedup(benchmark, lsi_lib):
     payload = benchmark.pedantic(
         lambda: run_suite(REPEATS, lsi_lib), rounds=1, iterations=1
     )

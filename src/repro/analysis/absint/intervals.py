@@ -18,7 +18,7 @@ bound it must stay below — is a bug in one of them and surfaces as an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from repro.analysis.absint.domain import AbstractDomain, run_fixpoint
 from repro.engine import CompiledCircuit
@@ -116,7 +116,6 @@ def check_interval_consistency(
     intervals: Sequence[Interval],
     arrival: Sequence[int],
     min_stable: Sequence[int],
-    true_upper: Mapping[str, int] | None = None,
 ) -> Iterator[IntervalFinding]:
     """Audit the interval fixpoint against independently computed STA.
 
@@ -126,14 +125,7 @@ def check_interval_consistency(
     code), and ``lo <= min_stable`` (a net cannot stabilize before it can
     first move).  ``arrival``/``min_stable`` are injectable so tests can
     feed corrupted values and watch the audit fire.
-
-    ``true_upper`` carries the false-path-pruned true-arrival bounds of the
-    paths analysis, which must stay *inside* the interval: never above the
-    structural ``hi`` (pruning can only tighten) and never below
-    ``min_stable`` (some pattern stabilizes at ``min_stable`` at the
-    earliest, so a sound all-patterns upper bound cannot undercut it).
     """
-    true_upper = true_upper or {}
     for i, name in enumerate(compiled.net_names):
         iv = intervals[i]
         arr = arrival[i]
@@ -169,25 +161,6 @@ def check_interval_consistency(
                 f"prime-based earliest stabilization {ms}",
                 data,
             )
-        if name in true_upper:
-            tu = true_upper[name]
-            data = {**data, "true_upper": tu}
-            if tu > iv.hi:
-                yield (
-                    name,
-                    f"net {name!r}: true-arrival bound {tu} exceeds the "
-                    f"structural interval upper bound {iv.hi} (pruning can "
-                    "only tighten)",
-                    data,
-                )
-            if tu < ms:
-                yield (
-                    name,
-                    f"net {name!r}: true-arrival bound {tu} undercuts the "
-                    f"earliest stabilization {ms} (some pattern stabilizes "
-                    "no earlier)",
-                    data,
-                )
 
 
 __all__ = [

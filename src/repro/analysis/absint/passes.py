@@ -23,11 +23,6 @@ ABS007    interval-inconsistency    error     interval fixpoint disagrees with
                                               independent STA (internal bug)
 ABS008    spcf-unsound              error     hazard/oracle pattern outside
                                               Sigma_y (Eqn. 1 soundness bug)
-ABS009    precert-contradiction     error     pre-certification certificate
-                                              refused (tampered) or contradicted
-                                              by the exact BDD cross-check
-ABS010    precert-summary           info      per-output obligation discharge
-                                              rates (opt-in, off by default)
 ABS011    false-speed-path          info      statically unsensitizable
                                               speed-path, with certificate
                                               (opt-in, off by default)
@@ -79,9 +74,8 @@ from repro.spcf.result import SpcfResult
 from repro.spcf.shortpath import compute_spcf
 from repro.sta.timing import TimingReport, analyze
 
-if TYPE_CHECKING:  # pragma: no cover - avoids the precert <-> absint cycle
+if TYPE_CHECKING:  # pragma: no cover - avoids the paths <-> absint cycle
     from repro.analysis.paths.sensitize import PathsAnalysis
-    from repro.analysis.precert.certificate import CertificateSet
 
 
 @dataclass(frozen=True)
@@ -110,11 +104,9 @@ class AbsintConfig:
     replay_budget: int = 512
     max_injection_nets: int = 512
     report_potential: bool = False
-    report_precert: bool = False
     report_paths: bool = False
     spcf_max_inputs: int = 12
     spcf_samples: int = 64
-    precert_max_inputs: int = 12
     paths_max_inputs: int = 12
     paths_limit: int = 4096
     paths_replay_budget: int = 8
@@ -138,7 +130,6 @@ class AbsintConfig:
             "max_injection_nets",
             "spcf_max_inputs",
             "spcf_samples",
-            "precert_max_inputs",
             "paths_max_inputs",
             "paths_limit",
             "paths_replay_budget",
@@ -281,40 +272,13 @@ class AbsintContext:
         return self._spcf
 
     @property
-    def precert(self) -> "CertificateSet | None":
-        """Pre-certification certificates, or ``None`` when out of scope.
-
-        Imported lazily: :mod:`repro.analysis.precert` pulls in the ternary
-        domain of this package, so a module-level import would be circular.
-        """
-        if not hasattr(self, "_precert"):
-            self._precert = None
-            if self.compiled is not None:
-                from repro.analysis.precert.precertify import precertify
-
-                targets = (
-                    [self.config.target]
-                    if self.config.target is not None
-                    else None
-                )
-                try:
-                    self._precert = precertify(
-                        self.compiled,
-                        targets=targets,
-                        threshold=self.config.threshold,
-                    )
-                except ReproError:
-                    self._precert = None
-        return self._precert
-
-    @property
     def paths(self) -> "PathsAnalysis | None":
         """Speed-path classification, or ``None`` when out of scope.
 
         Gated on ``paths_max_inputs`` like the other exact planes, and
         budget-capped: a circuit with more than ``paths_limit`` speed-paths
         (or any other analysis failure) yields ``None`` rather than a
-        partial — and hence unsound-to-tighten — certificate set.
+        partial certificate set.
         """
         if not hasattr(self, "_paths"):
             self._paths = None
@@ -532,17 +496,8 @@ def check_intervals(
     ctx: AbsintContext, config: AbsintConfig
 ) -> Iterator[AbsFinding]:
     compiled = ctx.compiled
-    true_upper = None
-    if config.report_paths and ctx.paths is not None:
-        from repro.analysis.paths import tightened_arrivals
-
-        true_upper = tightened_arrivals(ctx.paths)
     for location, message, data in check_interval_consistency(
-        compiled,
-        ctx.intervals,
-        compiled.arrival(),
-        compiled.min_stable(),
-        true_upper=true_upper,
+        compiled, ctx.intervals, compiled.arrival(), compiled.min_stable()
     ):
         yield (
             location,
@@ -586,86 +541,6 @@ def check_spcf(ctx: AbsintContext, config: AbsintConfig) -> Iterator[AbsFinding]
 
 
 @abs_pass(
-    "ABS009",
-    "precert-contradiction",
-    Severity.ERROR,
-    "pre-certification certificate refused or contradicted by exact BDDs",
-)
-def check_precert(
-    ctx: AbsintContext, config: AbsintConfig
-) -> Iterator[AbsFinding]:
-    """Cross-check every certificate against the exact BDD result.
-
-    Size-gated like ABS008: the audit recomputes each claim with BDDs over
-    all primary inputs.  Tampered certificates (failed integrity hash) are
-    *refused* with a distinct diagnostic and never cross-checked;
-    contradictions are soundness bugs in the static plane.
-    """
-    compiled = ctx.compiled
-    if compiled is None or compiled.n_inputs > config.precert_max_inputs:
-        return
-    certs = ctx.precert
-    if certs is None or not len(certs):
-        return
-    from repro.analysis.precert.audit import audit_certificates
-
-    for finding in audit_certificates(ctx.circuit, certs):
-        location = (
-            finding.node
-            if finding.time is None
-            else f"{finding.node}@t={finding.time}"
-        )
-        if finding.kind == "tampered":
-            hint = (
-                "certificate integrity failure: regenerate the set with "
-                "precertify(); never consult evidence that fails its hash"
-            )
-        else:
-            hint = (
-                "static-plane soundness bug: a certificate would have made "
-                "SPCF skip real BDD work; do not trust precert speedups "
-                "until this is fixed"
-            )
-        yield (
-            location,
-            finding.message,
-            hint,
-            None,
-            {"kind": finding.kind, **finding.data},
-        )
-
-
-@abs_pass(
-    "ABS010",
-    "precert-summary",
-    Severity.INFO,
-    "per-output obligation discharge rates from pre-certification",
-)
-def check_precert_summary(
-    ctx: AbsintContext, config: AbsintConfig
-) -> Iterator[AbsFinding]:
-    if not config.report_precert:
-        return
-    certs = ctx.precert
-    if certs is None or not len(certs):
-        return
-    from repro.analysis.precert.report import summarize
-
-    for s in summarize(ctx.circuit, certs):
-        rate = round(100 * s.discharge_rate)
-        yield (
-            s.output,
-            f"output {s.output!r} at t={s.target}: {s.discharged} of "
-            f"{s.obligations} obligation(s) discharged statically ({rate}%), "
-            f"{s.refuted} refuted, {s.required} left for BDDs "
-            f"[{s.verdict}]",
-            "discharged/refuted obligations skip their S0/S1 BDD builds",
-            None,
-            s.to_data(),
-        )
-
-
-@abs_pass(
     "ABS011",
     "false-speed-path",
     Severity.INFO,
@@ -682,8 +557,8 @@ def check_false_paths(
     for cert in analysis.certificates.false_paths():
         route = "->".join(cert.nets)
         qualifier = (
-            "; its activation conditions fail too, so the output's "
-            "true-arrival bound may be tightened"
+            "; its activation conditions fail too, so no pattern "
+            "reaches the output late along it"
             if cert.prunable
             else ""
         )
@@ -761,9 +636,9 @@ def check_true_paths(
 def check_paths_audit(
     ctx: AbsintContext, config: AbsintConfig
 ) -> Iterator[AbsFinding]:
-    """Audit every path certificate from scratch (the ABS009 pattern).
+    """Audit every path certificate from scratch.
 
-    Always on (size-gated like ABS009): FALSE verdicts are re-derived on a
+    Always on (size-gated like ABS008): FALSE verdicts are re-derived on a
     fresh certificate-free BDD context regardless of the cheap plane that
     produced them, and TRUE witnesses are replayed through the event
     simulator.  Tampered certificates are refused with a distinct
@@ -790,7 +665,7 @@ def check_paths_audit(
             hint = (
                 "paths-plane soundness bug: a wrong verdict here would "
                 "prune a real speed-path or mask a false one; do not "
-                "trust path-based tightening until this is fixed"
+                "trust path verdicts until this is fixed"
             )
         yield (
             location,

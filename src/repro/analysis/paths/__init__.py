@@ -2,13 +2,10 @@
 
 The paper masks timing errors on *speed-paths*; this package decides which
 enumerated speed-paths can ever carry a late transition.  FALSE paths come
-with machine-checkable unsatisfiability certificates and (when the
-stronger activation criterion also fails) license tightening the output's
-true-arrival bound — which :func:`repro.analysis.precert.precertify`
-converts into extra discharged obligations without changing a single SPCF
-bit.  TRUE paths come with replayed two-vector witnesses and a masking
-rank consumed by :mod:`repro.core.masking`.  ABS013 audits it all from
-scratch.
+with machine-checkable unsatisfiability certificates, marked *prunable*
+when the weaker activation criterion of Eqn. 1 fails too.  TRUE paths come
+with replayed two-vector witnesses and a masking rank.  ABS011/ABS012
+report the verdicts and ABS013 audits them all from scratch.
 """
 
 from repro.analysis.paths.audit import PathAuditFinding, audit_path_certificates
@@ -29,7 +26,6 @@ from repro.analysis.paths.sensitize import (
     PathsConfig,
     analyze_paths,
 )
-from repro.analysis.paths.tighten import tightened_arrivals
 
 __all__ = [
     "SCHEMA",
@@ -40,7 +36,6 @@ __all__ = [
     "PathsAnalysis",
     "PathsConfig",
     "analyze_paths",
-    "tightened_arrivals",
     "PathAuditFinding",
     "audit_path_certificates",
     "render_paths_text",

@@ -30,10 +30,4 @@ REPLAYS = METER.counter(
     "two-vector witness replays through the event simulator",
 )
 
-#: Outputs whose true-arrival bound was tightened below the structural one.
-TIGHTENED = METER.counter(
-    "repro_paths_tightened_outputs_total",
-    "outputs whose true-arrival bound tightened below the structural arrival",
-)
-
-__all__ = ["TRACER", "METER", "CLASSIFIED", "PREFILTER", "REPLAYS", "TIGHTENED"]
+__all__ = ["TRACER", "METER", "CLASSIFIED", "PREFILTER", "REPLAYS"]

@@ -1,9 +1,9 @@
 """The independent auditor behind ABS013: re-derive, replay, or refuse.
 
-Trust discipline (the ABS009 pattern, applied to path evidence): the
-auditor never *believes* a certificate.  It first checks the set's circuit
-binding and every per-certificate fingerprint, refusing anything tampered
-with a distinct ``tampered`` finding before any semantic work.  Surviving
+Trust discipline: the auditor never *believes* a certificate.  It first
+checks the set's circuit binding and every per-certificate fingerprint,
+refusing anything tampered with a distinct ``tampered`` finding before any
+semantic work.  Surviving
 FALSE verdicts are then re-derived on a **fresh, certificate-free BDD
 context** — whatever cheap plane (ternary, words) produced them, the audit
 recomputes the sensitization conjunction (and the activation conjunction
@@ -207,7 +207,7 @@ def audit_path_certificates(
     findings: list[PathAuditFinding] = []
     refused: set[tuple[str, ...]] = set()
     for cert in certs.tampered():
-        refused.add(cert.key)
+        refused.add(cert.nets)
         findings.append(
             PathAuditFinding(
                 nets=cert.nets,
@@ -225,7 +225,7 @@ def audit_path_certificates(
     # unsigned header fields; TRUE replays compare against ``cert.target``.
     ctx = SpcfContext(circuit)
     for cert in sorted(certs, key=lambda c: c.nets):
-        if cert.key in refused:
+        if cert.nets in refused:
             continue
         if cert.verdict == "false":
             findings.extend(_audit_false(ctx, cert))

@@ -15,11 +15,10 @@ Two side-input conditions govern each segment:
   fanin functions.  This is exactly the per-prime term shape of the
   paper's Eqn. 1 recursion, so ``AND of act`` over a path upper-bounds the
   path's contribution to ``late(y, t)``; proving it unsatisfiable for every
-  over-target path licenses tightening the true-arrival bound *without
-  changing a single SPCF bit*.  ``cond`` implies ``act`` pointwise (a
-  vector with a sensitized pin lies in some prime containing that pin), so
-  ``act``-unsatisfiable ("prunable") is a strictly stronger verdict than
-  FALSE.
+  over-target path of an output proves that output's Sigma empty.  ``cond``
+  implies ``act`` pointwise (a vector with a sensitized pin lies in some
+  prime containing that pin), so ``act``-unsatisfiable ("prunable") is a
+  strictly stronger verdict than FALSE.
 
 Gates may carry the same net on several pins; both conditions then take
 the disjunction over all such pins (conservative: the path is counted

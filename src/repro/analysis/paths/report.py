@@ -7,7 +7,6 @@ from typing import Any
 
 from repro.analysis.paths.certificate import PathCertificate
 from repro.analysis.paths.sensitize import PathsAnalysis
-from repro.analysis.paths.tighten import tightened_arrivals
 
 
 def _describe(cert: PathCertificate) -> str:
@@ -46,15 +45,6 @@ def render_paths_text(analysis: PathsAnalysis) -> str:
         lines.append(_describe(cert))
     for cert in analysis.certificates.unresolved_paths():
         lines.append(_describe(cert))
-    tightened = tightened_arrivals(analysis)
-    if tightened:
-        for net, bound in sorted(tightened.items()):
-            lines.append(
-                f"  TIGHTEN    {net}: true arrival <= {bound} "
-                f"(structural {report.arrival[net]})"
-            )
-    else:
-        lines.append("  no true-arrival tightening possible")
     return "\n".join(lines)
 
 
@@ -63,7 +53,6 @@ def paths_to_dict(analysis: PathsAnalysis) -> dict[str, Any]:
     return {
         "certificates": analysis.certificates.to_dict(),
         "stats": dict(analysis.stats),
-        "tightened_arrivals": tightened_arrivals(analysis),
     }
 
 

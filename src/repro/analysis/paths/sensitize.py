@@ -1,8 +1,7 @@
 """The speed-path classification driver: FALSE / TRUE / UNRESOLVED.
 
 :func:`analyze_paths` enumerates every structural speed-path (delay above
-the target) and settles each one with the cheapest sufficient plane, in
-the same cheap-first spirit as :mod:`repro.analysis.precert.precertify`:
+the target) and settles each one with the cheapest sufficient plane:
 
 1. **ternary pre-filter** — the all-X constant scan blocks a segment's
    activation primes outright (no per-pattern work at all);
@@ -49,7 +48,7 @@ class PathsConfig:
 
     ``limit`` caps path enumeration (exceeding it raises, mirroring
     :func:`repro.sta.paths.enumerate_speed_paths` — an incomplete path set
-    would make every tightening unsound).  ``prefilter_max_inputs`` bounds
+    would make every per-output claim unsound).  ``prefilter_max_inputs`` bounds
     the exhaustive word plane (``2**n``-bit words), ``bdd_max_inputs`` the
     BDD fallback; cones beyond both stay UNRESOLVED.  ``replay_budget``
     bounds witness replays *per path*.
@@ -307,7 +306,7 @@ def analyze_paths(
     Every enumerated path receives exactly one certificate; the set covers
     the full over-target path population (enumeration past ``limit``
     raises instead of silently truncating, because a partial set would
-    make downstream arrival tightening unsound).
+    make any per-output claim drawn from it unsound).
     """
     cfg = config or PathsConfig()
     circuit.validate()

@@ -5,7 +5,6 @@ Usage (installed as ``python -m repro``)::
     python -m repro list
     python -m repro report C432
     python -m repro spcf C432 --algorithm all
-    python -m repro spcf comparator2 --precert
     python -m repro mask C432 --out masked.blif --mask-out mask.blif
     python -m repro lint C432 --format json
     python -m repro lint all --fail-on warning --baseline lint.baseline.json
@@ -190,11 +189,6 @@ def cmd_spcf(args: argparse.Namespace) -> int:
     library = builtin_library(args.library)
     circuit = _load_circuit(args.circuit, library)
     if args.algorithm == "all":
-        if args.precert:
-            raise ReproError(
-                "--precert does not apply to --algorithm all "
-                "(the comparison times each algorithm without certificates)"
-            )
         row = compare_algorithms(circuit, threshold=args.threshold)
         print(f"node-based : {_fmt_count(row.node_based_count):>12s}  "
               f"({row.node_based_runtime:.3f}s)")
@@ -204,17 +198,12 @@ def cmd_spcf(args: argparse.Namespace) -> int:
               f"({row.short_path_runtime:.3f}s)")
         print(f"over-approximation factor: {row.over_approximation_factor:.2f}x")
         return 0
-    certificates = None
-    if args.precert:
-        from repro.analysis.precert import precertify
-
-        certificates = precertify(circuit, threshold=args.threshold)
     algo = {
         "short": spcf_shortpath,
         "path": spcf_pathbased,
         "node": spcf_nodebased,
     }[args.algorithm]
-    result = algo(circuit, threshold=args.threshold, certificates=certificates)
+    result = algo(circuit, threshold=args.threshold)
     print(f"algorithm : {result.algorithm}")
     print(f"target    : {result.target}")
     for y, count in sorted(result.counts_by_output().items()):
@@ -340,7 +329,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         samples=args.samples,
         replay_budget=args.replay_budget,
         report_potential=args.report_potential,
-        report_precert=args.precert,
         report_paths=args.paths,
         select=frozenset(args.select) if args.select else None,
         ignore=frozenset(args.ignore or ()),
@@ -712,12 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", default="short", choices=("short", "path", "node", "all")
     )
     p.add_argument("--threshold", type=float, default=0.9)
-    p.add_argument(
-        "--precert",
-        action="store_true",
-        help="statically pre-certify obligations first and feed the "
-        "certificates into the SPCF compile",
-    )
     p.set_defaults(func=cmd_spcf)
 
     p = sub.add_parser(
@@ -794,9 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-potential", action="store_true",
                    help="also report X verdicts without a replayed witness "
                    "(ABS006)")
-    p.add_argument("--precert", action="store_true",
-                   help="also report per-output precert discharge rates "
-                   "(ABS010)")
     p.add_argument("--paths", action="store_true",
                    help="also classify speed-paths as false/true and report "
                    "them (ABS011/ABS012)")

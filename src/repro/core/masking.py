@@ -27,7 +27,7 @@ pattern, and ``Sigma_y`` implies ``e_y = 1`` — is checked by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro import obs
 from repro.bdd.manager import BddManager, Function
@@ -45,9 +45,6 @@ from repro.spcf.timedfunc import SpcfContext
 from repro.synth.collapse import circuit_to_technet, collapse
 from repro.synth.mapping import map_technet, remove_buffers
 from repro.synth.technet import TechNetwork, TechNode
-
-if TYPE_CHECKING:  # pragma: no cover - keeps analysis optional at runtime
-    from repro.analysis.paths.sensitize import PathsAnalysis
 
 #: Name prefixes for prediction and indicator nodes in the masking network.
 PRED_PREFIX = "p$"
@@ -105,8 +102,8 @@ MANAGER_CACHE_SIZE = 1
 #: functions through computed-table hits.  Every count taken in it is exact
 #: and over the primary inputs, which come first in its order, so sharing
 #: changes no result.  The key also holds whether observability was on, as a
-#: manager fixes its op counting when it is created.  Explicit ``context=``
-#: and ``paths=`` runs keep their own manager, and a bare
+#: manager fixes its op counting when it is created.  An explicit
+#: ``context=`` run keeps its context's manager, and a bare
 #: :class:`SpcfContext` still starts a fresh one.
 _manager_cache: LRUCache[BddManager] = LRUCache(MANAGER_CACHE_SIZE)
 
@@ -208,7 +205,6 @@ class MaskingSynthesizer:
         cube_pool: str = "isop",
         dontcare_isop: bool = True,
         context: SpcfContext | None = None,
-        paths: "PathsAnalysis | None" = None,
     ) -> None:
         if cube_pool not in ("isop", "primes"):
             raise MaskingError(f"unknown cube pool {cube_pool!r}")
@@ -221,51 +217,12 @@ class MaskingSynthesizer:
         self.max_cubes = max_cubes
         self.cube_pool = cube_pool
         self.use_dontcare_isop = dontcare_isop
-        self.paths = paths
-        if paths is not None and not paths.certificates.matches(circuit):
-            raise MaskingError(
-                "paths analysis was produced for a different circuit "
-                f"(fingerprint mismatch on {circuit.name!r})"
-            )
-        if (
-            paths is not None
-            and target is not None
-            and target != paths.certificates.target
-        ):
-            raise MaskingError(
-                f"paths analysis targets t={paths.certificates.target} but "
-                f"masking was asked for t={target}; tightening would be "
-                "unsound across targets"
-            )
-        if context is None and paths is not None:
-            # Consume the false-path verdicts: prune the SPCF recursion with
-            # true-arrival certificates (bit-identical Sigma_y by ROBDD
-            # canonicity — an output whose speed-paths are all prunable
-            # gets Sigma_y == false and is skipped by the is_false guard
-            # below, so masking never targets a false path).
-            from repro.analysis.paths.tighten import tightened_arrivals
-            from repro.analysis.precert.precertify import precertify
-
-            certs = precertify(
-                circuit,
-                targets=[paths.certificates.target],
-                threshold=threshold,
-                tighten=tightened_arrivals(paths),
-            )
-            context = SpcfContext(
-                circuit,
-                threshold=threshold,
-                target=paths.certificates.target,
-                certificates=certs,
-            )
-        if context is None:
-            context = SpcfContext(
-                circuit,
-                threshold=threshold,
-                target=target,
-                manager=_shared_manager(circuit),
-            )
-        self.context = context
+        self.context = context or SpcfContext(
+            circuit,
+            threshold=threshold,
+            target=target,
+            manager=_shared_manager(circuit),
+        )
 
     # ------------------------------------------------------------------ run
 
@@ -302,24 +259,9 @@ class MaskingSynthesizer:
 
             # Sigma per node: union of the SPCFs of the critical outputs whose
             # fanin cone contains the node ("all outputs simultaneously").
-            # With a paths analysis attached, outputs are visited in
-            # true-path rank order, so the masking report lists (and the
-            # cone walk reaches) the outputs carrying the longest replayed
-            # speed-paths first.
             node_sigma: dict[str, Function] = {}
             cones: dict[str, set[str]] = {}
-            per_output = spcf.per_output
-            if self.paths is not None:
-                rank: dict[str, int] = {}
-                for cert in self.paths.certificates.ranked_true_paths():
-                    rank.setdefault(cert.end, cert.rank or 0)
-                per_output = dict(
-                    sorted(
-                        per_output.items(),
-                        key=lambda kv: (rank.get(kv[0], 1 << 30), kv[0]),
-                    )
-                )
-            for y, sigma in per_output.items():
+            for y, sigma in spcf.per_output.items():
                 if sigma.is_false:
                     continue
                 cone = technet.fanin_cone(y)
@@ -615,18 +557,11 @@ def synthesize_masking(
     max_cubes: int = 20,
     cube_pool: str = "isop",
     dontcare_isop: bool = True,
-    paths: "PathsAnalysis | None" = None,
 ) -> MaskingResult:
     """One-call API: synthesize the error-masking circuit for ``circuit``.
 
-    ``paths`` attaches a speed-path classification of the same circuit
-    (:func:`repro.analysis.paths.analyze_paths`): its prunable false paths
-    prune the SPCF recursion via true-arrival certificates and its true
-    paths rank the critical outputs, so masking effort never targets a
-    statically unsensitizable path.
-
-    Without ``paths`` the run shares the BDD manager of
-    :data:`_manager_cache`; with it the run keeps its own.
+    The run shares the BDD manager of :data:`_manager_cache` with every
+    other run on the same circuit content.
     """
     return MaskingSynthesizer(
         circuit,
@@ -637,5 +572,4 @@ def synthesize_masking(
         max_cubes=max_cubes,
         cube_pool=cube_pool,
         dontcare_isop=dontcare_isop,
-        paths=paths,
     ).run()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.core.integrate import MaskedDesign, build_masked_design
@@ -16,9 +15,6 @@ from repro.core.report import (
 )
 from repro.netlist.circuit import Circuit
 from repro.netlist.library import Library
-
-if TYPE_CHECKING:  # pragma: no cover - analysis sits above core
-    from repro.analysis.paths.sensitize import PathsAnalysis
 
 _TRACER = obs.get_tracer("core")
 
@@ -46,7 +42,6 @@ def mask_circuit(
     dontcare_isop: bool = True,
     power_method: str = "bdd",
     self_verify: bool = False,
-    paths: "PathsAnalysis | None" = None,
 ) -> PipelineResult:
     """Synthesize, integrate, verify, and report in one call.
 
@@ -73,7 +68,6 @@ def mask_circuit(
             max_cubes=max_cubes,
             cube_pool=cube_pool,
             dontcare_isop=dontcare_isop,
-            paths=paths,
         )
         with _TRACER.span("core.integrate"):
             design = build_masked_design(masking)

@@ -92,10 +92,6 @@ class BaselineError(AnalysisError):
     """Raised for unreadable or structurally invalid baseline files."""
 
 
-class PrecertError(AnalysisError):
-    """Raised by :mod:`repro.analysis.precert` (bad certificates, tampering)."""
-
-
 class VerificationError(AnalysisError):
     """Raised when formal verification of a masking circuit finds a violation."""
 

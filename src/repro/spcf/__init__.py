@@ -9,10 +9,7 @@ Three algorithms, matching Table 1 of the paper:
 :func:`compare_algorithms` runs all three on a shared context and reports
 counts and runtimes, reproducing one row of Table 1.
 
-All three accept a ``certificates=`` set from
-:func:`repro.analysis.precert.precertify`: statically discharged
-``(node, t)`` obligations skip their S0/S1 BDD builds with bit-identical
-results.  :func:`spcf_multiroot` compiles a whole threshold sweep over one
+:func:`spcf_multiroot` compiles a whole threshold sweep over one
 shared context/manager, so the computed table carries sub-results across
 targets.
 

@@ -4,8 +4,7 @@ One module owns the tracer and the instruments so the per-algorithm
 modules register each metric exactly once and agree on names/labels
 (``algorithm=shortpath|pathbased|nodebased``).
 
-Also the publication point for the pre-certification counters
-(``repro_spcf_obligations_*``) and the BDD manager's exact computed-table
+Also the publication point for the BDD manager's exact computed-table
 hit/miss counters: managers accumulate exact per-op counts while counting
 is enabled, and :func:`note_pass` publishes the *delta* since the last
 publication so multi-pass runs on one shared manager sum correctly.
@@ -37,14 +36,6 @@ OUTPUT_NODES = METER.histogram(
 BDD_NODES = METER.gauge(
     "repro_bdd_manager_nodes",
     "high-water BDD manager node count observed after an SPCF pass",
-)
-OBLIGATIONS = METER.counter(
-    "repro_spcf_obligations_total",
-    "(node, t) timing obligations classified by pre-certification, by verdict",
-)
-OBLIGATIONS_SKIPPED = METER.counter(
-    "repro_spcf_obligations_skipped_total",
-    "S0/S1 BDD builds skipped because a certificate discharged the obligation",
 )
 COMPUTED_HITS = METER.counter(
     "repro_bdd_computed_hits_total",

@@ -11,9 +11,7 @@ redundantly rebuild:
 * the lazily-built global-function map ``F[net]``;
 * the ``stable(net, t)`` memo — distinct roots converge onto identical
   ``(node, t)`` sub-obligations after a few fanin steps (delays subtract the
-  same way from every root), so later targets mostly replay memo hits;
-* the certificate set (:mod:`repro.analysis.precert`), whose discharged
-  obligations skip their S0/S1 builds entirely.
+  same way from every root), so later targets mostly replay memo hits.
 
 Targets are compiled in ascending order, so the smallest target — whose
 sub-obligations are the deepest — warms the memo for every later one.
@@ -26,7 +24,7 @@ ROBDD canonicity makes equal functions the same node.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.bdd.manager import BddManager, Function
 from repro.errors import SpcfError
@@ -35,9 +33,6 @@ from repro.spcf import _obs
 from repro.spcf.result import SpcfResult
 from repro.spcf.timedfunc import SpcfContext
 from repro.sta.timing import threshold_target
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.analysis.precert.certificate import CertificateSet
 
 
 def resolve_sweep_targets(
@@ -60,7 +55,6 @@ def compute_multi(
     circuit: Circuit,
     targets: Sequence[int] | None = None,
     thresholds: Sequence[float] = (0.9,),
-    certificates: "CertificateSet | None" = None,
     manager: BddManager | None = None,
 ) -> dict[int, SpcfResult]:
     """Exact short-path SPCF at every target, multi-root over one context.
@@ -70,6 +64,8 @@ def compute_multi(
     context's default).  Pass either explicit integer ``targets`` or
     ``thresholds`` as fractions of the critical delay.
     """
+    if not (thresholds if targets is None else targets):
+        raise SpcfError("multi-root SPCF needs at least one target")
     with _obs.TRACER.span(
         "spcf.multiroot", algorithm="shortpath", circuit=circuit.name
     ) as span:
@@ -78,7 +74,6 @@ def compute_multi(
             threshold=max(thresholds) if targets is None else 0.9,
             target=None if targets is None else max(int(t) for t in targets),
             manager=manager,
-            certificates=certificates,
         )
         resolved = resolve_sweep_targets(ctx, targets, thresholds)
         results: dict[int, SpcfResult] = {}

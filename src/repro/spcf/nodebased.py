@@ -25,17 +25,12 @@ the "Over-approximation" column of Table 1.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
 
 from repro.bdd.manager import Function, conjunction, disjunction
-from repro.errors import SpcfError
 from repro.netlist.circuit import Circuit
 from repro.spcf import _obs
 from repro.spcf.result import SpcfResult
 from repro.spcf.timedfunc import SpcfContext
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.analysis.precert.certificate import CertificateSet
 
 
 def compute_spcf(
@@ -43,25 +38,13 @@ def compute_spcf(
     threshold: float = 0.9,
     target: int | None = None,
     context: SpcfContext | None = None,
-    certificates: "CertificateSet | None" = None,
 ) -> SpcfResult:
-    """Over-approximate SPCF via the statically-marked node-based pass.
-
-    Certificates are consulted transparently through the context's
-    global-function map (certified-constant nets resolve to BDD terminals
-    without building their cones); the computed superset is unchanged.
-    """
-    if context is not None and certificates is not None:
-        raise SpcfError(
-            "pass certificates either directly or via the context, not both"
-        )
+    """Over-approximate SPCF via the statically-marked node-based pass."""
     start = time.perf_counter()
     with _obs.TRACER.span(
         "spcf.compute", algorithm="nodebased", circuit=circuit.name
     ) as span:
-        ctx = context or SpcfContext(
-            circuit, threshold=threshold, target=target, certificates=certificates
-        )
+        ctx = context or SpcfContext(circuit, threshold=threshold, target=target)
         mgr = ctx.manager
         report = ctx.report
 

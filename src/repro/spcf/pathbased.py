@@ -22,18 +22,14 @@ form — reproducing the accuracy/runtime trade-off of Table 1.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.bdd.manager import Function, conjunction
-from repro.errors import SpcfError
 from repro.logic.cube import Cube
 from repro.netlist.circuit import Circuit
 from repro.spcf import _obs
 from repro.spcf.result import SpcfResult
 from repro.spcf.timedfunc import SpcfContext
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.analysis.precert.certificate import CertificateSet
 
 
 def _late(ctx: SpcfContext, net: str, t: int) -> Function:
@@ -45,21 +41,9 @@ def _late(ctx: SpcfContext, net: str, t: int) -> Function:
         return mgr.false
     if ctx.circuit.is_input(net):
         return mgr.true if t < 0 else mgr.false
-    certs = ctx.certificates
-    if certs is not None:
-        cert = certs.lookup(net, t)
-        if cert is not None and cert.verdict == "discharged":
-            # Bit-identical shortcut: the certified fact ("every pattern on
-            # time" / "no pattern can settle") pins the exact late set to a
-            # BDD terminal, the same node the recursion would reach.
-            if _obs.METER.enabled:
-                _obs.OBLIGATIONS_SKIPPED.add(1, algorithm="pathbased")
-            if cert.kind == "on-time":
-                return mgr.false
-            if cert.kind == "all-late":
-                return mgr.true
+    memo = ctx._late_memo
     key = (net, t)
-    cached = ctx._late_memo.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     gate = ctx.circuit.gates[net]
@@ -83,19 +67,8 @@ def _late(ctx: SpcfContext, net: str, t: int) -> Function:
         return value_fn & conjunction(ctx.manager, factors)
 
     result = late_for_value(on_primes, f_out) | late_for_value(off_primes, ~f_out)
-    ctx._late_memo[key] = result
+    memo[key] = result
     return result
-
-
-def late_activation(ctx: SpcfContext, net: str, t: int) -> Function:
-    """Exact late-activation set of ``(net, t)`` — public recursion entry.
-
-    Used by the precert audit (ABS009) as the independent cross-check plane:
-    on a context constructed *without* certificates, the only cutoffs are the
-    global critical delay and ``t < 0`` at primary inputs, so the result never
-    depends on the per-net arrival / min-stable arrays a certificate cites.
-    """
-    return _late(ctx, net, t)
 
 
 def compute_spcf(
@@ -103,24 +76,13 @@ def compute_spcf(
     threshold: float = 0.9,
     target: int | None = None,
     context: SpcfContext | None = None,
-    certificates: "CertificateSet | None" = None,
 ) -> SpcfResult:
-    """Exact SPCF via the path-based long-path activation recursion.
-
-    With ``certificates``, discharged obligations resolve to BDD terminals
-    inside :func:`_late`; results stay bit-identical.
-    """
-    if context is not None and certificates is not None:
-        raise SpcfError(
-            "pass certificates either directly or via the context, not both"
-        )
+    """Exact SPCF via the path-based long-path activation recursion."""
     start = time.perf_counter()
     with _obs.TRACER.span(
         "spcf.compute", algorithm="pathbased", circuit=circuit.name
     ) as span:
-        ctx = context or SpcfContext(
-            circuit, threshold=threshold, target=target, certificates=certificates
-        )
+        ctx = context or SpcfContext(circuit, threshold=threshold, target=target)
         per_output: dict[str, Function] = {}
         for y in ctx.critical_outputs:
             with _obs.TRACER.span(

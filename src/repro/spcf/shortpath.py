@@ -18,17 +18,12 @@ Table 1 of the paper, as fast as the over-approximating node-based method.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
 
 from repro.bdd.manager import Function
-from repro.errors import SpcfError
 from repro.netlist.circuit import Circuit
 from repro.spcf import _obs
 from repro.spcf.result import SpcfResult
 from repro.spcf.timedfunc import SpcfContext
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.analysis.precert.certificate import CertificateSet
 
 
 def compute_spcf(
@@ -36,25 +31,13 @@ def compute_spcf(
     threshold: float = 0.9,
     target: int | None = None,
     context: SpcfContext | None = None,
-    certificates: "CertificateSet | None" = None,
 ) -> SpcfResult:
-    """Exact SPCF of every critical output via the short-path recursion.
-
-    With ``certificates`` (see :mod:`repro.analysis.precert`), discharged
-    ``(node, t)`` obligations skip their S0/S1 builds inside
-    :meth:`SpcfContext.stable`; results stay bit-identical.
-    """
-    if context is not None and certificates is not None:
-        raise SpcfError(
-            "pass certificates either directly or via the context, not both"
-        )
+    """Exact SPCF of every critical output via the short-path recursion."""
     start = time.perf_counter()
     with _obs.TRACER.span(
         "spcf.compute", algorithm="shortpath", circuit=circuit.name
     ) as span:
-        ctx = context or SpcfContext(
-            circuit, threshold=threshold, target=target, certificates=certificates
-        )
+        ctx = context or SpcfContext(circuit, threshold=threshold, target=target)
         per_output: dict[str, Function] = {}
         for y in ctx.critical_outputs:
             with _obs.TRACER.span(

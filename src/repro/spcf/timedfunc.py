@@ -9,10 +9,7 @@
   built **lazily**: a net's BDD is composed on first access, so a query that
   discharges most of a circuit statically never pays for the cold cones,
 * the STA report (latest arrivals, prime-based earliest-stabilization bounds,
-  required times for the target ``Delta_y``),
-* optionally, a pre-certification
-  :class:`~repro.analysis.precert.certificate.CertificateSet` whose
-  discharged obligations short-circuit the recursion below.
+  required times for the target ``Delta_y``).
 
 On top of it, :meth:`SpcfContext.stable` implements the paper's Eqn. 1 — the
 pair of timed characteristic functions
@@ -23,19 +20,8 @@ pair of timed characteristic functions
 
 computed recursively through the prime implicants of each cell's on-set and
 off-set, with memoization on ``(net, t)``.  A ``(net, t)`` pair is resolved
-without recursion when
-
-* a certificate discharges it (``on-time`` -> ``(¬F, F)``, ``all-late`` ->
-  ``(0, 0)``) — the pre-certified fast path, or
-* the inline bounds fire: ``t >= arrival[net]`` / ``t < min_stable[net]`` —
-  the same facts the certificates carry, so results are bit-identical with
-  certificates on or off (ROBDD canonicity: equal functions over one
-  variable order are the same node).
-
-Constant-net certificates (all-X ternary proofs) substitute the *global
-function* map only: under floating-mode semantics a constant-function net
-can still settle late (the initial state is arbitrary), so ``stable()``
-never consults them.
+without recursion when the inline bounds fire: ``t >= arrival[net]`` gives
+``(¬F, F)`` and ``t < min_stable[net]`` gives ``(0, 0)``.
 
 The *short-path-based* algorithm (the paper's contribution) is exactly this
 recursion; the *path-based* and *node-based* algorithms reuse the context but
@@ -44,18 +30,14 @@ walk the circuit differently.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.bdd.manager import BddManager, Function, conjunction, disjunction
 from repro.errors import SpcfError
 from repro.logic.cube import Cube
 from repro.logic.expr import BoolExpr
 from repro.netlist.circuit import Circuit
-from repro.spcf import _obs
 from repro.sta.timing import TimingReport, analyze
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.analysis.precert.certificate import CertificateSet
 
 
 def expr_to_function(
@@ -87,8 +69,7 @@ class _LazyFunctions(dict[str, Function]):
     """Global-function map building each net's BDD on first access.
 
     Key-compatible with the eager dict of earlier revisions (plain
-    ``ctx.functions[net]`` everywhere); certified-constant nets resolve to a
-    BDD terminal without touching their fanin cones.
+    ``ctx.functions[net]`` everywhere).
     """
 
     def __init__(self, ctx: "SpcfContext") -> None:
@@ -101,13 +82,6 @@ class _LazyFunctions(dict[str, Function]):
 
     def __missing__(self, net: str) -> Function:
         ctx = self._ctx
-        certs = ctx.certificates
-        if certs is not None:
-            value = certs.constant_value(net)
-            if value is not None:
-                fn = ctx.manager.true if value else ctx.manager.false
-                self[net] = fn
-                return fn
         try:
             gate = ctx.circuit.gates[net]
         except KeyError:
@@ -129,18 +103,10 @@ class SpcfContext:
         threshold: float = 0.9,
         target: int | None = None,
         manager: BddManager | None = None,
-        certificates: "CertificateSet | None" = None,
         eager: bool = False,
     ) -> None:
         circuit.validate()
-        if certificates is not None and not certificates.matches(circuit):
-            raise SpcfError(
-                "certificate set was produced for a different circuit "
-                f"(fingerprint mismatch on {circuit.name!r}); refusing to "
-                "consult it"
-            )
         self.circuit = circuit
-        self.certificates = certificates
         self.report: TimingReport = analyze(circuit, target=target, threshold=threshold)
         self.target = self.report.target
         self.manager = manager or BddManager(circuit.inputs)
@@ -166,17 +132,6 @@ class SpcfContext:
     def stable(self, net: str, t: int) -> tuple[Function, Function]:
         """``(S0, S1)`` — stabilized-by-``t`` characteristic functions."""
         mgr = self.manager
-        certs = self.certificates
-        if certs is not None:
-            cert = certs.lookup(net, t)
-            if cert is not None and cert.verdict == "discharged":
-                if _obs.METER.enabled:
-                    _obs.OBLIGATIONS_SKIPPED.add(1, algorithm="shortpath")
-                if cert.kind == "on-time":
-                    f = self.functions[net]
-                    return (~f, f)
-                if cert.kind == "all-late":
-                    return (mgr.false, mgr.false)
         arrival = self.report.arrival
         min_stable = self.report.min_stable
         if t >= arrival[net]:

@@ -147,57 +147,3 @@ def test_audit_detects_empty_interval():
         )
     )
     assert any("empty" in msg for _, msg, _ in findings)
-
-
-def test_true_upper_inside_the_interval_is_silent():
-    compiled = compile_circuit(circuit_by_name("comparator2"))
-    intervals = arrival_intervals(compiled)
-    out = compiled.net_names[-1]
-    idx = compiled.net_names.index(out)
-    bound = {out: intervals[idx].hi}
-    assert list(
-        check_interval_consistency(
-            compiled,
-            intervals,
-            compiled.arrival(),
-            compiled.min_stable(),
-            true_upper=bound,
-        )
-    ) == []
-
-
-def test_audit_detects_true_upper_above_hi():
-    compiled = compile_circuit(circuit_by_name("comparator2"))
-    intervals = arrival_intervals(compiled)
-    out = compiled.net_names[-1]
-    idx = compiled.net_names.index(out)
-    findings = list(
-        check_interval_consistency(
-            compiled,
-            intervals,
-            compiled.arrival(),
-            compiled.min_stable(),
-            true_upper={out: intervals[idx].hi + 1},
-        )
-    )
-    assert len(findings) == 1
-    assert "pruning can only tighten" in findings[0][1]
-    assert findings[0][2]["true_upper"] == intervals[idx].hi + 1
-
-
-def test_audit_detects_true_upper_below_min_stable():
-    compiled = compile_circuit(circuit_by_name("comparator2"))
-    intervals = arrival_intervals(compiled)
-    out = compiled.net_names[-1]
-    idx = compiled.net_names.index(out)
-    ms = compiled.min_stable()[idx]
-    findings = list(
-        check_interval_consistency(
-            compiled,
-            intervals,
-            compiled.arrival(),
-            compiled.min_stable(),
-            true_upper={out: ms - 1},
-        )
-    )
-    assert any("undercuts" in msg for _, msg, _ in findings)

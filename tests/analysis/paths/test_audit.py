@@ -57,7 +57,7 @@ def _forged_set(certs, forged):
         certs.circuit_fp,
         certs.threshold,
         certs.target,
-        {c.key: c for c in forged},
+        {c.nets: c for c in forged},
     )
 
 

@@ -9,8 +9,10 @@ from repro.analysis.paths import (
     PathCertificateSet,
     analyze_paths,
 )
+from repro.analysis.paths.certificate import circuit_fingerprint
 from repro.benchcircuits import circuit_by_name, comparator2
 from repro.errors import PathsError
+from repro.netlist import lsi10k_like_library
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,14 @@ def test_fresh_set_is_never_tampered(certs):
 def test_strict_load_rejects_edited_facts(certs):
     data = json.loads(certs.to_json())
     data["certificates"][0]["facts"]["method"] = "bdd"
+    with pytest.raises(PathsError, match="fingerprint verification"):
+        PathCertificateSet.from_json(json.dumps(data))
+
+
+def test_strict_load_rejects_edited_fingerprint(certs):
+    data = json.loads(certs.to_json())
+    fp = data["certificates"][0]["fingerprint"]
+    data["certificates"][0]["fingerprint"] = ("0" if fp[0] != "0" else "1") + fp[1:]
     with pytest.raises(PathsError, match="fingerprint verification"):
         PathCertificateSet.from_json(json.dumps(data))
 
@@ -124,3 +134,12 @@ def test_ranked_true_paths_are_in_masking_order():
 def test_matches_is_exact_structure(certs):
     assert certs.matches(circuit_by_name("bypass"))
     assert not certs.matches(comparator2())
+
+
+def test_fingerprint_is_deterministic_and_covers_delays():
+    assert circuit_fingerprint(comparator2()) == circuit_fingerprint(comparator2())
+    # Same topology, different pin delays (another cell library): new hash,
+    # so certificates cannot be replayed across a retimed circuit.
+    assert circuit_fingerprint(comparator2()) != circuit_fingerprint(
+        comparator2(lsi10k_like_library())
+    )

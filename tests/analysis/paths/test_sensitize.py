@@ -1,20 +1,15 @@
-"""Classification of speed-paths: FALSE proofs, TRUE witnesses, tightening."""
+"""Classification of speed-paths: FALSE proofs, TRUE witnesses, pruning."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.paths import (
-    PathsConfig,
-    analyze_paths,
-    tightened_arrivals,
-)
-from repro.analysis.precert import precertify
+from repro.analysis.paths import PathsConfig, analyze_paths
 from repro.benchcircuits import circuit_by_name, comparator2
 from repro.engine import compile_circuit
 from repro.errors import PathsError, ReproError
 from repro.sim import two_vector_waveforms
-from repro.spcf import SpcfContext, spcf_shortpath
+from repro.spcf import spcf_shortpath
 
 #: Force every path onto the exact BDD plane: no ternary scan, no words.
 BDD_ONLY = PathsConfig(prefilter_max_inputs=0)
@@ -45,53 +40,22 @@ def test_bdd_plane_agrees_with_the_word_plane(bypass):
     assert analysis.stats["bdd_paths"] == 1
     # A bdd-method FALSE certificate cites per-segment condition covers.
     assert all("condition" in seg for seg in cert.facts["segments"])
-    assert tightened_arrivals(analysis) == tightened_arrivals(
-        analyze_paths(bypass)
-    )
+    [word_cert] = analyze_paths(bypass).certificates.false_paths()
+    assert cert.nets == word_cert.nets and word_cert.prunable
 
 
-def test_tightening_is_sound(bypass):
-    """late(y, tight) must be identically false on a cert-free context."""
+def test_all_prunable_output_has_false_sigma(bypass):
+    """An output whose over-target paths are all prunable is never late.
+
+    ``bypass``'s only speed-path ends at ``y`` and fails the activation
+    conditions of Eqn. 1, so the plain short-path recursion must return an
+    empty Sigma_y at the same target.
+    """
     analysis = analyze_paths(bypass)
-    tighten = tightened_arrivals(analysis)
-    assert tighten == {"y": analysis.target}
-    for net, tight in tighten.items():
-        ctx = SpcfContext(bypass, target=tight)
-        s0, s1 = ctx.stable(net, tight)
-        assert (~(s0 | s1)).is_false, (
-            f"a late transition survives on {net} at the tightened bound"
-        )
-
-
-def test_tightened_spcf_is_bit_identical(bypass):
-    analysis = analyze_paths(bypass)
-    certs = precertify(
-        bypass,
-        targets=[analysis.target],
-        tighten=tightened_arrivals(analysis),
-    )
-    base = spcf_shortpath(bypass, target=analysis.target)
-    tight = spcf_shortpath(
-        bypass, target=analysis.target, certificates=certs
-    )
-    for y, fn in base.per_output.items():
-        assert list(fn.cubes()) == list(tight.per_output[y].cubes())
-
-
-def test_tightening_improves_precert_discharge(bypass):
-    analysis = analyze_paths(bypass)
-    plain = precertify(bypass, targets=[analysis.target])
-    tight = precertify(
-        bypass,
-        targets=[analysis.target],
-        tighten=tightened_arrivals(analysis),
-    )
-    assert tight.counts()["discharged"] > plain.counts()["discharged"]
-    by_kind = [
-        c for c in tight if c.facts.get("kind") == "on-time"
-        and c.domain == "true-arrival"
-    ]
-    assert by_kind, "tightening must discharge via the true-arrival domain"
+    at_y = [cert for cert in analysis.certificates if cert.end == "y"]
+    assert at_y and all(cert.prunable for cert in at_y)
+    sigma = spcf_shortpath(bypass, target=analysis.target).per_output
+    assert "y" in sigma and sigma["y"].is_false
 
 
 def test_comparator2_paths_are_true_with_replayable_witnesses():
@@ -127,11 +91,6 @@ def test_exhausted_replay_budget_leaves_paths_unresolved():
     assert len(unresolved) == len(analysis.certificates)
     for cert in unresolved:
         assert cert.facts["sensitizable"] is True
-
-
-def test_no_tightening_without_prunable_paths():
-    analysis = analyze_paths(comparator2())
-    assert tightened_arrivals(analysis) == {}
 
 
 def test_path_limit_guard(bypass):
