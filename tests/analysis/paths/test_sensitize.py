@@ -9,7 +9,13 @@ from repro.benchcircuits import circuit_by_name, comparator2
 from repro.engine import compile_circuit
 from repro.errors import PathsError, ReproError
 from repro.sim import two_vector_waveforms
-from repro.spcf import spcf_shortpath
+from repro.spcf import (
+    SpcfContext,
+    spcf_multiroot,
+    spcf_nodebased,
+    spcf_pathbased,
+    spcf_shortpath,
+)
 
 #: Force every path onto the exact BDD plane: no ternary scan, no words.
 BDD_ONLY = PathsConfig(prefilter_max_inputs=0)
@@ -44,18 +50,68 @@ def test_bdd_plane_agrees_with_the_word_plane(bypass):
     assert cert.nets == word_cert.nets and word_cert.prunable
 
 
-def test_all_prunable_output_has_false_sigma(bypass):
-    """An output whose over-target paths are all prunable is never late.
+def _all_prunable_outputs(analysis):
+    """Outputs whose over-target speed-paths are all FALSE and prunable."""
+    ends: dict[str, bool] = {}
+    for cert in analysis.certificates:
+        ends[cert.end] = ends.get(cert.end, True) and cert.prunable
+    return {end for end, prunable in ends.items() if prunable}
+
+
+def test_tightening_is_sound(bypass):
+    """late(y, target) is identically false for an all-prunable output.
 
     ``bypass``'s only speed-path ends at ``y`` and fails the activation
-    conditions of Eqn. 1, so the plain short-path recursion must return an
-    empty Sigma_y at the same target.
+    conditions of Eqn. 1, so on a plain context no late transition on
+    ``y`` survives the target, even though its static arrival exceeds it.
     """
     analysis = analyze_paths(bypass)
-    at_y = [cert for cert in analysis.certificates if cert.end == "y"]
-    assert at_y and all(cert.prunable for cert in at_y)
+    assert _all_prunable_outputs(analysis) == {"y"}
+    ctx = SpcfContext(bypass, target=analysis.target)
+    assert ctx.report.arrival["y"] > analysis.target
+    s0, s1 = ctx.stable("y", analysis.target)
+    assert (~(s0 | s1)).is_false, (
+        "a late transition survives on y at the target"
+    )
+
+
+def test_tightened_spcf_is_bit_identical(bypass):
+    """Every SPCF algorithm agrees bit for bit on the all-prunable output."""
+    analysis = analyze_paths(bypass)
+    target = analysis.target
+    base = spcf_shortpath(bypass, target=target).per_output
+    others = [
+        spcf_pathbased(bypass, target=target).per_output,
+        spcf_nodebased(bypass, target=target).per_output,
+        spcf_multiroot(bypass, targets=[target])[target].per_output,
+    ]
+    for other in others:
+        assert other.keys() == base.keys()
+        for y, fn in base.items():
+            assert list(fn.cubes()) == list(other[y].cubes())
+    for y in _all_prunable_outputs(analysis):
+        assert base[y].is_false
+
+
+def test_tightening_improves_precert_discharge(bypass):
+    """A prunable FALSE verdict discharges an output static timing cannot.
+
+    ``y`` is late by static arrival on ``bypass`` and its Sigma_y is still
+    empty; on ``comparator2`` every speed-path is TRUE, no output is
+    all-prunable and Sigma_y is not empty.
+    """
+    analysis = analyze_paths(bypass)
+    report = SpcfContext(bypass, target=analysis.target).report
+    discharged = _all_prunable_outputs(analysis)
+    assert discharged
     sigma = spcf_shortpath(bypass, target=analysis.target).per_output
-    assert "y" in sigma and sigma["y"].is_false
+    for y in discharged:
+        assert report.arrival[y] > analysis.target
+        assert sigma[y].is_false
+    plain = analyze_paths(comparator2())
+    assert _all_prunable_outputs(plain) == set()
+    plain_sigma = spcf_shortpath(comparator2(), target=plain.target).per_output
+    assert not plain_sigma["y"].is_false
 
 
 def test_comparator2_paths_are_true_with_replayable_witnesses():
