@@ -1,15 +1,16 @@
 # Developer entry points. `make check` is the CI gate: tier-1 tests, the
 # warning-level lint sweep over every builtin benchmark, the
 # abstract-interpretation sweep, the path-sensitization gate, the campaign
-# crash/quarantine/resume smoke drill, the multi-root SPCF speedup gate, and
-# the lift/collapse golden-network check.
+# crash/quarantine/resume smoke drill, the independent masking verifier,
+# the multi-root SPCF speedup gate, and the lift/collapse golden-network
+# check.
 
 PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: check test lint-circuits analyze paths campaign-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf bench-collapse e2e-check
 
-check: test lint-circuits analyze paths campaign-smoke bench-spcf bench-collapse
+check: test lint-circuits analyze paths campaign-smoke verify-mask bench-spcf bench-collapse
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -35,9 +36,12 @@ paths:
 campaign-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro campaign smoke
 
+# Independent BDD proof of masking soundness, Sigma coverage and
+# off-Sigma equivalence on freshly synthesized masking circuits.
 verify-mask:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro verify-mask comparator2
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro verify-mask cmb
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro verify-mask cu
 
 # Python-side style lint; config lives in pyproject.toml ([tool.ruff]).
 # Optional: skipped with a notice when ruff is not installed.

@@ -61,6 +61,9 @@ class BddManager:
         # satcount's per-node counts, one memo per ``nvars``.  Nodes are
         # never freed, so a count stays valid for the manager's lifetime.
         self._count_memo: dict[int, dict[int, int]] = {}
+        # image_table's memo, keyed by (care node, fanin nodes); valid for
+        # the manager's lifetime for the same reason.
+        self._image_memo: dict[tuple[int, tuple[int, ...]], int] = {}
         # Per-operation call counters and exact computed-table hit/miss
         # counters.  Off by default: managers created while observability is
         # disabled carry no wrappers at all, so the recursive hot paths keep
@@ -272,6 +275,7 @@ class BddManager:
                 "and": len(self._and_cache),
                 "xor": len(self._xor_cache),
                 "ite": len(self._ite_cache),
+                "image": len(self._image_memo),
             },
         }
         if self._op_counts is not None:
@@ -517,6 +521,54 @@ class BddManager:
         if memo is None:
             memo = self._count_memo[nvars] = {}
         return self._scaled_count(u, nvars, memo) << level
+
+    def image_table(self, care: int, fns: Sequence[int]) -> int:
+        """Truth table of the image of node ``care`` under nodes ``fns``.
+
+        Bit ``m`` of the result is set iff some assignment satisfying
+        ``care`` gives every ``fns[i]`` the value of bit ``i`` of ``m``
+        (the layout of :mod:`repro.logic.truthtable`).  A recursive
+        cofactor walk (Coudert and Madre's range computation): no relation
+        and no auxiliary variable is built.
+        """
+        fs = tuple(fns)
+        return self._image(care, fs, (1 << (1 << len(fs))) - 1)
+
+    def _image(self, s: int, fs: tuple[int, ...], full: int) -> int:
+        if s == 0:
+            return 0
+        key = (s, fs)
+        r = self._image_memo.get(key)
+        if r is not None:
+            return r
+        level = self._level
+        top = _TERMINAL_LEVEL
+        for f in fs:
+            if level[f] < top:
+                top = level[f]
+        if top == _TERMINAL_LEVEL:
+            # Every fanin is constant and ``s`` is satisfiable: one minterm.
+            m = 0
+            for i, f in enumerate(fs):
+                m |= f << i
+            r = 1 << m
+        else:
+            if level[s] < top:
+                top = level[s]
+            lo, hi = self._lo, self._hi
+            if level[s] == top:
+                s0, s1 = lo[s], hi[s]
+            else:
+                s0 = s1 = s
+            r = self._image(
+                s0, tuple(lo[f] if level[f] == top else f for f in fs), full
+            )
+            if r != full:
+                r |= self._image(
+                    s1, tuple(hi[f] if level[f] == top else f for f in fs), full
+                )
+        self._image_memo[key] = r
+        return r
 
     # ------------------------------------------------------------- iterators
 

@@ -3,14 +3,20 @@
 For an internal node ``n_j`` of the technology-independent network, the SPCF
 ``Sigma_y`` at the primary inputs induces a *satisfiability care set* at the
 node's local input space: the local minterms reachable from some pattern in
-``Sigma_y``.  The paper avoids materializing these minterm sets by working
-per-cube in primary-input space: the image of a local cube under the fanin
-functions is just the conjunction of the fanins' global functions with the
-cube's polarities — no quantification needed.
+``Sigma_y``, i.e. the image of ``Sigma_y`` under the node's fanin functions.
 
-:func:`cube_image` implements that per-cube image; :func:`local_care_sets`
-computes the explicit local-space ``s0``/``s1`` sets (used by the golden
-comparator test and for diagnostics) with auxiliary manager variables.
+Two views are provided:
+
+* :func:`cube_image` / :func:`cover_image` map local cubes *back* to
+  primary-input space: the image of a cube is the conjunction of the
+  fanins' global functions with the cube's polarities, so no quantification
+  is needed (the paper's per-cube formulation, used by cube selection);
+* :func:`local_image_cover` and :func:`local_care_sets` map ``Sigma_y``
+  *forward* into the local space.  Nodes have at most
+  :data:`repro.logic.truthtable.MAX_VARS` fanins, so the image is a
+  truth table over ``node.fanins`` (fanin ``i`` is variable ``i``),
+  computed by :meth:`BddManager.image_table` in one memoized cofactor walk
+  over the manager's nodes.  The manager gains no variables.
 """
 
 from __future__ import annotations
@@ -19,12 +25,10 @@ from typing import Mapping
 
 from repro.bdd.manager import BddManager, Function, conjunction
 from repro.errors import MaskingError
+from repro.logic import truthtable
 from repro.logic.cover import Cover
 from repro.logic.cube import Cube
 from repro.synth.technet import TechNode
-
-#: Prefix for auxiliary local-space variables registered after the PIs.
-AUX_PREFIX = "@aux:"
 
 
 def cube_image(
@@ -58,25 +62,16 @@ def cover_image(
     return acc
 
 
-def _reachable(
+def _image_table(
     node: TechNode,
     sigma: Function,
     functions: Mapping[str, Function],
     mgr: BddManager,
-) -> Function:
-    """Local minterms of ``node`` reachable from ``sigma``, over aux variables.
-
-    Builds the relation ``sigma AND (aux_i <-> F_i)`` in ``mgr`` and
-    quantifies every non-aux variable.  Variables outside the relation's
-    support quantify to themselves, so a manager shared with other nodes
-    (holding their aux variables) yields the same function.
-    """
-    aux = {f: mgr.ensure_var(AUX_PREFIX + f) for f in node.fanins}
-    relation = sigma
-    for f in node.fanins:
-        relation = relation & aux[f].iff(functions[f])
-    pis = [n for n in mgr.var_names if not n.startswith(AUX_PREFIX)]
-    return relation.exists(pis)
+) -> int:
+    """Local minterms of ``node`` reachable from ``sigma``, as a truth table
+    over ``node.fanins``."""
+    fns = [functions[net].node for net in node.fanins]
+    return mgr.image_table(sigma.node, fns)
 
 
 def local_image_cover(
@@ -85,19 +80,17 @@ def local_image_cover(
     functions: Mapping[str, Function],
     mgr: BddManager,
 ) -> Cover:
-    """Exact image of ``sigma`` at the node's local input space, as a cover.
-
-    Re-expresses :func:`_reachable` as an irredundant SOP over the node's
-    fanin names.  The cubes follow ``mgr``'s aux-variable order, which
-    depends on the nodes handled before; the function they cover does not.
-    """
-    from repro.bdd.isop import isop_function
-
-    cubes = [
-        {name[len(AUX_PREFIX):]: value for name, value in cube.items()}
-        for cube in isop_function(_reachable(node, sigma, functions, mgr))
-    ]
-    return Cover.from_cube_dicts(node.fanins, cubes)
+    """Exact image of ``sigma`` at the node's local input space, as the
+    irredundant SOP of its truth table over ``node.fanins``."""
+    k = node.num_fanins
+    table = _image_table(node, sigma, functions, mgr)
+    return Cover(
+        node.fanins,
+        tuple(
+            Cube.from_literals(lits, k)
+            for lits in truthtable.isop(table, table, k)
+        ),
+    )
 
 
 def local_care_sets(
@@ -105,14 +98,14 @@ def local_care_sets(
     sigma: Function,
     functions: Mapping[str, Function],
     mgr: BddManager,
-) -> tuple[Function, Function]:
+) -> tuple[int, int]:
     """Explicit local-space care sets ``(s0, s1)`` of ``node`` under ``sigma``.
 
-    Returns functions over auxiliary variables ``@aux:<fanin>`` (registered
-    on demand at the bottom of the variable order): the sets of local input
-    minterms reachable from ``sigma`` for which the node evaluates to 0 / 1.
+    Both are truth tables over ``node.fanins`` (fanin ``i`` is variable
+    ``i``, as in :mod:`repro.logic.truthtable`): the local input minterms
+    reachable from ``sigma`` for which the node evaluates to 0 / 1.
     """
-    reachable = _reachable(node, sigma, functions, mgr)
-    rename = {f: AUX_PREFIX + f for f in node.fanins}
-    on_local = node.on_cover.to_function(mgr, rename=rename)
+    k = node.num_fanins
+    reachable = _image_table(node, sigma, functions, mgr)
+    on_local = truthtable.cover_table(node.on_cover.cubes, range(k), k)
     return reachable & ~on_local, reachable & on_local

@@ -31,10 +31,10 @@ from typing import Mapping
 
 from repro import obs
 from repro.bdd.manager import BddManager, Function
-from repro.bdd.isop import isop, isop_function
 from repro.errors import MaskingError
 from repro.logic.cover import Cover
 from repro.logic.cube import Cube
+from repro.logic.truthtable import cover_table, isop, masks
 from repro.lru import LRUCache
 from repro.netlist.circuit import Circuit
 from repro.netlist.library import Library
@@ -145,6 +145,20 @@ def _shared_manager(circuit: Circuit) -> BddManager:
     else:
         _MANAGER_HITS.add()
     return manager
+
+
+def _table(cover: Cover) -> int:
+    """Truth table of ``cover``, position ``i`` being variable ``i``."""
+    k = len(cover.names)
+    return cover_table(cover.cubes, range(k), k)
+
+
+def _isop_cover(names: tuple[str, ...], lower: int, upper: int) -> Cover:
+    """ISOP between two truth tables over ``names``, as a cover."""
+    k = len(names)
+    return Cover(
+        names, tuple(Cube.from_literals(lits, k) for lits in isop(lower, upper, k))
+    )
 
 
 @dataclass(frozen=True)
@@ -337,10 +351,13 @@ class MaskingSynthesizer:
         on_sel = select_cubes(on_pool, sigma, tfns, ctx.manager, n_pis)
         off_sel = select_cubes(off_pool, sigma, tfns, ctx.manager, n_pis)
 
-        local = BddManager(node.fanins)
-        f_local = node.on_cover.to_function(local)
-        image_cover = local_image_cover(node, sigma, tfns, ctx.manager)
-        image = image_cover.to_function(local)
+        # Local functions are truth tables over the fanins (fanin i is
+        # variable i), so every ISOP below equals the one of a BDD manager
+        # over ``node.fanins`` cube for cube.
+        names = node.fanins
+        full = masks(len(names))[0]
+        f_local = _table(node.on_cover)
+        image = _table(local_image_cover(node, sigma, tfns, ctx.manager))
         s1 = image & f_local
         s0 = image & ~f_local
 
@@ -353,8 +370,8 @@ class MaskingSynthesizer:
             (off_sel.kept, True, "n0-selected"),
         ]
         if self.use_dontcare_isop:
-            dc_on = Cover.from_cube_dicts(node.fanins, isop(s1, ~s0))
-            dc_off = Cover.from_cube_dicts(node.fanins, isop(s0, ~s1))
+            dc_on = _isop_cover(names, s1, full ^ s0)
+            dc_off = _isop_cover(names, s0, full ^ s1)
             candidates.append((dc_on, False, "dc-on"))
             candidates.append((dc_off, True, "dc-off"))
         best = min(
@@ -362,26 +379,24 @@ class MaskingSynthesizer:
             key=lambda cand: trial_cost(cand[0], self.library, inverted=cand[1]),
         )
         prediction_cover, inverted, source = best
-        pred_fn = prediction_cover.to_function(local)
+        pred = _table(prediction_cover)
         if inverted:
-            pred_fn = ~pred_fn
+            pred ^= full
 
         # Indicator: any function between the Sigma-image (coverage) and the
         # prediction-agreement set (soundness).  The paper forms e = n0 XOR
         # n1 and prunes non-essential cubes; the bounded ISOP is the same
         # simplification taken to its don't-care-exploiting conclusion.
-        agreement = ~(pred_fn ^ f_local)
-        if agreement.is_true:
-            indicator = Cover(node.fanins, (Cube.full(len(node.fanins)),))
+        agreement = full ^ pred ^ f_local
+        if agreement == full:
+            indicator = Cover(names, (Cube.full(len(names)),))
             trivial = True
         elif self.use_dontcare_isop:
-            indicator = Cover.from_cube_dicts(node.fanins, isop(image, agreement))
+            indicator = _isop_cover(names, image, agreement)
             trivial = False
         else:
-            e_fn = image | (
-                on_sel.kept.to_function(local) | off_sel.kept.to_function(local)
-            )
-            e_cover = Cover.from_cube_dicts(node.fanins, isop_function(e_fn))
+            e_fn = image | _table(on_sel.kept) | _table(off_sel.kept)
+            e_cover = _isop_cover(names, e_fn, e_fn)
             e_sel = select_cubes(e_cover, sigma, tfns, ctx.manager, n_pis)
             indicator = e_sel.kept
             trivial = False
@@ -435,25 +450,15 @@ class MaskingSynthesizer:
         self, name: str, cover: Cover, rename: Mapping[str, str], inverted: bool
     ) -> TechNode:
         """TechNode computing ``cover`` (or its complement) on renamed fanins."""
-        local = BddManager(cover.names)
-        fn = cover.to_function(local)
+        full = masks(len(cover.names))[0]
+        fn = _table(cover)
         if inverted:
-            fn = ~fn
-        on = Cover.from_cube_dicts(cover.names, isop_function(fn))
-        off = Cover.from_cube_dicts(cover.names, isop_function(~fn))
-        renamed_names = tuple(rename[n] for n in cover.names)
-        remap = dict(zip(cover.names, renamed_names))
-
-        def remap_cover(c: Cover) -> Cover:
-            return Cover.from_cube_dicts(
-                renamed_names,
-                [
-                    {remap[k]: v for k, v in cube.to_dict(c.names).items()}
-                    for cube in c.cubes
-                ],
-            )
-
-        return TechNode(name, renamed_names, remap_cover(on), remap_cover(off))
+            fn ^= full
+        names = tuple(rename[n] for n in cover.names)
+        off = full ^ fn
+        return TechNode(
+            name, names, _isop_cover(names, fn, fn), _isop_cover(names, off, off)
+        )
 
     def _build_masking_network(
         self,

@@ -110,12 +110,19 @@ def test_masked_design_functionally_transparent(circuit):
 
 def test_local_care_sets_on_collapsed_node(circuit, context):
     """local_care_sets must agree with the PI-space care sets for the
-    (single) collapsed node of the comparator."""
+    (single) collapsed node of the comparator: a local minterm is in s1
+    (s0) iff some pattern of Sigma drives the fanins to it with y = 1 (0)."""
     masking = synthesize_masking(circuit, LIB, max_support=8)
     mgr = masking.context.manager
     node = masking.technet.node("y")
     sigma = masking.spcf.per_output["y"]
     tfns = masking.technet.global_functions(mgr)
     s0, s1 = local_care_sets(node, sigma, tfns, mgr)
-    assert (s0 & s1).is_false
-    assert not s0.is_false and not s1.is_false
+    assert s0 & s1 == 0
+    assert s0 and s1
+    expected = [0, 0]
+    for pat in exhaustive_patterns(circuit.inputs):
+        if sigma.evaluate(pat):
+            m = sum(tfns[f].evaluate(pat) << i for i, f in enumerate(node.fanins))
+            expected[simulate(circuit, pat)["y"]] |= 1 << m
+    assert [s0, s1] == expected
