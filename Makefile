@@ -1,16 +1,15 @@
 # Developer entry points. `make check` is the CI gate: tier-1 tests, the
 # warning-level lint sweep over every builtin benchmark, the
-# abstract-interpretation sweep, the path-sensitization gate, the campaign
-# crash/quarantine/resume smoke drill, the independent masking verifier,
-# the multi-root SPCF speedup gate, and the lift/collapse golden-network
-# check.
+# abstract-interpretation sweep, the campaign crash/quarantine/resume
+# smoke drill, the independent masking verifier, the multi-root SPCF
+# speedup gate, and the lift/collapse golden-network check.
 
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test lint-circuits analyze paths campaign-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf bench-collapse e2e-check
+.PHONY: check test lint-circuits analyze campaign-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf bench-collapse e2e-check
 
-check: test lint-circuits analyze paths campaign-smoke verify-mask bench-spcf bench-collapse
+check: test lint-circuits analyze campaign-smoke verify-mask bench-spcf bench-collapse
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -23,13 +22,6 @@ lint-circuits:
 # STA, or a hazard escaping Sigma_y), so the gate is --fail-on error.
 analyze:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro analyze all --fail-on error
-
-# Path-sensitization gate: over the builtin sweep, every output whose
-# speed-paths are all prunable must get an empty Sigma_y from the plain
-# short-path SPCF (at least one such output), and the prefilter discharge
-# rate is recorded.  Writes BENCH_paths.json.
-paths:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_paths.py --check
 
 # End-to-end campaign drill: worker SIGKILL absorbed by retry, a persistent
 # crasher quarantined, and resume reproducing the baseline byte-for-byte.

@@ -23,16 +23,10 @@ ABS007    interval-inconsistency    error     interval fixpoint disagrees with
                                               independent STA (internal bug)
 ABS008    spcf-unsound              error     hazard/oracle pattern outside
                                               Sigma_y (Eqn. 1 soundness bug)
-ABS011    false-speed-path          info      statically unsensitizable
-                                              speed-path, with certificate
-                                              (opt-in, off by default)
-ABS012    true-speed-path           info      sensitizable speed-path with a
-                                              replayed witness and masking rank
-                                              (opt-in, off by default)
-ABS013    paths-contradiction       error     path certificate refused
-                                              (tampered) or contradicted by a
-                                              fresh BDD re-derivation / replay
 ========  ========================  ========  ==================================
+
+Ids ``ABS009``-``ABS013`` are retired and never reused: they named the
+deleted pre-certification and static path-sensitization planes.
 
 ``ABS005`` severity is per finding: a witness on a *critical* output whose
 waveform settles after the speed-path target ``Delta_y`` is exactly the
@@ -43,7 +37,7 @@ sampled correctly at the clock edge and is informational.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.analysis.absint.intervals import (
     arrival_intervals,
@@ -74,9 +68,6 @@ from repro.spcf.result import SpcfResult
 from repro.spcf.shortpath import compute_spcf
 from repro.sta.timing import TimingReport, analyze
 
-if TYPE_CHECKING:  # pragma: no cover - avoids the paths <-> absint cycle
-    from repro.analysis.paths.sensitize import PathsAnalysis
-
 
 @dataclass(frozen=True)
 class AbsintConfig:
@@ -104,12 +95,8 @@ class AbsintConfig:
     replay_budget: int = 512
     max_injection_nets: int = 512
     report_potential: bool = False
-    report_paths: bool = False
     spcf_max_inputs: int = 12
     spcf_samples: int = 64
-    paths_max_inputs: int = 12
-    paths_limit: int = 4096
-    paths_replay_budget: int = 8
     select: frozenset[str] | None = None
     ignore: frozenset[str] = field(default_factory=frozenset)
 
@@ -130,12 +117,12 @@ class AbsintConfig:
             "max_injection_nets",
             "spcf_max_inputs",
             "spcf_samples",
-            "paths_max_inputs",
-            "paths_limit",
-            "paths_replay_budget",
         ):
-            if getattr(self, name) < 0:
-                raise AbsintError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise AbsintError(
+                    f"{name} must be a non-negative int, got {value!r}"
+                )
 
     def active_passes(self) -> tuple["AbsintPass", ...]:
         """The passes this config enables, in pass-id order."""
@@ -270,37 +257,6 @@ class AbsintContext:
                 except ReproError:
                     self._spcf = None
         return self._spcf
-
-    @property
-    def paths(self) -> "PathsAnalysis | None":
-        """Speed-path classification, or ``None`` when out of scope.
-
-        Gated on ``paths_max_inputs`` like the other exact planes, and
-        budget-capped: a circuit with more than ``paths_limit`` speed-paths
-        (or any other analysis failure) yields ``None`` rather than a
-        partial certificate set.
-        """
-        if not hasattr(self, "_paths"):
-            self._paths = None
-            if (
-                self.compiled is not None
-                and self.compiled.n_inputs <= self.config.paths_max_inputs
-            ):
-                from repro.analysis.paths import PathsConfig, analyze_paths
-
-                try:
-                    self._paths = analyze_paths(
-                        self.circuit,
-                        threshold=self.config.threshold,
-                        target=self.config.target,
-                        config=PathsConfig(
-                            limit=self.config.paths_limit,
-                            replay_budget=self.config.paths_replay_budget,
-                        ),
-                    )
-                except ReproError:
-                    self._paths = None
-        return self._paths
 
     def critical_output_names(self) -> frozenset[str]:
         compiled = self.compiled
@@ -537,142 +493,6 @@ def check_spcf(ctx: AbsintContext, config: AbsintConfig) -> Iterator[AbsFinding]
             "built from this SPCF",
             None,
             data,
-        )
-
-
-@abs_pass(
-    "ABS011",
-    "false-speed-path",
-    Severity.INFO,
-    "statically unsensitizable speed-path, with proof certificate",
-)
-def check_false_paths(
-    ctx: AbsintContext, config: AbsintConfig
-) -> Iterator[AbsFinding]:
-    if not config.report_paths:
-        return
-    analysis = ctx.paths
-    if analysis is None:
-        return
-    for cert in analysis.certificates.false_paths():
-        route = "->".join(cert.nets)
-        qualifier = (
-            "; its activation conditions fail too, so no pattern "
-            "reaches the output late along it"
-            if cert.prunable
-            else ""
-        )
-        yield (
-            cert.end,
-            f"false speed-path {route} (delay {cert.delay} > target "
-            f"{cert.target}): no input vector sensitizes it "
-            f"[{cert.method}]{qualifier}",
-            "exclude it from masking-cube selection; the certificate is "
-            "re-derivable by audit_path_certificates",
-            None,
-            {
-                "nets": list(cert.nets),
-                "delay": cert.delay,
-                "method": cert.method,
-                "prunable": cert.prunable,
-            },
-        )
-
-
-@abs_pass(
-    "ABS012",
-    "true-speed-path",
-    Severity.INFO,
-    "sensitizable speed-path with a replayed witness and masking rank",
-)
-def check_true_paths(
-    ctx: AbsintContext, config: AbsintConfig
-) -> Iterator[AbsFinding]:
-    if not config.report_paths:
-        return
-    analysis = ctx.paths
-    if analysis is None:
-        return
-    for cert in analysis.certificates.ranked_true_paths():
-        route = "->".join(cert.nets)
-        v1 = "".join(str(int(b)) for b in cert.facts.get("v1", ()))
-        v2 = "".join(str(int(b)) for b in cert.facts.get("v2", ()))
-        yield (
-            cert.end,
-            f"true speed-path {route} (delay {cert.delay} > target "
-            f"{cert.target}), masking rank {cert.rank}: witness "
-            f"{v1} -> {v2} replays with settle time "
-            f"{cert.facts.get('settle_time')}",
-            "a real late transition; masking-cube selection should cover "
-            "its patterns first (rank order)",
-            None,
-            {
-                "nets": list(cert.nets),
-                "delay": cert.delay,
-                "rank": cert.rank,
-                "settle_time": cert.facts.get("settle_time"),
-            },
-        )
-    for cert in analysis.certificates.unresolved_paths():
-        route = "->".join(cert.nets)
-        yield (
-            cert.end,
-            f"speed-path {route} (delay {cert.delay} > target "
-            f"{cert.target}) is unresolved: "
-            f"{cert.facts.get('reason', 'budget exhausted')}",
-            "raise the paths budgets; an unresolved path must be treated "
-            "as potentially true",
-            None,
-            {"nets": list(cert.nets), "delay": cert.delay},
-        )
-
-
-@abs_pass(
-    "ABS013",
-    "paths-contradiction",
-    Severity.ERROR,
-    "path certificate refused or contradicted by fresh re-derivation",
-)
-def check_paths_audit(
-    ctx: AbsintContext, config: AbsintConfig
-) -> Iterator[AbsFinding]:
-    """Audit every path certificate from scratch.
-
-    Always on (size-gated like ABS008): FALSE verdicts are re-derived on a
-    fresh certificate-free BDD context regardless of the cheap plane that
-    produced them, and TRUE witnesses are replayed through the event
-    simulator.  Tampered certificates are refused with a distinct
-    diagnostic before any semantic check.
-    """
-    compiled = ctx.compiled
-    if compiled is None or compiled.n_inputs > config.paths_max_inputs:
-        return
-    analysis = ctx.paths
-    if analysis is None or not len(analysis.certificates):
-        return
-    from repro.analysis.paths import audit_path_certificates
-
-    for finding in audit_path_certificates(
-        ctx.circuit, analysis.certificates
-    ):
-        location = finding.nets[-1] if finding.nets else ctx.circuit.name
-        if finding.kind == "tampered":
-            hint = (
-                "certificate integrity failure: regenerate with "
-                "analyze_paths(); never consult evidence failing its hash"
-            )
-        else:
-            hint = (
-                "paths-plane soundness bug: a wrong verdict here would "
-                "prune a real speed-path or mask a false one; do not "
-                "trust path verdicts until this is fixed"
-            )
-        yield (
-            location,
-            finding.message,
-            hint,
-            None,
-            {"kind": finding.kind, "nets": list(finding.nets), **finding.data},
         )
 
 

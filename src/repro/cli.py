@@ -10,9 +10,6 @@ Usage (installed as ``python -m repro``)::
     python -m repro lint all --fail-on warning --baseline lint.baseline.json
     python -m repro analyze comparator2
     python -m repro analyze all --format sarif --out analysis.sarif
-    python -m repro analyze bypass --paths
-    python -m repro paths comparator2
-    python -m repro paths bypass --format json --out bypass.paths.json
     python -m repro verify-mask cmb
     python -m repro table1
     python -m repro table2 --circuits cmb x2 cu
@@ -329,7 +326,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         samples=args.samples,
         replay_budget=args.replay_budget,
         report_potential=args.report_potential,
-        report_paths=args.paths,
         select=frozenset(args.select) if args.select else None,
         ignore=frozenset(args.ignore or ()),
     )
@@ -350,47 +346,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         }
     reports, _ = _finish_reports(reports, args)
     return _emit_reports(reports, args, fail_on)
-
-
-def cmd_paths(args: argparse.Namespace) -> int:
-    from repro.analysis.paths import (
-        PathsConfig,
-        analyze_paths,
-        render_paths_json,
-        render_paths_text,
-    )
-
-    library = builtin_library(args.library)
-    circuit = _load_circuit(args.circuit, library)
-    if args.masked:
-        result = mask_circuit(
-            circuit, library, threshold=args.threshold, target=args.target
-        )
-        circuit = result.design.circuit
-    analysis = analyze_paths(
-        circuit,
-        threshold=args.threshold,
-        target=args.target,
-        config=PathsConfig(
-            limit=args.limit, replay_budget=args.replay_budget
-        ),
-    )
-    text = (
-        render_paths_json(analysis)
-        if args.format == "json"
-        else render_paths_text(analysis)
-    )
-    if args.out:
-        Path(args.out).write_text(
-            text if text.endswith("\n") else text + "\n", encoding="utf-8"
-        )
-        print(f"paths report written to {args.out}", file=sys.stderr)
-    else:
-        print(text)
-    # Exit 1 when classification is incomplete: an unresolved path must be
-    # treated as potentially true by any downstream consumer.
-    unresolved = analysis.certificates.unresolved_paths()
-    return EXIT_OK if not unresolved else EXIT_FINDINGS
 
 
 def cmd_verify_mask(args: argparse.Namespace) -> int:
@@ -750,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "analyze",
         help="abstract-interpretation proofs over the compiled IR "
-        "(ABS001-ABS013)",
+        "(ABS001-ABS008)",
         epilog=_EXIT_CODE_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
         parents=[obs_parent],
@@ -776,9 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-potential", action="store_true",
                    help="also report X verdicts without a replayed witness "
                    "(ABS006)")
-    p.add_argument("--paths", action="store_true",
-                   help="also classify speed-paths as false/true and report "
-                   "them (ABS011/ABS012)")
     p.add_argument("--select", nargs="*", metavar="PASS",
                    help="run only these pass ids or names")
     p.add_argument("--ignore", nargs="*", metavar="PASS",
@@ -786,31 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report to a file (any format)")
     add_baseline_options(p)
     p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser(
-        "paths",
-        help="classify speed-paths as false (proved unsensitizable) or "
-        "true (witnessed)",
-        epilog=_EXIT_CODE_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        parents=[obs_parent],
-    )
-    p.add_argument("circuit", help="benchmark name or .blif path")
-    p.add_argument("--threshold", type=float, default=0.9,
-                   help="speed-path threshold fraction (paper's Delta_y)")
-    p.add_argument("--target", type=int, default=None,
-                   help="explicit target arrival time (overrides --threshold)")
-    p.add_argument("--limit", type=int, default=4096,
-                   help="abort if the circuit has more speed-paths than this")
-    p.add_argument("--replay-budget", type=int, default=8,
-                   help="event-simulator replays per path for true-path "
-                   "witnesses")
-    p.add_argument("--masked", action="store_true",
-                   help="synthesize the masked design first and classify "
-                   "its speed-paths instead")
-    p.add_argument("--format", default="text", choices=("text", "json"))
-    p.add_argument("--out", help="write the report to a file")
-    p.set_defaults(func=cmd_paths)
 
     p = sub.add_parser(
         "verify-mask",

@@ -94,7 +94,3 @@ class BaselineError(AnalysisError):
 
 class VerificationError(AnalysisError):
     """Raised when formal verification of a masking circuit finds a violation."""
-
-
-class PathsError(AnalysisError):
-    """Raised by :mod:`repro.analysis.paths` (bad certificates, tampering)."""

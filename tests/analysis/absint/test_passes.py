@@ -28,7 +28,7 @@ def findings(report, rule_id):
 def test_registry_is_complete_and_stable():
     assert sorted(PASS_REGISTRY) == [
         f"ABS00{k}" for k in range(1, 9)
-    ] + ["ABS011", "ABS012", "ABS013"]
+    ]
     for pid, p in PASS_REGISTRY.items():
         assert p.rule_id == pid
         assert p.name and p.description
@@ -48,6 +48,10 @@ def test_config_validation():
         AbsintConfig(threshold=1.5)
     with pytest.raises(AbsintError):
         AbsintConfig(samples=-1)
+    # A non-int count is refused when the config is built.
+    for field, value in (("spcf_samples", 1.5), ("samples", "8")):
+        with pytest.raises(AbsintError, match=f"{field} must be a non-negative int"):
+            AbsintConfig(**{field: value})
 
 
 def test_comparator2_full_report():
@@ -162,59 +166,6 @@ def test_analyze_suite_subset():
         assert report.circuit_name == name
         assert not findings(report, "ABS007")
         assert not findings(report, "ABS008")
-
-
-def test_paths_passes_are_opt_in():
-    default = analyze_circuit(circuit_by_name("bypass"))
-    assert not findings(default, "ABS011")
-    assert not findings(default, "ABS012")
-    report = analyze_circuit(
-        circuit_by_name("bypass"), AbsintConfig(report_paths=True)
-    )
-    hits = findings(report, "ABS011")
-    assert len(hits) == 1
-    assert hits[0].severity is Severity.INFO
-    assert hits[0].location == "y"
-    assert hits[0].data["prunable"] is True
-    assert "no input vector sensitizes" in hits[0].message
-
-
-def test_abs012_reports_ranked_true_paths_with_witnesses():
-    report = analyze_circuit(
-        circuit_by_name("comparator2"), AbsintConfig(report_paths=True)
-    )
-    hits = findings(report, "ABS012")
-    true_hits = [d for d in hits if "rank" in d.data]
-    assert [d.data["rank"] for d in true_hits] == [1, 2]
-    for d in true_hits:
-        assert set(d.data) >= {"nets", "delay", "rank", "settle_time"}
-        assert "witness" in d.message
-    assert not findings(report, "ABS011")
-
-
-def test_abs013_is_always_on_and_silent_on_healthy_circuits():
-    for name in ("bypass", "comparator2", "full_adder", "cla4"):
-        report = analyze_circuit(circuit_by_name(name))
-        assert not findings(report, "ABS013")
-
-
-def test_paths_passes_skip_above_the_input_gate():
-    report = analyze_circuit(
-        circuit_by_name("comparator2"),
-        AbsintConfig(report_paths=True, paths_max_inputs=2),
-    )
-    assert not findings(report, "ABS011")
-    assert not findings(report, "ABS012")
-    assert not findings(report, "ABS013")
-
-
-def test_paths_config_validation():
-    with pytest.raises(AbsintError):
-        AbsintConfig(paths_max_inputs=-1)
-    with pytest.raises(AbsintError):
-        AbsintConfig(paths_limit=-1)
-    with pytest.raises(AbsintError):
-        AbsintConfig(paths_replay_budget=-1)
 
 
 def test_every_reported_hazard_replays(lsi_lib):

@@ -9,11 +9,12 @@ The invariants (DESIGN.md §7):
 
 import pytest
 
-from repro.benchcircuits import comparator2, comparator_nbit
+from repro.benchcircuits import circuit_by_name, comparator2, comparator_nbit
 from repro.sim import exhaustive_patterns, stabilization_times
 from repro.spcf import (
     SpcfContext,
     compare_algorithms,
+    spcf_multiroot,
     spcf_nodebased,
     spcf_pathbased,
     spcf_shortpath,
@@ -107,3 +108,55 @@ def test_result_counts_by_output():
     assert set(counts) == set(res.per_output)
     assert all(v >= 0 for v in counts.values())
     assert res.count() <= sum(counts.values()) or len(counts) == 1
+
+
+# ``bypass``'s output ``y`` is late by static arrival, but no input vector
+# activates its only speed-path.  An exact SPCF therefore already gives
+# ``y`` an empty Sigma_y; no separate false-path analysis is needed.
+
+
+@pytest.fixture(scope="module")
+def bypass():
+    return circuit_by_name("bypass")
+
+
+def test_tightening_is_sound(bypass):
+    """late(y, target) is identically false although y is late by STA."""
+    ctx = SpcfContext(bypass)
+    assert ctx.report.arrival["y"] > ctx.target
+    s0, s1 = ctx.stable("y", ctx.target)
+    assert (~(s0 | s1)).is_false, (
+        "a late transition survives on y at the target"
+    )
+
+
+def test_tightened_spcf_is_bit_identical(bypass):
+    """Every SPCF entry point gives y a false Sigma_y, cube for cube."""
+    target = SpcfContext(bypass).target
+    base = spcf_shortpath(bypass, target=target).per_output
+    others = [
+        spcf_pathbased(bypass, target=target).per_output,
+        spcf_nodebased(bypass, target=target).per_output,
+        spcf_multiroot(bypass, targets=[target])[target].per_output,
+    ]
+    for other in others:
+        assert other.keys() == base.keys()
+        for y, fn in base.items():
+            assert list(fn.cubes()) == list(other[y].cubes())
+    assert base["y"].is_false
+
+
+def test_tightening_improves_precert_discharge(bypass):
+    """Eqn. 1 discharges an output that static timing cannot.
+
+    ``y`` is late by static arrival on ``bypass`` and its Sigma_y is
+    empty; ``comparator2``'s ``y`` is late too and its Sigma_y is not.
+    """
+    report = SpcfContext(bypass).report
+    assert report.arrival["y"] > report.target
+    assert spcf_shortpath(bypass, target=report.target).per_output["y"].is_false
+    plain = comparator2()
+    plain_report = SpcfContext(plain).report
+    assert plain_report.arrival["y"] > plain_report.target
+    sigma = spcf_shortpath(plain, target=plain_report.target).per_output
+    assert not sigma["y"].is_false

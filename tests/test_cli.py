@@ -377,8 +377,9 @@ def test_info_reports_executor_backends(capsys):
         ("spcf", "comparator2", "--jobs", "0"),
         ("spcf", "comparator2", "--precert"),
         ("analyze", "comparator2", "--precert"),
+        ("analyze", "bypass", "--paths"),
     ],
-    ids=["spcf-jobs", "spcf-precert", "analyze-precert"],
+    ids=["spcf-jobs", "spcf-precert", "analyze-precert", "analyze-paths"],
 )
 def test_spcf_has_no_jobs_option(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -393,8 +394,9 @@ def test_spcf_has_no_jobs_option(capsys, argv):
         ("worker", "q"),
         ("obs", "serve"),
         ("campaign", "run", "x.jsonl", "--backend", "queue"),
+        ("paths", "bypass"),
     ],
-    ids=["worker", "obs-serve", "backend-queue"],
+    ids=["worker", "obs-serve", "backend-queue", "paths"],
 )
 def test_removed_queue_surfaces_are_usage_errors(capsys, tmp_path, argv):
     with pytest.raises(SystemExit) as excinfo:
@@ -410,74 +412,13 @@ def test_campaign_negative_workers_is_a_usage_error(capsys):
     assert "must be >= 0 (0 = inline)" in capsys.readouterr().err
 
 
-def test_paths_text_report(capsys):
-    code, out, _ = run(capsys, "paths", "bypass")
-    assert code == 0
-    assert "speed-paths: 1 (false 1, true 0, unresolved 0)" in out
-    assert "FALSE" in out and "prunable" in out
-    # Header, count line and one line per path: nothing else.
-    assert len(out.strip().splitlines()) == 3
-
-
-def test_paths_true_paths_report(capsys):
-    code, out, _ = run(capsys, "paths", "comparator2")
-    assert code == 0
-    assert "TRUE" in out and "rank=1" in out
-
-
-def test_paths_json_to_file(capsys, tmp_path):
-    import json
-
-    target = tmp_path / "bypass.paths.json"
-    code, _, err = run(
-        capsys, "paths", "bypass", "--format", "json", "--out", str(target)
-    )
-    assert code == 0
-    assert "written to" in err
-    data = json.loads(target.read_text())
-    assert set(data) == {"certificates", "stats"}
-    assert data["certificates"]["schema"] == "repro-paths/1"
-    assert data["stats"]["false"] == 1
-
-
-def test_paths_unresolved_is_exit_1(capsys):
-    code, out, _ = run(
-        capsys, "paths", "comparator2", "--replay-budget", "0"
-    )
-    assert code == 1
-    assert "UNRESOLVED" in out
-
-
-def test_paths_limit_guard_is_exit_2(capsys):
-    code, _, err = run(capsys, "paths", "bypass", "--limit", "0")
-    assert code == 2
-    assert "error:" in err
-
-
-def test_paths_masked_design(capsys):
-    code, out, _ = run(capsys, "paths", "comparator2", "--masked")
-    assert code in (0, 1)
-    assert "circuit comparator2" in out
-
-
-def test_analyze_paths_flag(capsys):
-    code, out, _ = run(capsys, "analyze", "bypass", "--paths")
-    assert code == 0
-    assert "ABS011" in out
-    code, out, _ = run(capsys, "analyze", "comparator2", "--paths")
-    assert code == 0
-    assert "ABS012" in out and "masking rank 1" in out
-    # Opt-in: the default sweep stays free of path findings.
-    code, out, _ = run(capsys, "analyze", "comparator2")
-    assert code == 0
-    assert "ABS011" not in out and "ABS012" not in out
-
-
 def test_analyze_unknown_select_is_exit_2(capsys):
-    code, _, err = run(capsys, "analyze", "comparator2", "--select", "NOPE")
-    assert code == 2
-    assert "unknown absint pass 'NOPE'" in err
-    assert "ABS001" in err and "ABS013" in err
+    # ABS011 is a retired id: it must be refused like any unknown one.
+    for name in ("NOPE", "ABS011"):
+        code, _, err = run(capsys, "analyze", "comparator2", "--select", name)
+        assert code == 2
+        assert f"unknown absint pass {name!r}" in err
+        assert "ABS001" in err and "ABS008" in err
 
 
 def test_analyze_unknown_ignore_is_exit_2(capsys):
@@ -492,6 +433,7 @@ def test_info_lists_every_registered_rule(capsys):
     code, out, _ = run(capsys, "info")
     assert code == 0
     assert "analysis rules" in out
-    for rid in ("LINT001", "LINT007", "ABS001", "ABS011", "ABS013"):
+    for rid in ("LINT001", "LINT007", "ABS001", "ABS008"):
         assert rid in out
-    assert "false-speed-path" in out and "[error]" in out
+    assert "ABS011" not in out and "ABS013" not in out
+    assert "spcf-unsound" in out and "[error]" in out
