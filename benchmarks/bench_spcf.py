@@ -73,7 +73,10 @@ def _baseline_sweep(circuit, targets):
     """One fresh eager context per target."""
     results = {}
     for tgt in targets:
-        ctx = SpcfContext(circuit, target=tgt, eager=True)
+        ctx = SpcfContext(circuit, target=tgt)
+        # Eager: every gate's global function is built before the recursion.
+        for name in circuit.topo_order():
+            ctx.functions[name]
         results[tgt] = spcf_shortpath(circuit, context=ctx)
     return results
 

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.bdd.manager import BddManager
 from repro.errors import LintError
 from repro.netlist.circuit import Circuit, Gate
-from repro.spcf.timedfunc import expr_to_function
+from repro.spcf.timedfunc import CircuitFunctions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.analysis.linter import LintConfig
@@ -236,27 +236,8 @@ class LintContext:
             return None
         if len(pis) > max_inputs:
             return None
-        # Local topological evaluation of the cone with BDDs.
-        order: list[str] = []
-        marked: set[str] = set(pis)
-        stack = [(net, False)]
-        while stack:
-            n, expanded = stack.pop()
-            if n in marked:
-                continue
-            if expanded:
-                marked.add(n)
-                order.append(n)
-                continue
-            stack.append((n, True))
-            stack.extend((f, False) for f in self.gates[n].fanins)
         mgr = BddManager(sorted(pis, key=list(circuit.inputs).index))
-        fns = {pi: mgr.var(pi) for pi in pis}
-        for n in order:
-            gate = self.gates[n]
-            env = {pin: fns[f] for pin, f in zip(gate.cell.inputs, gate.fanins)}
-            fns[n] = expr_to_function(gate.cell.expr, env, mgr)
-        fn = fns[net]
+        fn = CircuitFunctions(circuit, mgr)[net]
         return fn.is_true or fn.is_false
 
 

@@ -23,12 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.bdd.manager import BddManager, Function
+from repro.bdd.manager import Function
 from repro.core.integrate import MaskedDesign, build_masked_design
 from repro.core.masking import MaskingResult
 from repro.errors import VerificationError
-from repro.netlist.circuit import Circuit
-from repro.spcf.timedfunc import expr_to_function
+from repro.spcf.timedfunc import CircuitFunctions
 
 #: Names of the three checks, in report order.
 CHECK_SOUNDNESS = "soundness"
@@ -122,18 +121,6 @@ class VerifyMaskReport:
         }
 
 
-def _circuit_functions(
-    circuit: Circuit, mgr: BddManager, seed: Mapping[str, Function]
-) -> dict[str, Function]:
-    """Global BDD functions of every net of ``circuit`` over ``mgr``'s vars."""
-    fns = dict(seed)
-    for name in circuit.topo_order():
-        gate = circuit.gates[name]
-        env = {pin: fns[f] for pin, f in zip(gate.cell.inputs, gate.fanins)}
-        fns[name] = expr_to_function(gate.cell.expr, env, mgr)
-    return fns
-
-
 def verify_mask(
     result: MaskingResult, design: MaskedDesign | None = None
 ) -> VerifyMaskReport:
@@ -146,16 +133,15 @@ def verify_mask(
     ctx = result.context
     mgr = ctx.manager
     inputs = result.circuit.inputs
-    pi_vars = {net: mgr.var(net) for net in inputs}
 
     checks: list[CheckResult] = []
     if result.is_trivial:
         return VerifyMaskReport(circuit_name=result.circuit.name, checks=())
 
-    mask_fns = _circuit_functions(result.masking_circuit, mgr, pi_vars)
+    mask_fns = CircuitFunctions(result.masking_circuit, mgr)
     if design is None:
         design = build_masked_design(result)
-    design_fns = _circuit_functions(design.circuit, mgr, pi_vars)
+    design_fns = CircuitFunctions(design.circuit, mgr)
 
     for y, (pred_net, ind_net) in result.outputs.items():
         correct = ctx.functions[y]

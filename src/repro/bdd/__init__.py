@@ -8,7 +8,7 @@ Public surface:
   Minato–Morreale irredundant SOP extraction.
 """
 
-from repro.bdd.isop import cover_to_function, isop, isop_function
+from repro.bdd.isop import isop, isop_function
 from repro.bdd.manager import (
     BddManager,
     Function,
@@ -25,5 +25,4 @@ __all__ = [
     "disjunction",
     "isop",
     "isop_function",
-    "cover_to_function",
 ]

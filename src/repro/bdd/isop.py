@@ -14,9 +14,7 @@ the literals is the cube.  The returned cover ``cover`` satisfies
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.bdd.manager import BddManager, Function, cube_function, disjunction
+from repro.bdd.manager import BddManager, Function
 from repro.errors import BddError
 
 
@@ -40,11 +38,6 @@ def isop(lower: Function, upper: Function) -> list[dict[str, bool]]:
 def isop_function(fn: Function) -> list[dict[str, bool]]:
     """Irredundant SOP cover of a completely specified function."""
     return isop(fn, fn)
-
-
-def cover_to_function(mgr: BddManager, cover: list[Mapping[str, bool]]) -> Function:
-    """Return the BDD of the disjunction of the cover's cubes."""
-    return disjunction(mgr, [cube_function(mgr, cube) for cube in cover])
 
 
 def _isop(

@@ -40,7 +40,6 @@ def mask_circuit(
     max_cubes: int = 20,
     cube_pool: str = "isop",
     dontcare_isop: bool = True,
-    power_method: str = "bdd",
     self_verify: bool = False,
 ) -> PipelineResult:
     """Synthesize, integrate, verify, and report in one call.
@@ -81,8 +80,7 @@ def mask_circuit(
             formal = assert_verified(masking, design=design)
         with _TRACER.span("core.overhead_report"):
             report = overhead_report(
-                masking, design=design, verification=verification,
-                power_method=power_method,
+                masking, design=design, verification=verification
             )
     return PipelineResult(
         masking=masking,

@@ -9,16 +9,6 @@ the two invariants the whole scheme rests on:
 * **coverage** — every SPCF pattern raises the indicator, which is exactly
   the paper's "100% masking of timing errors on all speed-paths".
 
-Two verification methods share that report shape:
-
-* ``method="bdd"`` (default) — the exact symbolic proof above, and
-* ``method="sampling"`` — a Monte-Carlo check on the compiled circuit
-  engine: the masking circuit and the original are co-simulated
-  word-parallel over a random pattern batch, soundness is checked bitwise
-  on every sampled pattern, and coverage is estimated over the sampled
-  SPCF patterns.  Orders of magnitude faster on wide circuits where the
-  BDDs blow up; statistical, not a proof.
-
 :func:`overhead_report` computes the Table-2 row for one circuit: critical
 outputs, critical minterms, slack of the masking circuit over the original,
 and area/power overheads (including the output multiplexers).
@@ -31,10 +21,7 @@ from fractions import Fraction
 
 from repro.core.integrate import MaskedDesign, build_masked_design
 from repro.core.masking import MaskingResult
-from repro.engine import compile_circuit, eval_words, pack_input_words
-from repro.errors import SimulationError
-from repro.sim.logicsim import pack_patterns, random_patterns
-from repro.spcf.timedfunc import expr_to_function
+from repro.spcf.timedfunc import CircuitFunctions
 from repro.sta.timing import analyze
 from repro.synth.power import switching_power
 
@@ -58,37 +45,10 @@ class VerificationReport:
         return 100.0 * float(sum(self.coverage.values()) / len(self.coverage))
 
 
-def verify_masking(
-    result: MaskingResult,
-    method: str = "bdd",
-    num_patterns: int = 4096,
-    seed: int = 0,
-) -> VerificationReport:
-    """Check soundness and SPCF coverage of a synthesized masking circuit.
-
-    ``method="bdd"`` proves both invariants exactly; ``method="sampling"``
-    estimates them by Monte-Carlo word simulation on the compiled engine
-    (``num_patterns`` random patterns, deterministic per ``seed``).
-    """
-    if method == "bdd":
-        return _verify_masking_bdd(result)
-    if method == "sampling":
-        return _verify_masking_sampled(result, num_patterns, seed)
-    raise SimulationError(
-        f"unknown verification method {method!r}; choose 'bdd' or 'sampling'"
-    )
-
-
-def _verify_masking_bdd(result: MaskingResult) -> VerificationReport:
+def verify_masking(result: MaskingResult) -> VerificationReport:
+    """Prove soundness and SPCF coverage of a synthesized masking circuit."""
     ctx = result.context
-    mgr = ctx.manager
-    fns = {net: mgr.var(net) for net in result.circuit.inputs}
-    masking = result.masking_circuit
-    for name in masking.topo_order():
-        gate = masking.gates[name]
-        env = {pin: fns[f] for pin, f in zip(gate.cell.inputs, gate.fanins)}
-        fns[name] = expr_to_function(gate.cell.expr, env, mgr)
-
+    fns = CircuitFunctions(result.masking_circuit, ctx.manager)
     n = len(result.circuit.inputs)
     unsound: list[str] = []
     coverage: dict[str, Fraction] = {}
@@ -110,58 +70,14 @@ def _verify_masking_bdd(result: MaskingResult) -> VerificationReport:
     )
 
 
-def _verify_masking_sampled(
-    result: MaskingResult, num_patterns: int, seed: int
-) -> VerificationReport:
-    """Monte-Carlo soundness/coverage estimate on the compiled engine."""
-    if num_patterns <= 0:
-        raise SimulationError(f"num_patterns {num_patterns} must be positive")
-    circuit = result.circuit
-    patterns = list(random_patterns(circuit.inputs, num_patterns, seed=seed))
-    words, width = pack_patterns(circuit.inputs, patterns)
-    mask = (1 << width) - 1
-
-    orig = compile_circuit(circuit)
-    orig_vals = eval_words(orig, pack_input_words(orig, words, width), width)
-    orig_of = dict(zip(orig.net_names, orig_vals))
-
-    masking = compile_circuit(result.masking_circuit)
-    mask_vals = eval_words(masking, pack_input_words(masking, words, width), width)
-    mask_of = dict(zip(masking.net_names, mask_vals))
-
-    unsound: list[str] = []
-    coverage: dict[str, Fraction] = {}
-    for y, (pred_net, ind_net) in result.outputs.items():
-        pred = mask_of[pred_net]
-        ind = mask_of[ind_net]
-        if ind & (pred ^ orig_of[y]) & mask:
-            unsound.append(y)
-        sigma = result.spcf.per_output[y]
-        sigma_word = 0
-        for i, pat in enumerate(patterns):
-            if sigma.evaluate(pat):
-                sigma_word |= 1 << i
-        total = sigma_word.bit_count()
-        if total == 0:
-            coverage[y] = Fraction(1)
-        else:
-            coverage[y] = Fraction((sigma_word & ind).bit_count(), total)
-    return VerificationReport(
-        sound=not unsound,
-        unsound_outputs=tuple(unsound),
-        coverage=coverage,
-    )
-
-
 @dataclass(frozen=True)
 class MaskingEffectiveness:
     """Before/after error counts for one output (or one aggregate group).
 
     The mux patch replaces an erroneous critical output with the masking
     circuit's prediction; *effectiveness* is the fraction of erroneous
-    samples it repaired.  Shared by the sampling verifier and the
-    fault-injection campaign aggregator, and additive: two disjoint sample
-    batches combine with :meth:`merged`.
+    samples it repaired.  Used by the fault-injection campaign aggregator,
+    and additive: two disjoint sample batches combine with :meth:`merged`.
     """
 
     vectors: int
@@ -229,7 +145,6 @@ def overhead_report(
     result: MaskingResult,
     design: MaskedDesign | None = None,
     verification: VerificationReport | None = None,
-    power_method: str = "bdd",
 ) -> OverheadReport:
     """Compute the paper's Table-2 metrics for one synthesized circuit.
 
@@ -254,15 +169,13 @@ def overhead_report(
 
     # Both calls build into the run's manager, so the second finds the
     # original gates' functions and counts already there.  A caller's
-    # manager that holds other variables ahead of the inputs cannot count
-    # over them, so power then builds in fresh managers.
+    # manager that holds the inputs in another order is refused by
+    # signal_probabilities_bdd, so power then builds in fresh managers.
     mgr = result.context.manager
     if mgr.var_names[: len(original.inputs)] != original.inputs:
         mgr = None
-    orig_power = switching_power(original, method=power_method, manager=mgr)
-    combined_power = switching_power(
-        design.circuit, method=power_method, manager=mgr
-    )
+    orig_power = switching_power(original, manager=mgr)
+    combined_power = switching_power(design.circuit, manager=mgr)
     mask_power = combined_power - orig_power
 
     union_count = result.spcf.count() if result.outputs else 0

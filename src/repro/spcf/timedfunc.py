@@ -4,10 +4,12 @@
 
 * a BDD manager with one variable per primary input (in topological PI order):
   a fresh one by default, or the caller's (a default masking run passes
-  :data:`repro.core.masking._manager_cache`'s),
+  :data:`repro.core.masking._manager_cache`'s), whose first levels must
+  then be the inputs,
 * the *global function* ``F[net]`` of every net over the primary inputs,
-  built **lazily**: a net's BDD is composed on first access, so a query that
-  discharges most of a circuit statically never pays for the cold cones,
+  a :class:`CircuitFunctions` map: a net's BDD is composed on first access,
+  so a query that discharges most of a circuit statically never pays for
+  the cold cones,
 * the STA report (latest arrivals, prime-based earliest-stabilization bounds,
   required times for the target ``Delta_y``).
 
@@ -65,33 +67,55 @@ def expr_to_function(
     return acc
 
 
-class _LazyFunctions(dict[str, Function]):
-    """Global-function map building each net's BDD on first access.
+class CircuitFunctions(dict[str, Function]):
+    """Global BDD of every net of ``circuit`` over ``manager``'s variables.
 
-    Key-compatible with the eager dict of earlier revisions (plain
-    ``ctx.functions[net]`` everywhere).
+    A primary input is ``manager.var(net)``.  A gate net is built from its
+    cell expression on first access, together with whatever of its fanin
+    cone is still missing, in topological order on an explicit stack: no
+    Python recursion per gate, so a cone of any depth builds.  This is the
+    one place a gate's cell expression becomes a BDD.
     """
 
-    def __init__(self, ctx: "SpcfContext") -> None:
+    def __init__(self, circuit: Circuit, manager: BddManager) -> None:
         super().__init__()
-        self._ctx = ctx
-
-    def ensure(self, net: str) -> Function:
-        """Force the net's function to be built (eager-construction helper)."""
-        return self[net]
+        self.circuit = circuit
+        self.manager = manager
 
     def __missing__(self, net: str) -> Function:
-        ctx = self._ctx
-        try:
-            gate = ctx.circuit.gates[net]
-        except KeyError:
-            raise SpcfError(
-                f"no net {net!r} in circuit {ctx.circuit.name!r}"
-            ) from None
-        env = {pin: self[f] for pin, f in zip(gate.cell.inputs, gate.fanins)}
-        fn = expr_to_function(gate.cell.expr, env, ctx.manager)
-        self[net] = fn
-        return fn
+        circuit = self.circuit
+        gates = circuit.gates
+        expanded: set[str] = set()
+        stack = [net]
+        while stack:
+            name = stack[-1]
+            gate = gates.get(name)
+            if gate is None:
+                if not circuit.is_input(name):
+                    raise SpcfError(
+                        f"no net {name!r} in circuit {circuit.name!r}"
+                    )
+                self[name] = self.manager.var(name)
+                stack.pop()
+                continue
+            for f in gate.fanins:
+                if f not in self:
+                    break
+            else:  # every fanin is built: build the gate
+                stack.pop()
+                if name not in self:  # a net read by two gates sits twice
+                    env = {pin: self[f] for pin, f in zip(gate.cell.inputs, gate.fanins)}
+                    self[name] = expr_to_function(gate.cell.expr, env, self.manager)
+                continue
+            # Back on top with a fanin still missing: the cone loops.
+            if name in expanded:
+                raise SpcfError(
+                    f"combinational loop through {name!r} in circuit "
+                    f"{circuit.name!r}"
+                )
+            expanded.add(name)
+            stack += [f for f in gate.fanins if f not in self]
+        return self[net]
 
 
 class SpcfContext:
@@ -103,26 +127,29 @@ class SpcfContext:
         threshold: float = 0.9,
         target: int | None = None,
         manager: BddManager | None = None,
-        eager: bool = False,
     ) -> None:
         circuit.validate()
         self.circuit = circuit
         self.report: TimingReport = analyze(circuit, target=target, threshold=threshold)
         self.target = self.report.target
-        self.manager = manager or BddManager(circuit.inputs)
-        for net in circuit.inputs:
-            if net not in self.manager.var_names:
-                self.manager.add_var(net)
-        functions: _LazyFunctions = _LazyFunctions(self)
-        for net in circuit.inputs:
-            functions[net] = self.manager.var(net)
-        self.functions: dict[str, Function] = functions
-        if eager:
-            # Build every cone up front (the pre-lazy behaviour; kept for
-            # benchmarking the baseline and for callers that want the
-            # whole-circuit BDD cost paid at construction time).
-            for name in circuit.topo_order():
-                functions.ensure(name)
+        inputs = circuit.inputs
+        if manager is None:
+            manager = BddManager(inputs)
+        else:
+            # Counts run over the first len(inputs) levels, so the inputs
+            # (the missing ones appended below) must fill exactly those.
+            known = set(manager.var_names)
+            order = manager.var_names + tuple(n for n in inputs if n not in known)
+            if set(order[: len(inputs)]) != set(inputs):
+                raise SpcfError(
+                    f"BDD manager cannot count over the inputs of "
+                    f"{circuit.name!r}: other variables come first"
+                )
+            for net in inputs:
+                if net not in known:
+                    manager.add_var(net)
+        self.manager = manager
+        self.functions: dict[str, Function] = CircuitFunctions(circuit, manager)
         # Memo tables for the timed characteristic functions.
         self._stable_memo: dict[tuple[str, int], tuple[Function, Function]] = {}
         self._late_memo: dict[tuple[str, int], Function] = {}

@@ -3,11 +3,7 @@
 from repro.synth.collapse import circuit_to_technet, collapse
 from repro.synth.decompose import GateBuilder, decompose_cover
 from repro.synth.mapping import map_technet, mapped_stats, remove_buffers
-from repro.synth.power import (
-    signal_probabilities_bdd,
-    signal_probabilities_sim,
-    switching_power,
-)
+from repro.synth.power import signal_probabilities_bdd, switching_power
 from repro.synth.technet import TechNetwork, TechNode, node_from_function
 
 __all__ = [
@@ -22,6 +18,5 @@ __all__ = [
     "remove_buffers",
     "mapped_stats",
     "signal_probabilities_bdd",
-    "signal_probabilities_sim",
     "switching_power",
 ]

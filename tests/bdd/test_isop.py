@@ -6,10 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd import BddManager, cover_to_function, isop, isop_function
+from repro.bdd import (
+    BddManager,
+    cube_function,
+    disjunction,
+    isop,
+    isop_function,
+)
 from repro.errors import BddError
 
 VARS = [f"v{i}" for i in range(5)]
+
+
+def cover_to_function(mgr, cover):
+    """Reference: the BDD of the disjunction of the cover's cubes."""
+    return disjunction(mgr, [cube_function(mgr, cube) for cube in cover])
 
 
 def random_function(mgr, rng_bits):

@@ -124,11 +124,13 @@ def test_a_manager_is_never_reused_across_obs_states():
 
 
 def test_overhead_report_on_a_manager_with_other_vars_first():
-    # Counts over such a manager's first levels would miss the inputs, so
-    # power must leave it alone and build in fresh managers instead.
+    # A context manager may hold the inputs in another order (other
+    # variables first are refused by SpcfContext).  Power needs the inputs
+    # in circuit order, so it leaves such a manager alone and builds in
+    # fresh managers instead.
     circuit = comparator()
     base = mask_circuit(circuit, LSI)
-    mgr = BddManager(["other", *circuit.inputs])
+    mgr = BddManager(circuit.inputs[::-1])
     ctx = SpcfContext(circuit, manager=mgr)
     result = dataclasses.replace(base.masking, context=ctx)
     nodes = mgr.num_nodes

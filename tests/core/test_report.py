@@ -61,11 +61,6 @@ def test_overhead_report_consistency(result):
     assert r.meets_slack_constraint == (r.slack_percent >= 20.0)
 
 
-def test_overhead_report_sim_power_method(result):
-    r = overhead_report(result, power_method="sim")
-    assert r.original_power > 0
-
-
 def test_report_on_lsi_benchmark():
     circuit = make_benchmark("x2", LSI)
     result = synthesize_masking(circuit, LSI)

@@ -8,11 +8,8 @@ from repro.bdd import BddManager
 from repro.benchcircuits import comparator2
 from repro.errors import SimulationError
 from repro.netlist import Circuit, unit_library
-from repro.synth import (
-    signal_probabilities_bdd,
-    signal_probabilities_sim,
-    switching_power,
-)
+from repro.sim import exhaustive_patterns, simulate
+from repro.synth import signal_probabilities_bdd, switching_power
 
 LIB = unit_library()
 
@@ -25,33 +22,35 @@ def test_exact_probabilities_known_circuit():
     assert probs["g"] == Fraction(1, 4)
 
 
-def test_sim_probabilities_approach_exact():
-    c = comparator2()
-    exact = signal_probabilities_bdd(c)
-    approx = signal_probabilities_sim(c, vectors=4096, seed=1)
-    for net in c.nets():
-        assert abs(float(exact[net]) - float(approx[net])) < 0.05, net
+def _exhaustive_probabilities(circuit):
+    """Signal probabilities by simulating every input pattern."""
+    ones = dict.fromkeys(circuit.nets(), 0)
+    patterns = list(exhaustive_patterns(circuit.inputs))
+    for pat in patterns:
+        for net, value in simulate(circuit, pat).items():
+            ones[net] += value
+    return {net: Fraction(k, len(patterns)) for net, k in ones.items()}
 
 
-def test_switching_power_positive_and_methods_close():
+def test_probabilities_match_exhaustive_simulation():
     c = comparator2()
-    p_bdd = switching_power(c, method="bdd")
-    p_sim = switching_power(c, method="sim", vectors=4096)
-    assert p_bdd > 0
-    assert abs(p_bdd - p_sim) / p_bdd < 0.2
+    assert signal_probabilities_bdd(c) == _exhaustive_probabilities(c)
+
+
+def test_switching_power_matches_exhaustive_simulation():
+    c = comparator2()
+    probs = _exhaustive_probabilities(c)
+    expected = 0.0
+    for name, gate in c.gates.items():
+        p = float(probs[name])
+        expected += gate.cell.load_cap * 2.0 * p * (1.0 - p)
+    assert switching_power(c) == expected > 0
 
 
 def test_constant_nets_consume_nothing():
     c = Circuit("t", inputs=("a",), outputs=("k",))
     c.add_gate("k", LIB.get("ONE"), ())
     assert switching_power(c) == 0.0
-
-
-def test_bad_method_rejected():
-    with pytest.raises(SimulationError):
-        switching_power(comparator2(), method="psychic")
-    with pytest.raises(SimulationError):
-        signal_probabilities_sim(comparator2(), vectors=0)
 
 
 def test_power_scales_with_activity():
