@@ -57,12 +57,14 @@ bench:
 bench-obs:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_obs_overhead.py --check
 
-# End-to-end benchmark gate: one untraced Table 2 pass and one threshold
-# sweep pass (which reuses cached collapsed networks), then the harness's
-# own tests.  At seed 0 every Table 2 and threshold-sweep row must equal
-# benchmarks/e2e/expected_seed0.json; any drift exits 1.
+# End-to-end benchmark gate: one untraced Table 2 pass, one threshold
+# sweep pass (which reuses cached collapsed networks) and one Table 1 SPCF
+# sweep pass, then the harness's own tests.  At seed 0 every Table 2 and
+# threshold-sweep row and all 1,200 SPCF counts (4 generations x 5
+# thresholds x 3 algorithms) must equal benchmarks/e2e/expected_seed0.json;
+# any drift exits 1.
 e2e-check:
-	$(PYTHON) benchmarks/e2e/run.py --workload table2 --workload threshold_sweep --repeats 1 --trace 0
+	$(PYTHON) benchmarks/e2e/run.py --workload table2 --workload threshold_sweep --workload spcf_sweep --repeats 1 --trace 0
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/e2e -q
 
 # Multi-root SPCF gate: the serial 5-threshold exact short-path sweep over

@@ -29,7 +29,7 @@ def isop(lower: Function, upper: Function) -> list[dict[str, bool]]:
         raise BddError("isop requires lower <= upper")
     mgr = lower.manager
     cover: list[dict[int, bool]] = []
-    _isop(mgr, lower.node, upper.node, {}, cover)
+    _isop(mgr, lower.node, upper.node, cover)
     return [
         {mgr.name_of(level): value for level, value in cube.items()} for cube in cover
     ]
@@ -44,7 +44,6 @@ def _isop(
     mgr: BddManager,
     lower: int,
     upper: int,
-    _memo_unused: dict[tuple[int, int], int],
     out: list[dict[int, bool]],
 ) -> int:
     """Recursive core; returns the BDD node of the generated cover."""
@@ -58,22 +57,22 @@ def _isop(
     u0, u1 = mgr._cof(upper, level)
 
     # Cubes that must carry the negative literal (cover L0 outside U1).
-    sub0 = mgr._and(l0, mgr._not(u1))
+    sub0 = mgr._and(l0, u1 ^ 1)
     cubes0: list[dict[int, bool]] = []
-    f0 = _isop(mgr, sub0, u0, _memo_unused, cubes0)
+    f0 = _isop(mgr, sub0, u0, cubes0)
 
     # Cubes that must carry the positive literal (cover L1 outside U0).
-    sub1 = mgr._and(l1, mgr._not(u0))
+    sub1 = mgr._and(l1, u0 ^ 1)
     cubes1: list[dict[int, bool]] = []
-    f1 = _isop(mgr, sub1, u1, _memo_unused, cubes1)
+    f1 = _isop(mgr, sub1, u1, cubes1)
 
     # Remaining lower-bound minterms can be covered without the variable.
-    rest0 = mgr._and(l0, mgr._not(f0))
-    rest1 = mgr._and(l1, mgr._not(f1))
+    rest0 = mgr._and(l0, f0 ^ 1)
+    rest1 = mgr._and(l1, f1 ^ 1)
     rest_lower = mgr._or(rest0, rest1)
     rest_upper = mgr._and(u0, u1)
     cubes_d: list[dict[int, bool]] = []
-    fd = _isop(mgr, rest_lower, rest_upper, _memo_unused, cubes_d)
+    fd = _isop(mgr, rest_lower, rest_upper, cubes_d)
 
     for cube in cubes0:
         cube[level] = False

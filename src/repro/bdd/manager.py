@@ -4,9 +4,15 @@ This is the Boolean-function workhorse of the library.  Speed-path
 characteristic functions (SPCFs), node care-sets, and signal probabilities are
 all represented as BDDs over the primary inputs of a circuit.
 
-The manager stores nodes in flat arrays indexed by integer ids; ``0`` and
-``1`` are the terminal nodes.  The public API hands out :class:`Function`
-wrappers with operator overloading so client code reads naturally::
+Edges are complemented (Brace, Rudell and Bryant, DAC 1990): an edge is the
+int ``node << 1 | complement``, so NOT is ``u ^ 1`` and allocates nothing.
+Node 0 is the FALSE terminal, so edge ``0`` is false and edge ``1`` is true.
+A node's hi edge is always regular, which keeps every function's edge
+canonical.  The flat arrays ``_level``/``_lo``/``_hi`` hold every node twice,
+at ``2i`` (regular) and ``2i + 1`` (complemented, with complemented
+children), so a walker reads any edge's cofactors without looking at its
+complement bit.  The public API hands out :class:`Function` wrappers with
+operator overloading so client code reads naturally::
 
     mgr = BddManager(["a", "b"])
     a, b = mgr.var("a"), mgr.var("b")
@@ -46,7 +52,8 @@ class BddManager:
     """
 
     def __init__(self, var_names: Iterable[str] = ()) -> None:
-        # Node store: parallel arrays. Index 0 / 1 are the constants.
+        # Node store: parallel arrays indexed by edge. Edges 0 / 1 are the
+        # constants (the FALSE terminal and its complement).
         self._level: list[int] = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
         self._lo: list[int] = [0, 1]
         self._hi: list[int] = [0, 1]
@@ -54,7 +61,6 @@ class BddManager:
         self._var_names: list[str] = []
         self._var_index: dict[str, int] = {}
         # Operation caches.
-        self._not_cache: dict[int, int] = {}
         self._and_cache: dict[tuple[int, int], int] = {}
         self._xor_cache: dict[tuple[int, int], int] = {}
         self._ite_cache: dict[tuple[int, int, int], int] = {}
@@ -119,23 +125,31 @@ class BddManager:
     # ----------------------------------------------------------------- nodes
 
     def _mk(self, level: int, lo: int, hi: int) -> int:
-        """Return the id of the (reduced, hash-consed) node ``(level, lo, hi)``."""
+        """Return the edge of the (reduced, hash-consed) node ``(level, lo, hi)``.
+
+        A complemented ``hi`` is stored as the complement of
+        ``(level, ~lo, ~hi)``, so hi edges in the store are always regular.
+        """
         if lo == hi:
             return lo
+        neg = hi & 1
+        if neg:
+            lo ^= 1
+            hi ^= 1
         key = (level, lo, hi)
         node = self._unique.get(key)
         if node is None:
             node = len(self._level)
-            self._level.append(level)
-            self._lo.append(lo)
-            self._hi.append(hi)
+            self._level += (level, level)
+            self._lo += (lo, lo ^ 1)
+            self._hi += (hi, hi ^ 1)
             self._unique[key] = node
-        return node
+        return node | neg
 
     @property
     def num_nodes(self) -> int:
-        """Total nodes allocated (including the two terminals)."""
-        return len(self._level)
+        """Total nodes allocated, including the terminal (edges not counted)."""
+        return len(self._level) >> 1
 
     # ----------------------------------------------------------- observability
 
@@ -153,13 +167,13 @@ class BddManager:
         original — whose recursive ``self._*`` calls re-enter the wrappers,
         so inner sub-calls are attributed too.  A "hit" is a probe that
         found the key, a "miss" is one that had to compute; terminal-rule
-        short-circuits count as calls but touch neither bucket.
+        short-circuits count as calls but touch neither bucket.  NOT is an
+        edge flip with no table, so it is neither counted nor cached.
         """
         if self._op_counts is not None:
             return
-        counts: dict[str, int] = {"mk": 0, "not": 0, "and": 0, "xor": 0, "ite": 0}
+        counts: dict[str, int] = {"mk": 0, "and": 0, "xor": 0, "ite": 0}
         cache_counts: dict[str, list[int]] = {
-            "not": [0, 0],
             "and": [0, 0],
             "xor": [0, 0],
             "ite": [0, 0],
@@ -172,20 +186,6 @@ class BddManager:
         def counted_mk(level: int, lo: int, hi: int) -> int:
             counts["mk"] += 1
             return mk_unbound(self, level, lo, hi)
-
-        not_unbound = type(self)._not
-        not_cc = cache_counts["not"]
-
-        def counted_not(u: int) -> int:
-            counts["not"] += 1
-            if u < 2:
-                return 1 - u
-            r = self._not_cache.get(u)
-            if r is not None:
-                not_cc[0] += 1
-                return r
-            not_cc[1] += 1
-            return not_unbound(self, u)
 
         and_unbound = type(self)._and
         and_cc = cache_counts["and"]
@@ -200,6 +200,8 @@ class BddManager:
                 return v
             if v == 1:
                 return u
+            if u ^ v == 1:
+                return 0
             if u > v:
                 u, v = v, u
             r = self._and_cache.get((u, v))
@@ -220,8 +222,10 @@ class BddManager:
                 return v
             if v == 0:
                 return u
-            if u == 1 or v == 1:
-                return xor_unbound(self, u, v)  # resolves via a counted _not
+            if u == 1:
+                return v ^ 1
+            if v == 1:
+                return u ^ 1
             if u > v:
                 u, v = v, u
             r = self._xor_cache.get((u, v))
@@ -245,7 +249,7 @@ class BddManager:
             if g == 1 and h == 0:
                 return f
             if g == 0 and h == 1:
-                return ite_unbound(self, f, g, h)  # resolves via a counted _not
+                return f ^ 1
             r = self._ite_cache.get((f, g, h))
             if r is not None:
                 ite_cc[0] += 1
@@ -254,7 +258,6 @@ class BddManager:
             return ite_unbound(self, f, g, h)
 
         self._mk = counted_mk  # type: ignore[method-assign]
-        self._not = counted_not  # type: ignore[method-assign]
         self._and = counted_and  # type: ignore[method-assign]
         self._xor = counted_xor  # type: ignore[method-assign]
         self._ite = counted_ite  # type: ignore[method-assign]
@@ -271,7 +274,6 @@ class BddManager:
             "vars": self.num_vars,
             "unique_entries": len(self._unique),
             "cache_entries": {
-                "not": len(self._not_cache),
                 "and": len(self._and_cache),
                 "xor": len(self._xor_cache),
                 "ite": len(self._ite_cache),
@@ -311,19 +313,9 @@ class BddManager:
 
     def nvar(self, name: str) -> "Function":
         """Return the complement of variable ``name``."""
-        return Function(self, self._mk(self.level_of(name), 1, 0))
+        return Function(self, self._mk(self.level_of(name), 0, 1) ^ 1)
 
     # -------------------------------------------------------------- core ops
-
-    def _not(self, u: int) -> int:
-        if u < 2:
-            return 1 - u
-        r = self._not_cache.get(u)
-        if r is None:
-            r = self._mk(self._level[u], self._not(self._lo[u]), self._not(self._hi[u]))
-            self._not_cache[u] = r
-            self._not_cache[r] = u
-        return r
 
     def _and(self, u: int, v: int) -> int:
         if u == v:
@@ -334,6 +326,8 @@ class BddManager:
             return v
         if v == 1:
             return u
+        if u ^ v == 1:
+            return 0
         if u > v:
             u, v = v, u
         key = (u, v)
@@ -354,7 +348,7 @@ class BddManager:
         return r
 
     def _or(self, u: int, v: int) -> int:
-        return self._not(self._and(self._not(u), self._not(v)))
+        return self._and(u ^ 1, v ^ 1) ^ 1
 
     def _xor(self, u: int, v: int) -> int:
         if u == v:
@@ -364,9 +358,9 @@ class BddManager:
         if v == 0:
             return u
         if u == 1:
-            return self._not(v)
+            return v ^ 1
         if v == 1:
-            return self._not(u)
+            return u ^ 1
         if u > v:
             u, v = v, u
         key = (u, v)
@@ -396,7 +390,7 @@ class BddManager:
         if g == 1 and h == 0:
             return f
         if g == 0 and h == 1:
-            return self._not(f)
+            return f ^ 1
         key = (f, g, h)
         r = self._ite_cache.get(key)
         if r is None:
@@ -606,7 +600,7 @@ class Function:
             raise BddError("cannot combine functions from different managers")
 
     def __invert__(self) -> "Function":
-        return Function(self.manager, self.manager._not(self.node))
+        return Function(self.manager, self.node ^ 1)
 
     def __and__(self, other: "Function") -> "Function":
         self._check(other)
@@ -623,9 +617,7 @@ class Function:
     def __sub__(self, other: "Function") -> "Function":
         """Set difference: ``self & ~other``."""
         self._check(other)
-        return Function(
-            self.manager, self.manager._and(self.node, self.manager._not(other.node))
-        )
+        return Function(self.manager, self.manager._and(self.node, other.node ^ 1))
 
     def ite(self, then_f: "Function", else_f: "Function") -> "Function":
         """If-then-else with ``self`` as the selector."""
@@ -658,7 +650,7 @@ class Function:
     def is_subset_of(self, other: "Function") -> bool:
         """True iff ``self -> other`` is a tautology."""
         self._check(other)
-        return self.manager._and(self.node, self.manager._not(other.node)) == 0
+        return self.manager._and(self.node, other.node ^ 1) == 0
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -756,14 +748,17 @@ class Function:
         return None
 
     def dag_size(self) -> int:
-        """Number of distinct internal BDD nodes of this function."""
+        """Number of distinct internal BDD nodes of this function.
+
+        ``f`` and ``~f`` share every node, so they have the same size.
+        """
         mgr = self.manager
         seen: set[int] = set()
 
         def walk(u: int) -> None:
-            if u < 2 or u in seen:
+            if u < 2 or u >> 1 in seen:
                 return
-            seen.add(u)
+            seen.add(u >> 1)
             walk(mgr._lo[u])
             walk(mgr._hi[u])
 

@@ -148,9 +148,8 @@ def overhead_report(
 ) -> OverheadReport:
     """Compute the paper's Table-2 metrics for one synthesized circuit.
 
-    Power is built into ``result.context.manager`` when it orders the
-    circuit's inputs first, so that manager grows by the power functions of
-    the original and the masked design.
+    Power is built into ``result.context.manager``, so that manager grows by
+    the power functions of the original and the masked design.
     """
     if design is None:
         design = build_masked_design(result)
@@ -168,12 +167,9 @@ def overhead_report(
     orig_area = original.area()
 
     # Both calls build into the run's manager, so the second finds the
-    # original gates' functions and counts already there.  A caller's
-    # manager that holds the inputs in another order is refused by
-    # signal_probabilities_bdd, so power then builds in fresh managers.
+    # original gates' functions and counts already there.  SpcfContext put
+    # the inputs on its first levels, which is all power needs.
     mgr = result.context.manager
-    if mgr.var_names[: len(original.inputs)] != original.inputs:
-        mgr = None
     orig_power = switching_power(original, manager=mgr)
     combined_power = switching_power(design.circuit, manager=mgr)
     mask_power = combined_power - orig_power

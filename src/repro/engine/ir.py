@@ -33,6 +33,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro import obs
 from repro.errors import EngineError, SimulationError
+from repro.logic.cube import DASH, ONE
 from repro.logic.expr import BoolExpr
 from repro.lru import LRUCache
 from repro.netlist.cell import CELL_CACHE_SIZE, Cell
@@ -248,16 +249,13 @@ def cell_prime_tables(
     key = cell._key
     cached = _prime_cache.get(key)
     if cached is None:
-        pin_index = {pin: i for i, pin in enumerate(cell.inputs)}
         on, off = cell.primes()
 
         def table(primes):
             rows = []
             for prime in primes:
-                lits = prime.to_dict(cell.inputs)
-                pins = tuple(pin_index[p] for p in lits)
-                pols = tuple(bool(lits[p]) for p in lits)
-                rows.append((pins, pols))
+                pins = tuple(i for i, v in enumerate(prime.values) if v != DASH)
+                rows.append((pins, tuple(prime.values[i] == ONE for i in pins)))
             return tuple(rows)
 
         cached = (table(on), table(off))

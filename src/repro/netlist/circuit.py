@@ -17,7 +17,12 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import NetlistError
+from repro.logic.cube import DASH, ONE
 from repro.netlist.cell import Cell
+
+#: One gate's primes of one set: each a tuple of ``(fanin, polarity, pin
+#: delay)`` literals (see :meth:`Gate.prime_literals`).
+PrimeLiterals = tuple[tuple[tuple[str, bool, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -53,6 +58,29 @@ class Gate:
                 int(round(d * self.delay_scale)) for d in self.cell.pin_delays
             )
             object.__setattr__(self, "_pin_delays", cached)
+        return cached
+
+    def prime_literals(self) -> tuple[PrimeLiterals, PrimeLiterals]:
+        """The cell's ``(on-set, off-set)`` primes on this gate (memoized).
+
+        Each prime is a tuple of ``(fanin, polarity, pin delay)`` literals in
+        pin order.
+        """
+        cached = self.__dict__.get("_prime_literals")
+        if cached is None:
+            pins = tuple(zip(self.fanins, self.pin_delays()))
+            cached = tuple(
+                tuple(
+                    tuple(
+                        (pins[i][0], v == ONE, pins[i][1])
+                        for i, v in enumerate(prime.values)
+                        if v != DASH
+                    )
+                    for prime in primes
+                )
+                for primes in self.cell.primes()
+            )
+            object.__setattr__(self, "_prime_literals", cached)
         return cached
 
 

@@ -62,10 +62,10 @@ def publish_computed_table(manager: "BddManager") -> None:
     for op, counts in table.items():
         hits, misses = int(counts["hits"]), int(counts["misses"])
         prev_hits, prev_misses = last.get(op, (0, 0))
-        if hits > prev_hits:
-            COMPUTED_HITS.add(hits - prev_hits, op=op)
-        if misses > prev_misses:
-            COMPUTED_MISSES.add(misses - prev_misses, op=op)
+        # A zero delta still publishes its series, so "counted, no hits"
+        # reads apart from "counting off".
+        COMPUTED_HITS.add(hits - prev_hits, op=op)
+        COMPUTED_MISSES.add(misses - prev_misses, op=op)
         last[op] = (hits, misses)
 
 

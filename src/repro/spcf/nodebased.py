@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 
-from repro.bdd.manager import Function, conjunction, disjunction
+from repro.bdd.manager import Function
 from repro.netlist.circuit import Circuit
 from repro.spcf import _obs
 from repro.spcf.result import SpcfResult
@@ -51,46 +51,40 @@ def compute_spcf(
         critical: set[str] = {
             net for net in report.arrival if report.slack(net) < 0
         }
-        activation: dict[str, Function] = {}
-        for net in circuit.inputs:
-            if net in critical:
-                activation[net] = mgr.true
-
+        and_ = mgr._and
+        functions = ctx.functions
+        # Late-activation edges; a critical PI is always late.
+        activation: dict[str, int] = {
+            net: 1 for net in circuit.inputs if net in critical
+        }
         for name in circuit.topo_order():
             if name not in critical:
                 continue
             gate = circuit.gates[name]
-            cell = gate.cell
-            pin_to_fanin = dict(zip(cell.inputs, gate.fanins))
-            from_critical = [
-                activation[f]
-                for f in gate.fanins
-                if f in critical and f in activation
-            ]
+            from_critical = [activation[f] for f in gate.fanins if f in activation]
             if not from_critical:
                 # Statically critical but no critical fanin can actually be
                 # late (e.g. required times pushed negative at a PI that is
                 # on time).
                 continue
-            on_primes, off_primes = cell.primes()
-            early_dets: list[Function] = []
+            # Both ORs are accumulated as the AND of complements.
+            not_late = 1
+            for late in from_critical:
+                not_late = and_(not_late, late ^ 1)
+            not_early = 1
+            on_primes, off_primes = gate.prime_literals()
             for prime in (*on_primes, *off_primes):
-                lits = prime.to_dict(cell.inputs)
-                if any(pin_to_fanin[pin] in critical for pin in lits):
+                if any(fanin in critical for fanin, _, _ in prime):
                     continue
-                consistent = [
-                    ctx.functions[pin_to_fanin[pin]]
-                    if polarity
-                    else ~ctx.functions[pin_to_fanin[pin]]
-                    for pin, polarity in lits.items()
-                ]
-                early_dets.append(conjunction(mgr, consistent))
-            activation[name] = disjunction(mgr, from_critical) & ~disjunction(
-                mgr, early_dets
-            )
+                early = 1
+                for fanin, polarity, _ in prime:
+                    f_in = functions[fanin].node
+                    early = and_(early, f_in if polarity else f_in ^ 1)
+                not_early = and_(not_early, early ^ 1)
+            activation[name] = and_(not_late ^ 1, not_early)
 
         per_output = {
-            y: activation.get(y, mgr.false) for y in ctx.critical_outputs
+            y: Function(mgr, activation.get(y, 0)) for y in ctx.critical_outputs
         }
         if _obs.METER.enabled:
             for function in per_output.values():

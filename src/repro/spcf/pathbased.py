@@ -22,52 +22,50 @@ form — reproducing the accuracy/runtime trade-off of Table 1.
 from __future__ import annotations
 
 import time
-from typing import Sequence
 
-from repro.bdd.manager import Function, conjunction
-from repro.logic.cube import Cube
+from repro.bdd.manager import Function
 from repro.netlist.circuit import Circuit
 from repro.spcf import _obs
 from repro.spcf.result import SpcfResult
 from repro.spcf.timedfunc import SpcfContext
 
 
-def _late(ctx: SpcfContext, net: str, t: int) -> Function:
-    """Patterns for which ``net`` has not stabilized by ``t`` (exact)."""
-    mgr = ctx.manager
+def _late(ctx: SpcfContext, net: str, t: int) -> int:
+    """Edge of the patterns for which ``net`` has not stabilized by ``t``."""
     if t >= ctx.report.critical_delay:
         # Nothing in the circuit can be late past the critical delay; this
         # coarse global bound is the only cutoff the path-based method uses.
-        return mgr.false
+        return 0
     if ctx.circuit.is_input(net):
-        return mgr.true if t < 0 else mgr.false
+        return 1 if t < 0 else 0
     memo = ctx._late_memo
     key = (net, t)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    gate = ctx.circuit.gates[net]
-    cell = gate.cell
-    pin_to_fanin = dict(zip(cell.inputs, gate.fanins))
-    pin_to_delay = dict(zip(cell.inputs, gate.pin_delays()))
-    on_primes, off_primes = cell.primes()
-    f_out = ctx.functions[net]
-
-    def late_for_value(primes: Sequence[Cube], value_fn: Function) -> Function:
-        factors: list[Function] = []
+    and_ = ctx.manager._and
+    functions = ctx.functions
+    on_primes, off_primes = ctx.circuit.gates[net].prime_literals()
+    f_out = functions[net].node
+    # late = OR over v of Lambda^v, accumulated as the AND of complements.
+    # A product that reaches false skips its remaining factors' recursion.
+    not_late = 1
+    for primes, value in ((on_primes, f_out), (off_primes, f_out ^ 1)):
         for prime in primes:
-            lits: list[Function] = []
-            for pin, polarity in prime.to_dict(cell.inputs).items():
-                fanin = pin_to_fanin[pin]
-                f_in = ctx.functions[fanin]
-                consistent = f_in if polarity else ~f_in
-                on_time = consistent & ~_late(ctx, fanin, t - pin_to_delay[pin])
-                lits.append(on_time)
-            factors.append(~conjunction(ctx.manager, lits))
-        return value_fn & conjunction(ctx.manager, factors)
-
-    result = late_for_value(on_primes, f_out) | late_for_value(off_primes, ~f_out)
-    memo[key] = result
+            on_time = 1
+            for fanin, polarity, delay in prime:
+                f_in = functions[fanin].node
+                consistent = f_in if polarity else f_in ^ 1
+                on_time = and_(
+                    on_time, and_(consistent, _late(ctx, fanin, t - delay) ^ 1)
+                )
+                if not on_time:
+                    break
+            value = and_(value, on_time ^ 1)
+            if not value:
+                break
+        not_late = and_(not_late, value ^ 1)
+    result = memo[key] = not_late ^ 1
     return result
 
 
@@ -88,7 +86,7 @@ def compute_spcf(
             with _obs.TRACER.span(
                 "spcf.output", algorithm="pathbased", output=y
             ) as out_span:
-                per_output[y] = _late(ctx, y, ctx.target)
+                per_output[y] = Function(ctx.manager, _late(ctx, y, ctx.target))
                 if _obs.METER.enabled:
                     _obs.note_output(out_span, "pathbased", per_output[y])
                     out_span.set(memo_entries=len(ctx._late_memo))

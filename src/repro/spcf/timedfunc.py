@@ -23,7 +23,10 @@ pair of timed characteristic functions
 computed recursively through the prime implicants of each cell's on-set and
 off-set, with memoization on ``(net, t)``.  A ``(net, t)`` pair is resolved
 without recursion when the inline bounds fire: ``t >= arrival[net]`` gives
-``(¬F, F)`` and ``t < min_stable[net]`` gives ``(0, 0)``.
+``(¬F, F)`` and ``t < min_stable[net]`` gives ``(0, 0)``.  The recursions
+run on raw BDD edges (ints) through ``BddManager._and`` and ``^ 1`` over
+each gate's :meth:`~repro.netlist.circuit.Gate.prime_literals`; only the
+public entry points wrap their results in :class:`Function`.
 
 The *short-path-based* algorithm (the paper's contribution) is exactly this
 recursion; the *path-based* and *node-based* algorithms reuse the context but
@@ -34,9 +37,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.bdd.manager import BddManager, Function, conjunction, disjunction
+from repro.bdd.manager import BddManager, Function
 from repro.errors import SpcfError
-from repro.logic.cube import Cube
 from repro.logic.expr import BoolExpr
 from repro.netlist.circuit import Circuit
 from repro.sta.timing import TimingReport, analyze
@@ -150,50 +152,48 @@ class SpcfContext:
                     manager.add_var(net)
         self.manager = manager
         self.functions: dict[str, Function] = CircuitFunctions(circuit, manager)
-        # Memo tables for the timed characteristic functions.
-        self._stable_memo: dict[tuple[str, int], tuple[Function, Function]] = {}
-        self._late_memo: dict[tuple[str, int], Function] = {}
+        # Memo tables for the timed characteristic functions, on BDD edges.
+        self._stable_memo: dict[tuple[str, int], tuple[int, int]] = {}
+        self._late_memo: dict[tuple[str, int], int] = {}
 
     # ------------------------------------------------------------- Eqn. 1 core
 
     def stable(self, net: str, t: int) -> tuple[Function, Function]:
         """``(S0, S1)`` — stabilized-by-``t`` characteristic functions."""
-        mgr = self.manager
-        arrival = self.report.arrival
-        min_stable = self.report.min_stable
-        if t >= arrival[net]:
-            f = self.functions[net]
-            return (~f, f)
-        if t < min_stable[net]:
-            return (mgr.false, mgr.false)
-        key = (net, t)
-        cached = self._stable_memo.get(key)
-        if cached is not None:
-            return cached
-        gate = self.circuit.gates[net]  # PIs never reach here (arrival == 0)
-        cell = gate.cell
-        delays = gate.pin_delays()
-        pin_to_fanin = dict(zip(cell.inputs, gate.fanins))
-        pin_to_delay = dict(zip(cell.inputs, delays))
-        on_primes, off_primes = cell.primes()
-
-        def prime_term(prime: Cube) -> Function:
-            terms = []
-            for pin, polarity in prime.to_dict(cell.inputs).items():
-                s0, s1 = self.stable(pin_to_fanin[pin], t - pin_to_delay[pin])
-                terms.append(s1 if polarity else s0)
-            return conjunction(mgr, terms)
-
-        s1 = disjunction(mgr, [prime_term(p) for p in on_primes])
-        s0 = disjunction(mgr, [prime_term(p) for p in off_primes])
-        result = (s0, s1)
-        self._stable_memo[key] = result
-        return result
+        s0, s1 = self._stable(net, t)
+        return Function(self.manager, s0), Function(self.manager, s1)
 
     def late(self, net: str, t: int) -> Function:
         """Patterns whose value at ``net`` has *not* stabilized by ``t``."""
-        s0, s1 = self.stable(net, t)
-        return ~(s0 | s1)
+        s0, s1 = self._stable(net, t)
+        return Function(self.manager, self.manager._and(s0 ^ 1, s1 ^ 1))
+
+    def _stable(self, net: str, t: int) -> tuple[int, int]:
+        """:meth:`stable` on BDD edges: ``S_v`` is the OR over the ``v``-set
+        primes of the AND of each literal's ``S`` at ``t - delay``."""
+        if t >= self.report.arrival[net]:
+            f = self.functions[net].node
+            return (f ^ 1, f)
+        if t < self.report.min_stable[net]:
+            return (0, 0)
+        key = (net, t)
+        memo = self._stable_memo
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        and_ = self.manager._and
+        s1_s0 = []
+        # On-set primes, then off-set; PIs never reach here (arrival == 0).
+        for primes in self.circuit.gates[net].prime_literals():
+            not_s = 1  # the OR, accumulated as the AND of complements
+            for prime in primes:
+                term = 1
+                for fanin, polarity, delay in prime:
+                    term = and_(term, self._stable(fanin, t - delay)[polarity])
+                not_s = and_(not_s, term ^ 1)
+            s1_s0.append(not_s ^ 1)
+        result = memo[key] = (s1_s0[1], s1_s0[0])
+        return result
 
     # ------------------------------------------------------------- conveniences
 

@@ -10,8 +10,9 @@ cones).
 Only *relative* power matters for the paper's Table 2 (overhead of the
 masking circuit versus the original), which this model captures.
 
-Probabilities are built in a fresh manager unless given one that orders the
-circuit's inputs first (see :data:`repro.core.masking._manager_cache`).
+Probabilities are built in a fresh manager unless given one whose first
+levels hold the circuit's inputs, in any order (see
+:data:`repro.core.masking._manager_cache`).
 """
 
 from __future__ import annotations
@@ -29,19 +30,19 @@ def signal_probabilities_bdd(
 ) -> dict[str, Fraction]:
     """Exact probability of each net being 1 under uniform random inputs.
 
-    ``manager`` must order the circuit's inputs first, as counts are taken
-    over its first ``len(circuit.inputs)`` levels.
+    ``manager``'s first ``len(circuit.inputs)`` levels must hold the
+    circuit's inputs, in any order, as counts are taken over those levels.
     """
+    n = len(circuit.inputs)
     if manager is None:
         mgr = BddManager(circuit.inputs)
-    elif manager.var_names[: len(circuit.inputs)] != circuit.inputs:
+    elif set(manager.var_names[:n]) != set(circuit.inputs):
         raise SimulationError(
-            f"BDD manager does not order the inputs of {circuit.name!r} first"
+            f"BDD manager does not hold the inputs of {circuit.name!r} first"
         )
     else:
         mgr = manager
     fns = CircuitFunctions(circuit, mgr)
-    n = len(circuit.inputs)
     probs: dict[str, Fraction] = {net: Fraction(1, 2) for net in circuit.inputs}
     for name in circuit.topo_order():
         fn = fns[name]

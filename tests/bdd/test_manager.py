@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd import BddManager, conjunction, cube_function, disjunction
+from repro.bdd import (
+    BddManager,
+    Function,
+    conjunction,
+    cube_function,
+    disjunction,
+    isop,
+    isop_function,
+)
 from repro.errors import BddError
 
 VARS = [f"x{i}" for i in range(6)]
@@ -293,3 +301,133 @@ def test_exists_is_the_or_of_cofactors(tree, names):
             {name: True}
         )
     assert fn.exists(names) == expected
+
+
+# ------------------------------------------------------- complemented edges
+#
+# An edge is ``node << 1 | complement`` and every stored node keeps its hi
+# edge regular.  Each test below checks the store's invariants and compares
+# results against functions rebuilt from truth tables through ``_mk``, so a
+# store that lets a complemented hi edge through (two edges for one
+# function) fails them.
+
+
+def assert_canonical(mgr):
+    """Every node sits at 2i (hi regular) and 2i + 1 (its complement)."""
+    level, lo, hi = mgr._level, mgr._lo, mgr._hi
+    assert len(level) % 2 == 0 and mgr.num_nodes == len(level) // 2
+    assert len(mgr._unique) == mgr.num_nodes - 1
+    for u in range(2, len(level), 2):
+        assert hi[u] & 1 == 0, f"node {u >> 1} stores a complemented hi edge"
+        assert lo[u] != hi[u]
+        assert (level[u + 1], lo[u + 1], hi[u + 1]) == (level[u], lo[u] ^ 1, hi[u] ^ 1)
+        assert mgr._unique[(level[u], lo[u], hi[u])] == u
+
+
+def table_of(fn):
+    """Truth table as an int: bit ``m`` is ``fn`` where ``VARS[i]`` = bit i of m."""
+    tt = 0
+    for m in range(1 << len(VARS)):
+        if fn.evaluate({v: bool(m >> i & 1) for i, v in enumerate(VARS)}):
+            tt |= 1 << m
+    return tt
+
+
+def from_table(mgr, tt, level=0, base=0):
+    """The function of ``tt`` rebuilt bottom-up through ``_mk`` alone."""
+    if level == len(VARS):
+        return Function(mgr, tt >> base & 1)
+    lo = from_table(mgr, tt, level + 1, base).node
+    hi = from_table(mgr, tt, level + 1, base | 1 << level).node
+    return Function(mgr, mgr._mk(level, lo, hi))
+
+
+FULL = (1 << (1 << len(VARS))) - 1
+
+
+def polar(fn, negate):
+    return ~fn if negate else fn
+
+
+@given(exprs())
+@settings(max_examples=60, deadline=None)
+def test_not_allocates_no_node_and_is_an_involution(tree):
+    mgr = BddManager(VARS)
+    f = build_fn(tree, mgr)
+    nodes = mgr.num_nodes
+    g = ~f
+    assert mgr.num_nodes == nodes
+    assert ~g == f and g != f
+    assert g == from_table(mgr, FULL ^ table_of(f))
+    assert_canonical(mgr)
+
+
+@given(exprs())
+@settings(max_examples=60, deadline=None)
+def test_f_and_not_f_is_false(tree):
+    mgr = BddManager(VARS)
+    f = build_fn(tree, mgr)
+    rebuilt_not_f = from_table(mgr, FULL ^ table_of(f))
+    assert (f & ~f).is_false and (f & rebuilt_not_f).is_false
+    assert (f | ~f).is_true and (f ^ ~f).is_true
+    assert rebuilt_not_f == ~f
+    assert_canonical(mgr)
+
+
+@given(exprs())
+@settings(max_examples=60, deadline=None)
+def test_dag_size_is_blind_to_polarity(tree):
+    mgr = BddManager(VARS)
+    f = build_fn(tree, mgr)
+    assert f.dag_size() == (~f).dag_size()
+    assert from_table(mgr, FULL ^ table_of(f)).dag_size() == f.dag_size()
+    assert_canonical(mgr)
+
+
+@given(
+    st.tuples(exprs(), exprs(), exprs()),
+    st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    st.integers(min_value=0, max_value=len(VARS) - 1),
+    st.sets(st.sampled_from(VARS)),
+)
+@settings(max_examples=80, deadline=None)
+def test_ops_match_brute_force_in_both_polarities(trees, negate, k, names):
+    mgr = BddManager(VARS)
+    f, g, h = (polar(build_fn(t, mgr), n) for t, n in zip(trees, negate))
+    tf, tg, th = table_of(f), table_of(g), table_of(h)
+    minterms = range(1 << len(VARS))
+
+    assert f.ite(g, h) == from_table(mgr, (tf & tg) | (~tf & th))
+
+    # compose: VARS[k] := g
+    composed = 0
+    for m in minterms:
+        mk = (m & ~(1 << k)) | ((tg >> m & 1) << k)
+        composed |= (tf >> mk & 1) << m
+    assert f.compose({VARS[k]: g}) == from_table(mgr, composed)
+
+    # exists: OR over every assignment of ``names``
+    mask = sum(1 << VARS.index(n) for n in names)
+    quantified = 0
+    for m in minterms:
+        if any(tf >> (m & ~mask | s) & 1 for s in range(1 << len(VARS)) if s & ~mask == 0):
+            quantified |= 1 << m
+    assert f.exists(names) == from_table(mgr, quantified)
+
+    # image of care set f under (g, h)
+    image = 0
+    for m in minterms:
+        if tf >> m & 1:
+            image |= 1 << ((tg >> m & 1) | (th >> m & 1) << 1)
+    assert mgr.image_table(f.node, [g.node, h.node]) == image
+
+    # ISOP between lower = f & g and upper = lower | h
+    lower = f & g
+    upper = lower | h
+    cover = isop(lower, upper)
+    fn = disjunction(mgr, [cube_function(mgr, cube) for cube in cover])
+    assert lower.is_subset_of(fn) and fn.is_subset_of(upper)
+    assert disjunction(
+        mgr, [cube_function(mgr, cube) for cube in isop_function(f)]
+    ) == from_table(mgr, tf)
+    assert_canonical(mgr)

@@ -50,13 +50,19 @@ def test_terminal_rules_touch_no_bucket():
 
 
 def test_not_cache_counted():
+    # NOT flips the complement bit of an edge: no computed table, no node.
     mgr = BddManager(["a"])
     mgr.enable_op_counting()
     a = mgr.var("a")
+    before = mgr.stats()
     _ = ~a
-    _ = ~a
-    t = _table(mgr)["not"]
-    assert t["misses"] >= 1 and t["hits"] >= 1
+    _ = ~~a
+    after = mgr.stats()
+    assert "not" not in after["computed_table"]
+    assert "not" not in after["op_calls"]
+    assert after["computed_table"] == before["computed_table"]
+    assert after["op_calls"] == before["op_calls"]
+    assert mgr.num_nodes == before["nodes"]
 
 
 def test_cache_hit_rate_derived_exactly():

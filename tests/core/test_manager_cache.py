@@ -125,9 +125,9 @@ def test_a_manager_is_never_reused_across_obs_states():
 
 def test_overhead_report_on_a_manager_with_other_vars_first():
     # A context manager may hold the inputs in another order (other
-    # variables first are refused by SpcfContext).  Power needs the inputs
-    # in circuit order, so it leaves such a manager alone and builds in
-    # fresh managers instead.
+    # variables first are refused by SpcfContext).  Power counts over the
+    # first len(inputs) levels in any order, so it builds in that manager
+    # and reports what a manager in circuit order reports.
     circuit = comparator()
     base = mask_circuit(circuit, LSI)
     mgr = BddManager(circuit.inputs[::-1])
@@ -135,7 +135,7 @@ def test_overhead_report_on_a_manager_with_other_vars_first():
     result = dataclasses.replace(base.masking, context=ctx)
     nodes = mgr.num_nodes
     assert overhead_report(result, base.design, base.verification) == base.report
-    assert mgr.num_nodes == nodes
+    assert mgr.num_nodes > nodes
 
 
 @pytest.mark.parametrize("name", ["comparator2", "cu"])
