@@ -10,8 +10,9 @@ The package is organized bottom-up:
 * :mod:`repro.sim` — logic/timing simulation and timing-error injection.
 * :mod:`repro.spcf` — the three speed-path characteristic function algorithms.
 * :mod:`repro.synth` — technology-independent networks, decomposition, mapping.
-* :mod:`repro.core` — error-masking synthesis (the paper's contribution).
-* :mod:`repro.analysis` — netlist lint + BDD-based formal verification.
+* :mod:`repro.core` — error-masking synthesis (the paper's contribution)
+  and the BDD proof of its invariants.
+* :mod:`repro.analysis` — netlist lint + abstract interpretation.
 * :mod:`repro.campaign` — resilient fault-injection campaigns (checkpoint/resume).
 * :mod:`repro.apps` — wearout prediction and debug trace capture.
 * :mod:`repro.benchcircuits` — benchmark circuits and generators.
@@ -25,14 +26,7 @@ Quickstart::
     print(result.report.area_overhead_percent, result.report.slack_percent)
 """
 
-from repro.analysis import (
-    LintConfig,
-    LintReport,
-    VerifyMaskReport,
-    lint_circuit,
-    lint_suite,
-    verify_mask,
-)
+from repro.analysis import LintConfig, LintReport, lint_circuit, lint_suite
 from repro.benchcircuits import circuit_by_name, make_benchmark
 from repro.campaign import (
     CampaignSpec,
@@ -99,10 +93,8 @@ __all__ = [
     "circuit_by_name",
     "LintConfig",
     "LintReport",
-    "VerifyMaskReport",
     "lint_circuit",
     "lint_suite",
-    "verify_mask",
     "CampaignSpec",
     "RunnerConfig",
     "plan_campaign",

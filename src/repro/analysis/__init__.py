@@ -1,6 +1,6 @@
-"""repro.analysis — circuit lint, abstract interpretation, verification.
+"""repro.analysis — circuit lint and abstract interpretation.
 
-Three correctness tools on top of the netlist, engine, and BDD layers:
+Two correctness tools on top of the netlist, engine, and BDD layers:
 
 * the **linter** (:func:`lint_circuit`) — rule-based structural checks with
   stable rule ids (``LINT001`` combinational-loop ... ``LINT007``
@@ -9,27 +9,22 @@ Three correctness tools on top of the netlist, engine, and BDD layers:
   passes over the compiled IR (``ABS001`` ... ``ABS008``): Kleene-ternary
   hazard proofs with event-simulator replays, arrival-interval
   certification cross-checked against STA, X-observability, and the
-  machine-checked Eqn. 1 / SPCF soundness audit,
-* the **formal pass** (:func:`verify_mask`) — BDD equivalence proofs of the
-  masking invariants (``e=1 ⟹ y~ = y``, ``Sigma_y ⟹ e``, off-SPCF
-  combinational equivalence of the mux-patched design) with counterexample
-  extraction.
+  machine-checked Eqn. 1 / SPCF soundness audit.
 
-All three emit through the same :class:`Diagnostic`/report pipeline, with
+Both emit through the same :class:`Diagnostic`/report pipeline, with
 baseline suppression (:mod:`repro.analysis.baseline`) and text / JSON /
-SARIF 2.1.0 rendering (:mod:`repro.analysis.sarif`).
+SARIF 2.1.0 rendering (:mod:`repro.analysis.sarif`).  The reporters also
+render the masking proof of :func:`repro.core.verify.verify_masking`
+(:func:`render_verify_text`, :func:`render_verify_json`).
 
 Quickstart::
 
-    from repro.analysis import lint_circuit, verify_mask
+    from repro.analysis import lint_circuit
     from repro.analysis.absint import analyze_circuit
     for diag in lint_circuit(circuit):
         print(diag.render())
     for diag in analyze_circuit(circuit):
         print(diag.render())
-
-    result = synthesize_masking(circuit, library)
-    assert verify_mask(result).ok
 """
 
 from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
@@ -53,29 +48,18 @@ from repro.analysis.reporters import (
     render_verify_text,
 )
 from repro.analysis.sarif import render_sarif, sarif_log
-from repro.analysis.verify import (
-    CheckResult,
-    Counterexample,
-    VerifyMaskReport,
-    assert_verified,
-    verify_mask,
-)
 
 __all__ = [
     "BASELINE_SCHEMA",
-    "CheckResult",
     "CircuitLinter",
-    "Counterexample",
     "Diagnostic",
     "LintConfig",
     "LintReport",
     "LintRule",
     "RULE_REGISTRY",
     "Severity",
-    "VerifyMaskReport",
     "apply_baseline",
     "apply_baseline_many",
-    "assert_verified",
     "lint_circuit",
     "lint_suite",
     "load_baseline",
@@ -90,6 +74,5 @@ __all__ = [
     "rule",
     "sarif_log",
     "suite_ok",
-    "verify_mask",
     "write_baseline",
 ]

@@ -8,9 +8,12 @@ but existing fields keep their meaning.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.analysis.diagnostics import LintReport
+
+if TYPE_CHECKING:
+    from repro.core.verify import VerificationReport
 
 LINT_SCHEMA = "repro-lint/1"
 VERIFY_SCHEMA = "repro-verify/1"
@@ -64,8 +67,8 @@ def render_text_many(reports: Mapping[str, LintReport]) -> str:
     return "\n".join(lines)
 
 
-def render_verify_text(report) -> str:
-    """Human-readable rendering of a :class:`VerifyMaskReport`."""
+def render_verify_text(report: VerificationReport) -> str:
+    """Human-readable rendering of a :class:`VerificationReport`."""
     lines = [f"circuit : {report.circuit_name}"]
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -81,8 +84,8 @@ def render_verify_text(report) -> str:
     return "\n".join(lines)
 
 
-def render_verify_json(report) -> str:
-    """JSON rendering of a :class:`VerifyMaskReport`."""
+def render_verify_json(report: VerificationReport) -> str:
+    """JSON rendering of a :class:`VerificationReport`."""
     return json.dumps(
         {"schema": VERIFY_SCHEMA, **report.to_dict()}, indent=2, sort_keys=False
     )

@@ -82,11 +82,10 @@ from repro.analysis import (
     render_text_many,
     render_verify_json,
     render_verify_text,
-    verify_mask,
     write_baseline,
 )
 from repro.analysis.absint import AbsintConfig, analyze_circuit, analyze_suite
-from repro.core import build_masked_design, mask_circuit, synthesize_masking
+from repro.core import mask_circuit, synthesize_masking, verify_masking
 from repro.errors import BlifError, CampaignError, ReproError
 from repro.exec import available_backends, default_worker_count
 from repro.netlist import (
@@ -241,7 +240,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
     if args.verilog:
         write_verilog_file(result.design.circuit, args.verilog)
         print(f"masked design (verilog) written to {args.verilog}")
-    return 0 if (r.sound and r.coverage_percent == 100.0) else 1
+    return 0 if result.verification.ok else 1
 
 
 def _finish_reports(reports: dict, args: argparse.Namespace) -> tuple[dict, int]:
@@ -348,7 +347,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return _emit_reports(reports, args, fail_on)
 
 
-def cmd_verify_mask(args: argparse.Namespace) -> int:
+def cmd_verify_masking(args: argparse.Namespace) -> int:
     library = builtin_library(args.library)
     circuit = _load_circuit(args.circuit, library)
     result = synthesize_masking(
@@ -357,7 +356,7 @@ def cmd_verify_mask(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         max_support=args.max_support,
     )
-    report = verify_mask(result, design=build_masked_design(result))
+    report = verify_masking(result)
     render = render_verify_json if args.format == "json" else render_verify_text
     print(render(report))
     return 0 if report.ok else 1
@@ -748,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.9)
     p.add_argument("--max-support", type=int, default=12)
     p.add_argument("--format", default="text", choices=("text", "json"))
-    p.set_defaults(func=cmd_verify_mask)
+    p.set_defaults(func=cmd_verify_masking)
 
     p = sub.add_parser("table1", help="regenerate Table 1", parents=[obs_parent])
     p.set_defaults(func=cmd_table1)

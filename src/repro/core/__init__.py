@@ -15,9 +15,14 @@ from repro.core.pipeline import PipelineResult, mask_circuit
 from repro.core.report import (
     MaskingEffectiveness,
     OverheadReport,
-    VerificationReport,
     masking_delay,
     overhead_report,
+)
+from repro.core.verify import (
+    CheckResult,
+    Counterexample,
+    VerificationReport,
+    assert_verified,
     verify_masking,
 )
 
@@ -36,7 +41,10 @@ __all__ = [
     "MASKED_PREFIX",
     "MaskedDesign",
     "build_masked_design",
+    "CheckResult",
+    "Counterexample",
     "VerificationReport",
+    "assert_verified",
     "verify_masking",
     "MaskingEffectiveness",
     "OverheadReport",

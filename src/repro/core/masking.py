@@ -21,7 +21,7 @@ Pipeline implemented by :class:`MaskingSynthesizer`:
 
 The soundness invariant — ``e_y = 1`` implies ``y~ = y`` for *every* input
 pattern, and ``Sigma_y`` implies ``e_y = 1`` — is checked by
-:func:`repro.core.report.verify_masking`.
+:func:`repro.core.verify.verify_masking`.
 """
 
 from __future__ import annotations

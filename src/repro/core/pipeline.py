@@ -7,12 +7,8 @@ from dataclasses import dataclass
 from repro import obs
 from repro.core.integrate import MaskedDesign, build_masked_design
 from repro.core.masking import MaskingResult, synthesize_masking
-from repro.core.report import (
-    OverheadReport,
-    VerificationReport,
-    overhead_report,
-    verify_masking,
-)
+from repro.core.report import OverheadReport, overhead_report
+from repro.core.verify import VerificationReport, verify_masking
 from repro.netlist.circuit import Circuit
 from repro.netlist.library import Library
 
@@ -21,14 +17,16 @@ _TRACER = obs.get_tracer("core")
 
 @dataclass
 class PipelineResult:
-    """Bundle returned by :func:`mask_circuit`."""
+    """Bundle returned by :func:`mask_circuit`.
+
+    ``verification`` is the BDD proof of soundness, SPCF coverage and
+    off-SPCF equivalence of ``design``, one check of each per critical output.
+    """
 
     masking: MaskingResult
     design: MaskedDesign
     verification: VerificationReport
     report: OverheadReport
-    formal: "object | None" = None
-    """:class:`repro.analysis.VerifyMaskReport` when ``self_verify`` was set."""
 
 
 def mask_circuit(
@@ -40,7 +38,6 @@ def mask_circuit(
     max_cubes: int = 20,
     cube_pool: str = "isop",
     dontcare_isop: bool = True,
-    self_verify: bool = False,
 ) -> PipelineResult:
     """Synthesize, integrate, verify, and report in one call.
 
@@ -50,12 +47,12 @@ def mask_circuit(
         result = mask_circuit(my_circuit, lsi10k_like_library())
         print(result.report.area_overhead_percent)
 
-    With ``self_verify=True`` the formal pass of :mod:`repro.analysis` runs
-    on the synthesized masking circuit (soundness, SPCF coverage, and
-    off-SPCF equivalence of the mux-patched design, all by BDD equivalence)
-    and a :class:`repro.errors.VerificationError` carrying a counterexample
-    pattern is raised if any theorem fails; the proof record lands in
-    :attr:`PipelineResult.formal`.
+    Every run proves soundness, SPCF coverage and off-SPCF equivalence of
+    the mux-patched design by BDD equivalence
+    (:func:`repro.core.verify.verify_masking`) and returns the proof in
+    :attr:`PipelineResult.verification`; a failed theorem is reported there,
+    with a counterexample pattern, not raised
+    (:func:`repro.core.verify.assert_verified` raises).
     """
     with _TRACER.span("pipeline.mask_circuit", circuit=circuit.name):
         masking = synthesize_masking(
@@ -71,13 +68,7 @@ def mask_circuit(
         with _TRACER.span("core.integrate"):
             design = build_masked_design(masking)
         with _TRACER.span("core.verify"):
-            verification = verify_masking(masking)
-        formal = None
-        if self_verify:
-            # Imported lazily: repro.analysis sits above repro.core in the layering.
-            from repro.analysis import assert_verified
-
-            formal = assert_verified(masking, design=design)
+            verification = verify_masking(masking, design=design)
         with _TRACER.span("core.overhead_report"):
             report = overhead_report(
                 masking, design=design, verification=verification
@@ -87,5 +78,4 @@ def mask_circuit(
         design=design,
         verification=verification,
         report=report,
-        formal=formal,
     )

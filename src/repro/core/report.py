@@ -1,73 +1,21 @@
-"""Verification and overhead reporting for the masking synthesis.
-
-:func:`verify_masking` proves (by BDD equivalence over the primary inputs)
-the two invariants the whole scheme rests on:
-
-* **soundness** — whenever the indicator ``e_y`` is 1, the prediction equals
-  the original output, *for every input pattern* (so a raised indicator can
-  never corrupt a correct output), and
-* **coverage** — every SPCF pattern raises the indicator, which is exactly
-  the paper's "100% masking of timing errors on all speed-paths".
+"""Overhead reporting for the masking synthesis.
 
 :func:`overhead_report` computes the Table-2 row for one circuit: critical
 outputs, critical minterms, slack of the masking circuit over the original,
-and area/power overheads (including the output multiplexers).
+and area/power overheads (including the output multiplexers).  Its
+``sound`` and ``coverage_percent`` come from the BDD proof of
+:func:`repro.core.verify.verify_masking`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from repro.core.integrate import MaskedDesign, build_masked_design
 from repro.core.masking import MaskingResult
-from repro.spcf.timedfunc import CircuitFunctions
+from repro.core.verify import VerificationReport, verify_masking
 from repro.sta.timing import analyze
 from repro.synth.power import switching_power
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of the BDD soundness/coverage check."""
-
-    sound: bool
-    unsound_outputs: tuple[str, ...]
-    coverage: dict[str, Fraction]
-
-    @property
-    def full_coverage(self) -> bool:
-        return all(c == 1 for c in self.coverage.values())
-
-    @property
-    def coverage_percent(self) -> float:
-        if not self.coverage:
-            return 100.0
-        return 100.0 * float(sum(self.coverage.values()) / len(self.coverage))
-
-
-def verify_masking(result: MaskingResult) -> VerificationReport:
-    """Prove soundness and SPCF coverage of a synthesized masking circuit."""
-    ctx = result.context
-    fns = CircuitFunctions(result.masking_circuit, ctx.manager)
-    n = len(result.circuit.inputs)
-    unsound: list[str] = []
-    coverage: dict[str, Fraction] = {}
-    for y, (pred_net, ind_net) in result.outputs.items():
-        pred = fns[pred_net]
-        ind = fns[ind_net]
-        if not (ind & (pred ^ ctx.functions[y])).is_false:
-            unsound.append(y)
-        sigma = result.spcf.per_output[y]
-        total = sigma.count(n)
-        if total == 0:
-            coverage[y] = Fraction(1)
-        else:
-            coverage[y] = Fraction((sigma & ind).count(n), total)
-    return VerificationReport(
-        sound=not unsound,
-        unsound_outputs=tuple(unsound),
-        coverage=coverage,
-    )
 
 
 @dataclass(frozen=True)
@@ -154,7 +102,7 @@ def overhead_report(
     if design is None:
         design = build_masked_design(result)
     if verification is None:
-        verification = verify_masking(result)
+        verification = verify_masking(result, design=design)
     original = result.circuit
     delta = result.context.report.critical_delay
     mask_delay = masking_delay(result)

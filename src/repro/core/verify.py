@@ -1,27 +1,30 @@
-"""BDD-based formal verification of synthesized masking circuits.
+"""BDD proof of the masking invariants, with counterexamples.
 
 For every critical output ``y`` of a :class:`~repro.core.masking.MaskingResult`
 three theorems are checked by BDD equivalence over the primary inputs
 (DESIGN.md §1–2 — the invariants the whole scheme rests on):
 
 * **soundness** — ``e_y = 1  ⟹  y~ = y`` for *every* input pattern, where
-  ``y`` is the functionally correct output recomputed independently from the
-  original circuit,
+  ``y`` is the functionally correct output of the original circuit (so a
+  raised indicator can never corrupt a correct output),
 * **coverage** — ``Sigma_y  ⟹  e_y = 1``: no speed-path activation pattern
-  escapes the indicator,
+  escapes the indicator, which is the paper's "100% masking of timing
+  errors on all speed-paths",
 * **equivalence** — the mux-patched design equals the original off the SPCF:
   ``¬Sigma_y  ⟹  masked(y) = y`` (with soundness this extends to the whole
   input space).
 
 Failures come back as concrete counterexample input patterns, so a broken
 refactor of the SPCF/masking hot paths points straight at a witness instead
-of a boolean.
+of a boolean.  The same pass records the exact coverage fraction
+``|Sigma_y ∧ e_y| / |Sigma_y|`` of every output for the Table 2 row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Any, Mapping
 
 from repro.bdd.manager import Function
 from repro.core.integrate import MaskedDesign, build_masked_design
@@ -49,7 +52,7 @@ class Counterexample:
         violation: Function,
         inputs: tuple[str, ...],
         observe: Mapping[str, Function],
-    ) -> "Counterexample":
+    ) -> Counterexample:
         """Pick one satisfying pattern and record the observed net values."""
         partial = violation.pick_one() or {}
         full = {net: partial.get(net, False) for net in inputs}
@@ -70,7 +73,7 @@ class Counterexample:
         obs = " ".join(f"{n}={int(v)}" for n, v in self.observed)
         return f"pattern={self.pattern()} {obs}"
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, Any]:
         return {
             "pattern": self.pattern(),
             "assignment": {n: int(v) for n, v in self.assignment},
@@ -88,8 +91,10 @@ class CheckResult:
     counterexample: Counterexample | None = None
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        d = {"check": self.check, "output": self.output, "passed": self.passed}
+    def to_dict(self) -> dict[str, Any]:
+        d: dict[str, Any] = {
+            "check": self.check, "output": self.output, "passed": self.passed
+        }
         if self.detail:
             d["detail"] = self.detail
         if self.counterexample is not None:
@@ -98,11 +103,13 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class VerifyMaskReport:
-    """All check results for one masking synthesis."""
+class VerificationReport:
+    """All check results and coverage fractions for one masking synthesis."""
 
     circuit_name: str
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+    checks: tuple[CheckResult, ...]
+    coverage: dict[str, Fraction]
+    """Critical output -> ``|Sigma_y ∧ e_y| / |Sigma_y|`` (1 for empty Sigma)."""
 
     @property
     def ok(self) -> bool:
@@ -113,7 +120,29 @@ class VerifyMaskReport:
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
-    def to_dict(self) -> dict:
+    @property
+    def unsound_outputs(self) -> tuple[str, ...]:
+        """Outputs whose soundness check failed, in report order."""
+        return tuple(
+            c.output for c in self.failures if c.check == CHECK_SOUNDNESS
+        )
+
+    @property
+    def sound(self) -> bool:
+        """True when no soundness check failed."""
+        return not self.unsound_outputs
+
+    @property
+    def full_coverage(self) -> bool:
+        return all(c == 1 for c in self.coverage.values())
+
+    @property
+    def coverage_percent(self) -> float:
+        if not self.coverage:
+            return 100.0
+        return 100.0 * float(sum(self.coverage.values()) / len(self.coverage))
+
+    def to_dict(self) -> dict[str, Any]:
         return {
             "circuit": self.circuit_name,
             "verified": self.ok,
@@ -121,61 +150,64 @@ class VerifyMaskReport:
         }
 
 
-def verify_mask(
+def verify_masking(
     result: MaskingResult, design: MaskedDesign | None = None
-) -> VerifyMaskReport:
+) -> VerificationReport:
     """Prove the soundness/coverage/equivalence theorems for ``result``.
 
     ``design`` is the integrated mux-patched circuit; it is built on demand
-    when not supplied.  All three checks are complete (BDD equivalence, not
-    simulation), and every failure carries a counterexample pattern.
+    when not supplied.  Its one global-function map serves all three checks
+    (the masking circuit's nets keep their names in it).  Every check is
+    complete (BDD equivalence, not simulation), and every failure carries a
+    counterexample pattern.
     """
-    ctx = result.context
-    mgr = ctx.manager
-    inputs = result.circuit.inputs
-
-    checks: list[CheckResult] = []
+    name = result.circuit.name
     if result.is_trivial:
-        return VerifyMaskReport(circuit_name=result.circuit.name, checks=())
-
-    mask_fns = CircuitFunctions(result.masking_circuit, mgr)
+        return VerificationReport(circuit_name=name, checks=(), coverage={})
+    ctx = result.context
+    inputs = result.circuit.inputs
+    n = len(inputs)
     if design is None:
         design = build_masked_design(result)
-    design_fns = CircuitFunctions(design.circuit, mgr)
+    fns = CircuitFunctions(design.circuit, ctx.manager)
 
+    checks: list[CheckResult] = []
+    coverage: dict[str, Fraction] = {}
     for y, (pred_net, ind_net) in result.outputs.items():
         correct = ctx.functions[y]
-        pred = mask_fns[pred_net]
-        ind = mask_fns[ind_net]
+        pred = fns[pred_net]
+        ind = fns[ind_net]
         sigma = result.spcf.per_output[y]
-        masked = design_fns[design.output_map[y]]
+        masked_net = design.output_map[y]
+        masked = fns[masked_net]
 
-        violation = ind & (pred ^ correct)
         checks.append(
             _check_result(
-                CHECK_SOUNDNESS, y, violation, inputs,
+                CHECK_SOUNDNESS, y, ind & (pred ^ correct), inputs,
                 {y: correct, pred_net: pred, ind_net: ind},
                 "e=1 implies y~ = y",
             )
         )
-        violation = sigma - ind
         checks.append(
             _check_result(
-                CHECK_COVERAGE, y, violation, inputs,
+                CHECK_COVERAGE, y, sigma - ind, inputs,
                 {ind_net: ind},
                 "Sigma_y implies e=1",
             )
         )
-        violation = (masked ^ correct) - sigma
         checks.append(
             _check_result(
-                CHECK_EQUIVALENCE, y, violation, inputs,
-                {y: correct, design.output_map[y]: masked, ind_net: ind},
+                CHECK_EQUIVALENCE, y, (masked ^ correct) - sigma, inputs,
+                {y: correct, masked_net: masked, ind_net: ind},
                 "masked design = original off-SPCF",
             )
         )
-    return VerifyMaskReport(
-        circuit_name=result.circuit.name, checks=tuple(checks)
+        total = sigma.count(n)
+        coverage[y] = (
+            Fraction((sigma & ind).count(n), total) if total else Fraction(1)
+        )
+    return VerificationReport(
+        circuit_name=name, checks=tuple(checks), coverage=coverage
     )
 
 
@@ -200,9 +232,9 @@ def _check_result(
 
 def assert_verified(
     result: MaskingResult, design: MaskedDesign | None = None
-) -> VerifyMaskReport:
-    """Run :func:`verify_mask`; raise :class:`VerificationError` on failure."""
-    report = verify_mask(result, design=design)
+) -> VerificationReport:
+    """Run :func:`verify_masking`; raise :class:`VerificationError` on failure."""
+    report = verify_masking(result, design=design)
     if not report.ok:
         first = report.failures[0]
         witness = (

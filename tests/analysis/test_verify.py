@@ -1,21 +1,28 @@
 """Formal verification of masking circuits: proofs and counterexamples.
 
-Acceptance-critical: ``verify_mask`` proves ``e=1 ⟹ y~ = y`` and
-``Sigma_y ⟹ e`` by BDD equivalence on the Fig. 2 comparator and five
-builtin benchmarks, and reports a concrete counterexample pattern when run
-on a deliberately corrupted masking circuit.
+Acceptance-critical: ``verify_masking`` proves ``e=1 ⟹ y~ = y``,
+``Sigma_y ⟹ e`` and off-SPCF equivalence of the mux-patched design by BDD
+equivalence on the Fig. 2 comparator and five builtin benchmarks, and
+reports a concrete counterexample pattern for each theorem a deliberately
+corrupted masking circuit or design breaks.
 """
 
 import pytest
 
-from repro.analysis import assert_verified, verify_mask
-from repro.analysis.verify import (
+from repro.benchcircuits import circuit_by_name
+from repro.core import (
+    assert_verified,
+    build_masked_design,
+    mask_circuit,
+    synthesize_masking,
+    verify_masking,
+)
+from repro.core.integrate import MASKED_PREFIX
+from repro.core.verify import (
     CHECK_COVERAGE,
     CHECK_EQUIVALENCE,
     CHECK_SOUNDNESS,
 )
-from repro.benchcircuits import circuit_by_name
-from repro.core import build_masked_design, mask_circuit, synthesize_masking
 from repro.errors import VerificationError
 from repro.netlist.circuit import Gate
 
@@ -26,7 +33,7 @@ VERIFY_NAMES = ["comparator2", "cmb", "x2", "cu", "i1", "frg1"]
 @pytest.mark.parametrize("name", VERIFY_NAMES)
 def test_verify_mask_proves_all_three_theorems(name, lsi_lib):
     result = synthesize_masking(circuit_by_name(name, lsi_lib), lsi_lib)
-    report = verify_mask(result)
+    report = verify_masking(result)
     assert report.ok
     checks = {c.check for c in report.checks}
     assert checks == {CHECK_SOUNDNESS, CHECK_COVERAGE, CHECK_EQUIVALENCE}
@@ -49,7 +56,7 @@ def _corrupt_prediction(result, lib):
 def test_corrupted_prediction_yields_soundness_counterexample(lsi_lib):
     result = synthesize_masking(circuit_by_name("comparator2", lsi_lib), lsi_lib)
     _corrupt_prediction(result, lsi_lib)
-    report = verify_mask(result)
+    report = verify_masking(result)
     assert not report.ok
     failure = next(c for c in report.failures if c.check == CHECK_SOUNDNESS)
     cex = failure.counterexample
@@ -69,7 +76,7 @@ def test_corrupted_indicator_yields_coverage_counterexample(lsi_lib):
     _, ind_net = next(iter(result.outputs.values()))
     mc = result.masking_circuit
     mc.replace_gate(Gate(mc.gate(ind_net).name, lsi_lib.get("ZERO"), ()))
-    report = verify_mask(result)
+    report = verify_masking(result)
     assert not report.ok
     failure = next(c for c in report.failures if c.check == CHECK_COVERAGE)
     assert failure.counterexample is not None
@@ -77,6 +84,32 @@ def test_corrupted_indicator_yields_coverage_counterexample(lsi_lib):
     sigma = result.spcf.per_output[failure.output]
     assignment = dict(failure.counterexample.assignment)
     assert sigma.evaluate(assignment) is True
+    # The coverage fraction agrees with the failing check, and a dead
+    # indicator never masks, so it cannot be unsound.
+    assert report.coverage[failure.output] < 1
+    assert not report.full_coverage
+    assert report.sound
+
+
+def test_swapped_mux_yields_equivalence_counterexample(lsi_lib):
+    result = synthesize_masking(circuit_by_name("comparator2", lsi_lib), lsi_lib)
+    design = build_masked_design(result)
+    y, (pred_net, ind_net) = next(iter(result.outputs.items()))
+    masked_net = MASKED_PREFIX + y
+    mux = design.circuit.gate(masked_net)
+    assert mux.fanins == (ind_net, y, pred_net)
+    design.circuit.replace_gate(Gate(masked_net, mux.cell, (ind_net, pred_net, y)))
+    report = verify_masking(result, design=design)
+    assert not report.ok
+    failure = next(c for c in report.failures if c.check == CHECK_EQUIVALENCE)
+    assert failure.output == y
+    cex = failure.counterexample
+    assert cex is not None
+    # The witness lies outside Sigma_y and the patched output is wrong there.
+    sigma = result.spcf.per_output[y]
+    assert sigma.evaluate(dict(cex.assignment)) is False
+    observed = dict(cex.observed)
+    assert observed[masked_net] != observed[y]
 
 
 def test_assert_verified_raises_with_witness(lsi_lib):
@@ -91,14 +124,14 @@ def test_trivial_masking_verifies_vacuously(lsi_lib):
     result = synthesize_masking(
         circuit_by_name("comparator2", lsi_lib), lsi_lib, threshold=1.0
     )
-    report = verify_mask(result)
+    report = verify_masking(result)
     assert report.ok and report.checks == ()
 
 
 def test_report_to_dict_serializes_counterexample(lsi_lib):
     result = synthesize_masking(circuit_by_name("comparator2", lsi_lib), lsi_lib)
     _corrupt_prediction(result, lsi_lib)
-    payload = verify_mask(result).to_dict()
+    payload = verify_masking(result).to_dict()
     assert payload["verified"] is False
     failing = [c for c in payload["checks"] if not c["passed"]]
     assert failing and "counterexample" in failing[0]
@@ -107,21 +140,15 @@ def test_report_to_dict_serializes_counterexample(lsi_lib):
     assert all(v in (0, 1) for v in cex["assignment"].values())
 
 
-def test_pipeline_self_verify_attaches_formal_report(lsi_lib):
-    result = mask_circuit(
-        circuit_by_name("cmb", lsi_lib), lsi_lib, self_verify=True
-    )
-    assert result.formal is not None
-    assert result.formal.ok
-    assert result.report.sound
-
-
-def test_pipeline_without_self_verify_has_no_formal_report(lsi_lib):
+def test_pipeline_verification_holds_three_checks_per_output(lsi_lib):
     result = mask_circuit(circuit_by_name("cmb", lsi_lib), lsi_lib)
-    assert result.formal is None
+    verification = result.verification
+    assert verification.ok
+    assert len(verification.checks) == 3 * len(result.masking.outputs)
+    assert result.report.sound
 
 
 def test_verify_accepts_prebuilt_design(lsi_lib):
     result = synthesize_masking(circuit_by_name("x2", lsi_lib), lsi_lib)
     design = build_masked_design(result)
-    assert verify_mask(result, design=design).ok
+    assert verify_masking(result, design=design).ok

@@ -12,7 +12,7 @@ from repro.core import (
     synthesize_masking,
     verify_masking,
 )
-from repro.core.report import VerificationReport
+from repro.core.verify import VerificationReport
 from repro.netlist import lsi10k_like_library, unit_library
 from repro.sta import analyze
 
@@ -35,9 +35,10 @@ def test_verification_report(result):
 
 
 def test_verification_report_empty_coverage_is_full():
-    v = VerificationReport(sound=True, unsound_outputs=(), coverage={})
+    v = VerificationReport(circuit_name="empty", checks=(), coverage={})
     assert v.coverage_percent == 100.0
     assert v.full_coverage
+    assert v.ok and v.sound and not v.unsound_outputs
 
 
 def test_masking_delay_matches_sta(result):

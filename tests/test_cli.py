@@ -75,6 +75,28 @@ def test_mask_blif_input_roundtrip(capsys, tmp_path):
     assert "10/7" in out
 
 
+def test_mask_exits_1_on_an_equivalence_failure(capsys, monkeypatch):
+    """Sound and fully covering, yet a miswired output mux fails the run."""
+    from repro.core import pipeline
+    from repro.core.integrate import MASKED_PREFIX
+    from repro.netlist.circuit import Gate
+
+    build = pipeline.build_masked_design
+
+    def swapped_mux(masking):
+        design = build(masking)
+        mux = design.circuit.gate(MASKED_PREFIX + next(iter(masking.outputs)))
+        ind, original, pred = mux.fanins
+        design.circuit.replace_gate(Gate(mux.name, mux.cell, (ind, pred, original)))
+        return design
+
+    monkeypatch.setattr(pipeline, "build_masked_design", swapped_mux)
+    code, out, _ = run(capsys, "mask", "comparator2")
+    assert "sound              : True" in out
+    assert "masking coverage   : 100.0%" in out
+    assert code == 1
+
+
 def test_table1(capsys):
     code, out, _ = run(capsys, "table1")
     assert code == 0
