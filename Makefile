@@ -42,8 +42,10 @@ lint-py:
 		&& ruff check src tests \
 		|| echo "ruff not installed; skipping python lint"
 
-# Strict type-checking of the analysis package (config in pyproject.toml,
-# [tool.mypy]).  Optional: skipped with a notice when mypy is not installed.
+# Strict type-checking of the files listed in pyproject.toml [tool.mypy]:
+# the analysis, SPCF and BDD packages, the masking proof (core/verify.py)
+# and switching power (synth/power.py).  Optional: skipped with a notice
+# when mypy is not installed.
 typecheck:
 	@command -v mypy >/dev/null 2>&1 \
 		&& mypy \

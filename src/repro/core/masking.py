@@ -10,7 +10,9 @@ Pipeline implemented by :class:`MaskingSynthesizer`:
    independent, so cached per circuit content, library and bounds),
 3. for every node in the fanin cone of a critical output, select the cubes
    of its on-set/off-set SOPs by essential weight against ``Sigma`` → reduced
-   covers ``n^1`` / ``n^0`` (:mod:`repro.core.cubeselect`),
+   covers ``n^1`` / ``n^0`` (:mod:`repro.core.cubeselect`); the global
+   functions of a node and its fanins are read from the SPCF context's map
+   (collapse keeps net names and functions), not rebuilt from ``T``,
 4. form the prediction ``n~`` (the cheaper of ``n^1`` and ``NOT n^0``) and
    the indicator ``e_n = n^0 | n^1`` (the paper's XOR — the covers are
    disjoint), re-extract ``e_n`` as an ISOP and simplify it again by
@@ -96,10 +98,11 @@ _collapse_cache: LRUCache[TechNetwork] = LRUCache(COLLAPSE_CACHE_SIZE)
 MANAGER_CACHE_SIZE = 1
 
 #: One BDD manager per circuit content (:func:`_circuit_key`), shared by
-#: every default :class:`MaskingSynthesizer` run on that circuit: the SPCF,
-#: the technet's global functions, the care-set relations, verification and
-#: power all land in one node store, so a later threshold rebuilds its
-#: functions through computed-table hits.  Every count taken in it is exact
+#: every default :class:`MaskingSynthesizer` run on that circuit: the SPCF
+#: context's global functions (which masking, verification and power read),
+#: the care-set relations and the masked design's functions all land in one
+#: node store, so a later threshold rebuilds its functions through
+#: computed-table hits.  Every count taken in it is exact
 #: and over the primary inputs, which come first in its order, so sharing
 #: changes no result.  The key also holds whether observability was on, as a
 #: manager fixes its op counting when it is created.  An explicit
@@ -267,9 +270,13 @@ class MaskingSynthesizer:
                     )
                     _collapse_cache.put(key, collapsed)
                 technet = collapsed.copy()
-                tfns = technet.global_functions(ctx.manager)
                 if _METER.enabled:
                     collapse_span.set(nodes=sum(1 for _ in technet.topo_order()))
+
+            # Collapse keeps net names and functions, and BDDs are
+            # canonical, so a node's global function is its net's in the
+            # SPCF context's map.
+            tfns = ctx.functions
 
             # Sigma per node: union of the SPCFs of the critical outputs whose
             # fanin cone contains the node ("all outputs simultaneously").

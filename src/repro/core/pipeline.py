@@ -8,7 +8,7 @@ from repro import obs
 from repro.core.integrate import MaskedDesign, build_masked_design
 from repro.core.masking import MaskingResult, synthesize_masking
 from repro.core.report import OverheadReport, overhead_report
-from repro.core.verify import VerificationReport, verify_masking
+from repro.core.verify import VerificationReport, design_functions, verify_masking
 from repro.netlist.circuit import Circuit
 from repro.netlist.library import Library
 
@@ -67,11 +67,19 @@ def mask_circuit(
         )
         with _TRACER.span("core.integrate"):
             design = build_masked_design(masking)
+        # One global-function map for the proof and power, on top of the
+        # SPCF context's: no gate of the run is built twice.
+        functions = design_functions(masking, design)
         with _TRACER.span("core.verify"):
-            verification = verify_masking(masking, design=design)
+            verification = verify_masking(
+                masking, design=design, functions=functions
+            )
         with _TRACER.span("core.overhead_report"):
             report = overhead_report(
-                masking, design=design, verification=verification
+                masking,
+                design=design,
+                verification=verification,
+                functions=functions,
             )
     return PipelineResult(
         masking=masking,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from repro.core.integrate import MaskedDesign, build_masked_design
 from repro.core.masking import MaskingResult
-from repro.core.verify import VerificationReport, verify_masking
+from repro.core.verify import VerificationReport, design_functions, verify_masking
+from repro.spcf.timedfunc import CircuitFunctions
 from repro.sta.timing import analyze
 from repro.synth.power import switching_power
 
@@ -93,16 +94,22 @@ def overhead_report(
     result: MaskingResult,
     design: MaskedDesign | None = None,
     verification: VerificationReport | None = None,
+    functions: CircuitFunctions | None = None,
 ) -> OverheadReport:
     """Compute the paper's Table-2 metrics for one synthesized circuit.
 
-    Power is built into ``result.context.manager``, so that manager grows by
-    the power functions of the original and the masked design.
+    ``functions`` is ``design``'s :func:`~repro.core.verify.design_functions`
+    map; like ``design`` and ``verification`` it is built on demand when
+    not supplied.  Power reads the original circuit's functions from the
+    SPCF context's map and the design's from ``functions``, so
+    ``result.context.manager`` grows only by what those maps still lack.
     """
     if design is None:
         design = build_masked_design(result)
+    if functions is None:
+        functions = design_functions(result, design)
     if verification is None:
-        verification = verify_masking(result, design=design)
+        verification = verify_masking(result, design=design, functions=functions)
     original = result.circuit
     delta = result.context.report.critical_delay
     mask_delay = masking_delay(result)
@@ -114,12 +121,11 @@ def overhead_report(
     mask_area = result.masking_circuit.area() + mux_area
     orig_area = original.area()
 
-    # Both calls build into the run's manager, so the second finds the
-    # original gates' functions and counts already there.  SpcfContext put
-    # the inputs on its first levels, which is all power needs.
-    mgr = result.context.manager
-    orig_power = switching_power(original, manager=mgr)
-    combined_power = switching_power(design.circuit, manager=mgr)
+    # The design map reads the original nets from the context's map, so the
+    # second call builds only the masking and mux nets.  SpcfContext put the
+    # inputs on its manager's first levels, which is all power needs.
+    orig_power = switching_power(original, functions=result.context.functions)
+    combined_power = switching_power(design.circuit, functions=functions)
     mask_power = combined_power - orig_power
 
     union_count = result.spcf.count() if result.outputs else 0

@@ -150,15 +150,31 @@ class VerificationReport:
         }
 
 
+def design_functions(
+    result: MaskingResult, design: MaskedDesign
+) -> CircuitFunctions:
+    """Global functions of ``design``'s nets on the run's manager.
+
+    The original nets are read from the SPCF context's map (the design
+    copies the original gates unchanged), so only the masking circuit's
+    nets and the output muxes are built.
+    """
+    ctx = result.context
+    return CircuitFunctions(design.circuit, ctx.manager, base=ctx.functions)
+
+
 def verify_masking(
-    result: MaskingResult, design: MaskedDesign | None = None
+    result: MaskingResult,
+    design: MaskedDesign | None = None,
+    functions: CircuitFunctions | None = None,
 ) -> VerificationReport:
     """Prove the soundness/coverage/equivalence theorems for ``result``.
 
-    ``design`` is the integrated mux-patched circuit; it is built on demand
-    when not supplied.  Its one global-function map serves all three checks
-    (the masking circuit's nets keep their names in it).  Every check is
-    complete (BDD equivalence, not simulation), and every failure carries a
+    ``design`` is the integrated mux-patched circuit and ``functions`` its
+    :func:`design_functions` map; each is built on demand when not
+    supplied.  That one map serves all three checks (the masking circuit's
+    nets keep their names in it).  Every check is complete (BDD
+    equivalence, not simulation), and every failure carries a
     counterexample pattern.
     """
     name = result.circuit.name
@@ -169,7 +185,7 @@ def verify_masking(
     n = len(inputs)
     if design is None:
         design = build_masked_design(result)
-    fns = CircuitFunctions(design.circuit, ctx.manager)
+    fns = design_functions(result, design) if functions is None else functions
 
     checks: list[CheckResult] = []
     coverage: dict[str, Fraction] = {}

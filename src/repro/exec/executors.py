@@ -466,11 +466,13 @@ class _WorkerHandle:
     def _drain_stderr(self) -> None:
         stream = self.proc.stderr
         assert stream is not None
-        for raw in stream:
-            try:
+        # The pipe may close mid-read; the thread then ends quietly and
+        # keeps the lines read so far.
+        try:
+            for raw in stream:
                 self._stderr_tail.append(raw.decode("utf-8", "replace"))
-            except Exception:  # pragma: no cover - drain must never raise
-                return
+        except (OSError, ValueError):
+            return
 
     @property
     def pid(self) -> int:

@@ -77,20 +77,40 @@ class CircuitFunctions(dict[str, Function]):
     cone is still missing, in topological order on an explicit stack: no
     Python recursion per gate, so a cone of any depth builds.  This is the
     one place a gate's cell expression becomes a BDD.
+
+    With a ``base`` map on the same manager, every net of ``base.circuit``
+    is read from ``base`` (and built there if it is missing) instead of
+    being built again, so only the nets ``circuit`` adds are built here.
+    The precondition is that ``circuit`` drives those nets with the same
+    gates, as :func:`repro.core.integrate.build_masked_design` guarantees:
+    it copies the original gates unchanged and raises on a name collision.
     """
 
-    def __init__(self, circuit: Circuit, manager: BddManager) -> None:
+    def __init__(
+        self,
+        circuit: Circuit,
+        manager: BddManager,
+        base: CircuitFunctions | None = None,
+    ) -> None:
         super().__init__()
+        if base is not None and base.manager is not manager:
+            raise SpcfError("a base function map must share the manager")
         self.circuit = circuit
         self.manager = manager
+        self.base = base
 
     def __missing__(self, net: str) -> Function:
         circuit = self.circuit
         gates = circuit.gates
+        base = self.base
         expanded: set[str] = set()
         stack = [net]
         while stack:
             name = stack[-1]
+            if base is not None and base.circuit.has_net(name):
+                self[name] = base[name]
+                stack.pop()
+                continue
             gate = gates.get(name)
             if gate is None:
                 if not circuit.is_input(name):
@@ -151,7 +171,7 @@ class SpcfContext:
                 if net not in known:
                     manager.add_var(net)
         self.manager = manager
-        self.functions: dict[str, Function] = CircuitFunctions(circuit, manager)
+        self.functions = CircuitFunctions(circuit, manager)
         # Memo tables for the timed characteristic functions, on BDD edges.
         self._stable_memo: dict[tuple[str, int], tuple[int, int]] = {}
         self._late_memo: dict[tuple[str, int], int] = {}

@@ -10,9 +10,12 @@ cones).
 Only *relative* power matters for the paper's Table 2 (overhead of the
 masking circuit versus the original), which this model captures.
 
-Probabilities are built in a fresh manager unless given one whose first
-levels hold the circuit's inputs, in any order (see
-:data:`repro.core.masking._manager_cache`).
+Probabilities are read from a given global-function map
+(:class:`~repro.spcf.timedfunc.CircuitFunctions` of the circuit) whose
+manager's first levels hold the circuit's inputs, in any order: a masking
+run passes its SPCF context's map for the original circuit and the masked
+design's map (built on it) for the design, so no gate is built twice.
+Without a map, a fresh one is built in a fresh manager.
 """
 
 from __future__ import annotations
@@ -26,36 +29,36 @@ from repro.spcf.timedfunc import CircuitFunctions
 
 
 def signal_probabilities_bdd(
-    circuit: Circuit, manager: BddManager | None = None
+    circuit: Circuit, functions: CircuitFunctions | None = None
 ) -> dict[str, Fraction]:
     """Exact probability of each net being 1 under uniform random inputs.
 
-    ``manager``'s first ``len(circuit.inputs)`` levels must hold the
-    circuit's inputs, in any order, as counts are taken over those levels.
+    ``functions`` must map ``circuit``'s nets, and its manager's first
+    ``len(circuit.inputs)`` levels must hold the circuit's inputs, in any
+    order, as counts are taken over those levels.
     """
     n = len(circuit.inputs)
-    if manager is None:
-        mgr = BddManager(circuit.inputs)
-    elif set(manager.var_names[:n]) != set(circuit.inputs):
+    if functions is None:
+        functions = CircuitFunctions(circuit, BddManager(circuit.inputs))
+    elif set(functions.manager.var_names[:n]) != set(circuit.inputs):
         raise SimulationError(
             f"BDD manager does not hold the inputs of {circuit.name!r} first"
         )
-    else:
-        mgr = manager
-    fns = CircuitFunctions(circuit, mgr)
     probs: dict[str, Fraction] = {net: Fraction(1, 2) for net in circuit.inputs}
     for name in circuit.topo_order():
-        fn = fns[name]
+        fn = functions[name]
         probs[name] = Fraction(fn.count(n), 1 << n) if n else Fraction(int(fn.is_true))
     return probs
 
 
-def switching_power(circuit: Circuit, manager: BddManager | None = None) -> float:
+def switching_power(
+    circuit: Circuit, functions: CircuitFunctions | None = None
+) -> float:
     """Total switching power: ``sum(load_cap * 2 p (1-p))`` over gate outputs.
 
-    ``manager`` is passed to :func:`signal_probabilities_bdd`.
+    ``functions`` is passed to :func:`signal_probabilities_bdd`.
     """
-    probs = signal_probabilities_bdd(circuit, manager=manager)
+    probs = signal_probabilities_bdd(circuit, functions=functions)
     total = 0.0
     for name, gate in circuit.gates.items():
         p = float(probs[name])

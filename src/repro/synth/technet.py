@@ -197,7 +197,12 @@ class TechNetwork:
         return cone
 
     def global_functions(self, mgr: BddManager) -> dict[str, Function]:
-        """BDD of every net over the primary inputs."""
+        """BDD of every net over the primary inputs, built from the covers.
+
+        Masking reads the SPCF context's gate-level map instead (collapse
+        keeps net names and functions); this cover walk is the independent
+        reference that checks that fact.
+        """
         for net in self.inputs:
             mgr.ensure_var(net)
         fns: dict[str, Function] = {net: mgr.var(net) for net in self.inputs}

@@ -20,6 +20,7 @@ from repro.benchcircuits import circuit_by_name
 from repro.core.masking import synthesize_masking
 from repro.core.pipeline import mask_circuit
 from repro.core.report import overhead_report
+from repro.core.verify import design_functions
 from repro.netlist import lsi10k_like_library
 from repro.spcf.timedfunc import SpcfContext
 from repro.synth.power import switching_power
@@ -142,6 +143,10 @@ def test_overhead_report_on_a_manager_with_other_vars_first():
 def test_power_in_the_shared_manager_equals_a_fresh_one(name):
     circuit = circuit_by_name(name, LSI)
     result = mask_circuit(circuit, LSI)
-    mgr = result.masking.context.manager
-    for c in (circuit, result.design.circuit):
-        assert switching_power(c, manager=mgr) == switching_power(c)
+    design_map = design_functions(result.masking, result.design)
+    pairs = (
+        (circuit, result.masking.context.functions),
+        (result.design.circuit, design_map),
+    )
+    for c, fns in pairs:
+        assert switching_power(c, functions=fns) == switching_power(c)

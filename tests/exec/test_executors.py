@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
+from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.exec import (
     make_executor,
     validated_jobs,
 )
+from repro.exec.executors import _WorkerHandle
 
 NO_BACKOFF = RetryPolicy(max_retries=3, backoff_base=0.0, backoff_jitter=0.0)
 
@@ -329,6 +333,29 @@ class TestWorkerStartup:
         assert respawns["backend=process,outcome=spawn-failed"] == (
             NO_BACKOFF.max_retries + 1
         )
+
+
+class TestStderrDrain:
+    """The drain thread outlives a stderr pipe that closes mid-read."""
+
+    def test_pipe_closing_mid_read_keeps_the_lines_read(self, monkeypatch):
+        def closing_stream():
+            yield b"first line\n"
+            yield b"second line\n"
+            raise ValueError("I/O operation on closed file")
+
+        unhandled = []
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        handle = _WorkerHandle.__new__(_WorkerHandle)  # no subprocess
+        handle.proc = SimpleNamespace(stderr=closing_stream())
+        handle._stderr_tail = deque(maxlen=50)
+        drain = threading.Thread(target=handle._drain_stderr)
+        drain.start()
+        drain.join(timeout=10)
+        assert not drain.is_alive()
+        assert unhandled == []
+        assert list(handle._stderr_tail) == ["first line\n", "second line\n"]
+        assert handle.stderr_tail() == "second line"
 
 
 class TestObservability:

@@ -40,7 +40,8 @@ def test_global_functions_match_simulation():
         ctx = SpcfContext(c)
         _assert_functions_match(c, ctx.functions, exhaustive_patterns(c.inputs))
     # The masking circuit and the mux-patched design, built on the run's
-    # manager as verification and power build them.
+    # manager, the design also as verification and power build it: on top
+    # of the context's map.
     lib = lsi10k_like_library()
     for name in ("comparator2", "cmb"):
         result = synthesize_masking(circuit_by_name(name, lib), lib)
@@ -54,6 +55,10 @@ def test_global_functions_match_simulation():
         for c in (result.masking_circuit, design.circuit):
             assert c.num_gates > 0
             _assert_functions_match(c, CircuitFunctions(c, mgr), patterns)
+        on_context = CircuitFunctions(
+            design.circuit, mgr, base=result.context.functions
+        )
+        _assert_functions_match(design.circuit, on_context, patterns)
 
 
 def test_circuit_functions_reject_unknown_nets_and_loops():
@@ -65,6 +70,8 @@ def test_circuit_functions_reject_unknown_nets_and_loops():
     assert fns["g"] == ~mgr.var("a")
     with pytest.raises(SpcfError):
         fns["nope"]
+    with pytest.raises(SpcfError):  # a base map must share the manager
+        CircuitFunctions(c, BddManager(["a"]), base=fns)
     loop = Circuit("loop", inputs=("a",), outputs=("p",))
     and2 = unit_library().get("AND2")
     loop.add_gate("p", and2, ("a", "q"))

@@ -9,6 +9,7 @@ from repro.benchcircuits import comparator2
 from repro.errors import SimulationError
 from repro.netlist import Circuit, unit_library
 from repro.sim import exhaustive_patterns, simulate
+from repro.spcf.timedfunc import CircuitFunctions
 from repro.synth import signal_probabilities_bdd, switching_power
 
 LIB = unit_library()
@@ -68,9 +69,11 @@ def test_given_manager_must_order_the_inputs_first():
     c = comparator2()
     fresh = signal_probabilities_bdd(c)
     for names in (c.inputs + ("extra",), c.inputs[::-1]):
-        mgr = BddManager(names)
-        assert signal_probabilities_bdd(c, manager=mgr) == fresh
-        assert switching_power(c, manager=mgr) == switching_power(c)
+        fns = CircuitFunctions(c, BddManager(names))
+        assert signal_probabilities_bdd(c, functions=fns) == fresh
+        assert switching_power(c, functions=fns) == switching_power(c)
     for names in (("extra",) + c.inputs, c.inputs[:-1]):
         with pytest.raises(SimulationError):
-            signal_probabilities_bdd(c, manager=BddManager(names))
+            signal_probabilities_bdd(
+                c, functions=CircuitFunctions(c, BddManager(names))
+            )
