@@ -1,27 +1,21 @@
 # Developer entry points. `make check` is the CI gate: tier-1 tests, the
-# warning-level lint sweep over every builtin benchmark, the
-# abstract-interpretation sweep, the campaign crash/quarantine/resume
-# smoke drill, the independent masking verifier, the multi-root SPCF
-# speedup gate, and the lift/collapse golden-network check.
+# warning-level lint sweep over every builtin benchmark, the campaign
+# crash/quarantine/resume smoke drill, the independent masking verifier,
+# the multi-root SPCF speedup gate, and the lift/collapse golden-network
+# check.
 
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test lint-circuits analyze campaign-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf bench-collapse e2e-check
+.PHONY: check test lint-circuits campaign-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf bench-collapse e2e-check
 
-check: test lint-circuits analyze campaign-smoke verify-mask bench-spcf bench-collapse
+check: test lint-circuits campaign-smoke verify-mask bench-spcf bench-collapse
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
 lint-circuits:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro lint all --fail-on warning
-
-# Abstract-interpretation sweep (ABS001-ABS008) over every builtin
-# benchmark.  Errors here mean an internal-consistency bug (interval vs.
-# STA, or a hazard escaping Sigma_y), so the gate is --fail-on error.
-analyze:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro analyze all --fail-on error
 
 # End-to-end campaign drill: worker SIGKILL absorbed by retry, a persistent
 # crasher quarantined, and resume reproducing the baseline byte-for-byte.

@@ -12,7 +12,7 @@ The package is organized bottom-up:
 * :mod:`repro.synth` — technology-independent networks, decomposition, mapping.
 * :mod:`repro.core` — error-masking synthesis (the paper's contribution)
   and the BDD proof of its invariants.
-* :mod:`repro.analysis` — netlist lint + abstract interpretation.
+* :mod:`repro.analysis` — netlist lint and diagnostic reporting.
 * :mod:`repro.campaign` — resilient fault-injection campaigns (checkpoint/resume).
 * :mod:`repro.apps` — wearout prediction and debug trace capture.
 * :mod:`repro.benchcircuits` — benchmark circuits and generators.

@@ -1,29 +1,18 @@
-"""repro.analysis — circuit lint and abstract interpretation.
+"""repro.analysis — circuit lint.
 
-Two correctness tools on top of the netlist, engine, and BDD layers:
-
-* the **linter** (:func:`lint_circuit`) — rule-based structural checks with
-  stable rule ids (``LINT001`` combinational-loop ... ``LINT007``
-  constant-output) emitting structured :class:`Diagnostic` records,
-* the **abstract interpreter** (:mod:`repro.analysis.absint`) — fixpoint
-  passes over the compiled IR (``ABS001`` ... ``ABS008``): Kleene-ternary
-  hazard proofs with event-simulator replays, arrival-interval
-  certification cross-checked against STA, X-observability, and the
-  machine-checked Eqn. 1 / SPCF soundness audit.
-
-Both emit through the same :class:`Diagnostic`/report pipeline, with
-baseline suppression (:mod:`repro.analysis.baseline`) and text / JSON /
-SARIF 2.1.0 rendering (:mod:`repro.analysis.sarif`).  The reporters also
-render the masking proof of :func:`repro.core.verify.verify_masking`
+The **linter** (:func:`lint_circuit`) runs rule-based structural checks on
+top of the netlist, engine, and BDD layers, with stable rule ids
+(``LINT001`` combinational-loop ... ``LINT007`` constant-output), and emits
+structured :class:`Diagnostic` records.  Reports support baseline
+suppression (:mod:`repro.analysis.baseline`) and text / JSON / SARIF 2.1.0
+rendering (:mod:`repro.analysis.sarif`).  The reporters also render the
+masking proof of :func:`repro.core.verify.verify_masking`
 (:func:`render_verify_text`, :func:`render_verify_json`).
 
 Quickstart::
 
     from repro.analysis import lint_circuit
-    from repro.analysis.absint import analyze_circuit
     for diag in lint_circuit(circuit):
-        print(diag.render())
-    for diag in analyze_circuit(circuit):
         print(diag.render())
 """
 

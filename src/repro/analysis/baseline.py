@@ -4,9 +4,9 @@ A baseline freezes the *current* findings of a codebase so CI fails only on
 regressions: ``--write-baseline`` records every finding's fingerprint
 (:meth:`Diagnostic.fingerprint` — rule + circuit + location + message, so
 re-wording hints or enriching evidence payloads never un-suppresses), and
-``--baseline`` filters those fingerprints out of later runs.  Works
-identically for lint (``LINT...``) and absint (``ABS...``) diagnostics —
-both flow through the same :class:`Diagnostic` pipeline.
+``--baseline`` filters those fingerprints out of later runs.  Any
+:class:`Diagnostic` can be baselined; ``repro lint`` is the command that
+exposes both flags.
 
 File format (JSON, versioned)::
 

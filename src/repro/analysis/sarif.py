@@ -1,11 +1,11 @@
 """SARIF 2.1.0 rendering of diagnostic reports.
 
 SARIF (Static Analysis Results Interchange Format, OASIS standard) is what
-code-scanning UIs ingest; one ``run`` per invocation with the rule metadata
-of both registries (lint + absint) in the tool's driver, one ``result`` per
-diagnostic.  Circuits have no files, so findings carry *logical* locations
-(``circuit/net``) — viewers that require physical locations fall back to
-the artifact-free form the standard explicitly allows.
+code-scanning UIs ingest; one ``run`` per invocation with the lint rule
+metadata in the tool's driver, one ``result`` per diagnostic.  Circuits
+have no files, so findings carry *logical* locations (``circuit/net``) —
+viewers that require physical locations fall back to the artifact-free
+form the standard explicitly allows.
 
 Severity maps onto SARIF levels as ``info -> note``, ``warning ->
 warning``, ``error -> error``; every result also carries the stable
@@ -19,6 +19,7 @@ import json
 from typing import Mapping
 
 from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
+from repro.analysis.rules import RULE_REGISTRY
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -37,22 +38,16 @@ _LEVELS = {
 
 
 def _rule_metadata() -> list[dict]:
-    """Driver rule descriptors: every registered lint and absint rule."""
-    from repro.analysis.absint.passes import PASS_REGISTRY
-    from repro.analysis.rules import RULE_REGISTRY
-
-    rules = []
-    for rule_id in sorted(set(RULE_REGISTRY) | set(PASS_REGISTRY)):
-        entry = RULE_REGISTRY.get(rule_id) or PASS_REGISTRY[rule_id]
-        rules.append(
-            {
-                "id": rule_id,
-                "name": entry.name,
-                "shortDescription": {"text": entry.description},
-                "defaultConfiguration": {"level": _LEVELS[entry.severity]},
-            }
-        )
-    return rules
+    """Driver rule descriptors: every registered lint rule."""
+    return [
+        {
+            "id": rule_id,
+            "name": entry.name,
+            "shortDescription": {"text": entry.description},
+            "defaultConfiguration": {"level": _LEVELS[entry.severity]},
+        }
+        for rule_id, entry in sorted(RULE_REGISTRY.items())
+    ]
 
 
 def _result(diag: Diagnostic) -> dict:

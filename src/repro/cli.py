@@ -8,8 +8,6 @@ Usage (installed as ``python -m repro``)::
     python -m repro mask C432 --out masked.blif --mask-out mask.blif
     python -m repro lint C432 --format json
     python -m repro lint all --fail-on warning --baseline lint.baseline.json
-    python -m repro analyze comparator2
-    python -m repro analyze all --format sarif --out analysis.sarif
     python -m repro verify-mask cmb
     python -m repro table1
     python -m repro table2 --circuits cmb x2 cu
@@ -33,10 +31,10 @@ snapshot (Prometheus text for ``.prom``/``.txt``, else JSON) on exit.
 Circuits are named benchmarks from :mod:`repro.benchcircuits` or paths to
 BLIF files (``.gate`` netlists are read against the chosen library).
 
-Exit codes (``lint`` and ``analyze``): 0 — clean, 1 — diagnostics at or
-above ``--fail-on``, 2 — the tool itself failed (bad arguments, unreadable
-input, internal error).  Other subcommands use 0/1 for pass/fail and 2 for
-tool failure.
+Exit codes (``lint``): 0 — clean, 1 — diagnostics at or above
+``--fail-on``, 2 — the tool itself failed (bad arguments, unreadable input,
+internal error).  Other subcommands use 0/1 for pass/fail and 2 for tool
+failure.
 """
 
 from __future__ import annotations
@@ -77,14 +75,12 @@ from repro.analysis import (
     load_baseline,
     render_json,
     render_json_many,
-    render_sarif,
     render_text,
     render_text_many,
     render_verify_json,
     render_verify_text,
     write_baseline,
 )
-from repro.analysis.absint import AbsintConfig, analyze_circuit, analyze_suite
 from repro.core import mask_circuit, synthesize_masking, verify_masking
 from repro.errors import BlifError, CampaignError, ReproError
 from repro.exec import available_backends, default_worker_count
@@ -243,21 +239,20 @@ def cmd_mask(args: argparse.Namespace) -> int:
     return 0 if result.verification.ok else 1
 
 
-def _finish_reports(reports: dict, args: argparse.Namespace) -> tuple[dict, int]:
-    """Shared baseline plumbing of ``lint`` and ``analyze``.
+def _finish_reports(reports: dict, args: argparse.Namespace) -> dict:
+    """Baseline plumbing of ``lint``.
 
     Writes the baseline first (so ``--write-baseline`` records *all* current
     findings), then filters through ``--baseline``; returns the filtered
-    reports and the suppressed count.
+    reports.
     """
-    if getattr(args, "write_baseline", None):
+    if args.write_baseline:
         n = write_baseline(args.write_baseline, reports)
         print(
             f"baseline with {n} finding(s) written to {args.write_baseline}",
             file=sys.stderr,
         )
-    suppressed = 0
-    if getattr(args, "baseline", None):
+    if args.baseline:
         reports, suppressed = apply_baseline_many(
             reports, load_baseline(args.baseline)
         )
@@ -266,14 +261,12 @@ def _finish_reports(reports: dict, args: argparse.Namespace) -> tuple[dict, int]
                 f"{suppressed} baselined finding(s) suppressed",
                 file=sys.stderr,
             )
-    return reports, suppressed
+    return reports
 
 
 def _emit_reports(reports: dict, args: argparse.Namespace, fail_on: Severity) -> int:
     """Render reports in the chosen format and derive the exit code."""
-    if args.format == "sarif":
-        text = render_sarif(reports)
-    elif args.format == "json":
+    if args.format == "json":
         if len(reports) == 1 and args.circuit != "all":
             text = render_json(next(iter(reports.values())))
         else:
@@ -283,14 +276,7 @@ def _emit_reports(reports: dict, args: argparse.Namespace, fail_on: Severity) ->
             text = render_text(next(iter(reports.values())))
         else:
             text = render_text_many(reports)
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(
-            text if text.endswith("\n") else text + "\n", encoding="utf-8"
-        )
-        print(f"report written to {out}", file=sys.stderr)
-    else:
-        print(text)
+    print(text)
     ok = all(r.ok(fail_on) for r in reports.values())
     return EXIT_OK if ok else EXIT_FINDINGS
 
@@ -312,38 +298,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 _load_circuit(args.circuit, library, validate=False), config
             )
         }
-    reports, _ = _finish_reports(reports, args)
-    return _emit_reports(reports, args, fail_on)
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    library = builtin_library(args.library)
-    config = AbsintConfig(
-        threshold=args.threshold,
-        target=args.target,
-        seed=args.seed,
-        samples=args.samples,
-        replay_budget=args.replay_budget,
-        report_potential=args.report_potential,
-        select=frozenset(args.select) if args.select else None,
-        ignore=frozenset(args.ignore or ()),
-    )
-    # Resolve --select/--ignore eagerly: an unknown pass id must be a usage
-    # error (exit 2, naming the known passes) before any circuit loads, not
-    # a failure halfway through an `all` sweep.
-    config.active_passes()
-    fail_on = Severity.from_name(args.fail_on)
-    if args.circuit == "all":
-        reports = analyze_suite(library, config)
-    else:
-        # validate=False: a broken netlist yields ABS001 findings, not a
-        # loader exception.
-        reports = {
-            args.circuit: analyze_circuit(
-                _load_circuit(args.circuit, library, validate=False), config
-            )
-        }
-    reports, _ = _finish_reports(reports, args)
+    reports = _finish_reports(reports, args)
     return _emit_reports(reports, args, fail_on)
 
 
@@ -584,14 +539,11 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"observability     : {obs_state}"
           + (f" (via {', '.join(sources)})" if sources else ""))
     print(f"library (selected): {args.library}")
-    from repro.analysis.absint import PASS_REGISTRY
     from repro.analysis.rules import RULE_REGISTRY
 
     print("analysis rules    :")
     for rid, rule in sorted(RULE_REGISTRY.items()):
         print(f"  {rid}  {rule.name:24s} [{rule.severity}] {rule.description}")
-    for pid, pss in sorted(PASS_REGISTRY.items()):
-        print(f"  {pid}  {pss.name:24s} [{pss.severity}] {pss.description}")
     return 0
 
 
@@ -700,43 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_baseline_options(p)
     p.set_defaults(func=cmd_lint)
-
-    p = sub.add_parser(
-        "analyze",
-        help="abstract-interpretation proofs over the compiled IR "
-        "(ABS001-ABS008)",
-        epilog=_EXIT_CODE_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        parents=[obs_parent],
-    )
-    p.add_argument("circuit", help="benchmark name, .blif path, or 'all'")
-    p.add_argument("--format", default="text", choices=("text", "json", "sarif"))
-    p.add_argument(
-        "--fail-on",
-        default="error",
-        choices=("info", "warning", "error"),
-        help="lowest severity that makes the exit code 1",
-    )
-    p.add_argument("--threshold", type=float, default=0.9,
-                   help="speed-path threshold fraction (paper's Delta_y)")
-    p.add_argument("--target", type=int, default=None,
-                   help="explicit target arrival time (overrides --threshold)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled transition classes and vectors")
-    p.add_argument("--samples", type=int, default=128,
-                   help="transition classes sampled above the exhaustive cap")
-    p.add_argument("--replay-budget", type=int, default=512,
-                   help="total event-simulator replays confirming hazards")
-    p.add_argument("--report-potential", action="store_true",
-                   help="also report X verdicts without a replayed witness "
-                   "(ABS006)")
-    p.add_argument("--select", nargs="*", metavar="PASS",
-                   help="run only these pass ids or names")
-    p.add_argument("--ignore", nargs="*", metavar="PASS",
-                   help="pass ids or names to skip")
-    p.add_argument("--out", help="write the report to a file (any format)")
-    add_baseline_options(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(
         "verify-mask",

@@ -12,7 +12,6 @@ lowering.
 from repro.engine.ir import (
     CompiledCircuit,
     cell_prime_tables,
-    cell_ternary_function,
     cell_word_function,
     compile_circuit,
     compile_program,
@@ -20,12 +19,7 @@ from repro.engine.ir import (
     patterns_to_words,
     run_program,
 )
-from repro.engine.words import (
-    eval_ternary_words,
-    eval_words,
-    evaluate_ternary_words,
-    evaluate_words,
-)
+from repro.engine.words import eval_words, evaluate_words
 
 __all__ = [
     "CompiledCircuit",
@@ -33,12 +27,9 @@ __all__ = [
     "compile_program",
     "run_program",
     "cell_word_function",
-    "cell_ternary_function",
     "cell_prime_tables",
     "pack_input_words",
     "patterns_to_words",
     "eval_words",
-    "eval_ternary_words",
     "evaluate_words",
-    "evaluate_ternary_words",
 ]

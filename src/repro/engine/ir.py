@@ -154,84 +154,6 @@ def cell_word_function(cell: Cell) -> Callable[..., int]:
     return func
 
 
-_ternary_cache: LRUCache[Callable[..., tuple[int, int]]] = LRUCache(
-    CELL_CACHE_SIZE
-)
-
-
-def cell_ternary_function(cell: Cell) -> Callable[..., tuple[int, int]]:
-    """The generated dual-rail Kleene word function of ``cell`` (cached).
-
-    Signature ``f(mask, h0, l0, h1, l1, ...) -> (h, l)``.  Each pin carries
-    two rails: ``h`` ("the value can be 1") and ``l`` ("the value can be 0"),
-    so per bit position the encodings are ``(1, 0)`` = 1, ``(0, 1)`` = 0 and
-    ``(1, 1)`` = X (unknown / in transition).  The rails compose per
-    connective with Kleene's strong three-valued semantics::
-
-        NOT  (h, l)            -> (l, h)
-        AND  (h1, l1), (h2, l2) -> (h1 & h2, l1 | l2)
-        OR   (h1, l1), (h2, l2) -> (h1 | h2, l1 & l2)
-        XOR  ...                -> ((h1 & l2) | (l1 & h2), (h1 & h2) | (l1 & l2))
-
-    Like :func:`cell_word_function`, the generated source uses only ``&``,
-    ``|`` and ``mask``.  Evaluation is compositional
-    over the cell's expression tree (SSA-style temporaries, linear size), a
-    sound over-approximation of the natural ternary extension of the cell
-    function: an X that the natural extension would mask can survive (e.g.
-    ``x & ~x`` on X inputs yields X, not 0), but a 0/1 verdict is always
-    exact.
-    """
-    key = cell._key
-    func = _ternary_cache.get(key)
-    if func is None:
-        pin_index = {pin: i for i, pin in enumerate(cell.inputs)}
-        lines: list[str] = []
-        counter = 0
-
-        def emit(e: BoolExpr) -> tuple[str, str]:
-            nonlocal counter
-            if e.op == "var":
-                i = pin_index[e.name]
-                return f"h{i}", f"l{i}"
-            if e.op == "const":
-                return ("m", "(m & 0)") if e.value else ("(m & 0)", "m")
-            if e.op == "not":
-                hi, lo = emit(e.args[0])
-                return lo, hi
-            if e.op not in _BINOP:  # pragma: no cover - parser emits only these
-                raise EngineError(f"cannot lower expression op {e.op!r}")
-            hi, lo = emit(e.args[0])
-            for a in e.args[1:]:
-                h2, l2 = emit(a)
-                th, tl = f"th{counter}", f"tl{counter}"
-                counter += 1
-                if e.op == "and":
-                    lines.append(f"    {th} = {hi} & {h2}")
-                    lines.append(f"    {tl} = {lo} | {l2}")
-                elif e.op == "or":
-                    lines.append(f"    {th} = {hi} | {h2}")
-                    lines.append(f"    {tl} = {lo} & {l2}")
-                else:  # xor
-                    lines.append(f"    {th} = ({hi} & {l2}) | ({lo} & {h2})")
-                    lines.append(f"    {tl} = ({hi} & {h2}) | ({lo} & {l2})")
-                hi, lo = th, tl
-            return hi, lo
-
-        hi, lo = emit(cell.expr)
-        params = "".join(f", h{i}, l{i}" for i in range(cell.num_inputs))
-        body = "\n".join(lines)
-        src = (
-            f"def _f(m{params}):\n{body}\n    return ({hi}, {lo})\n"
-            if body
-            else f"def _f(m{params}):\n    return ({hi}, {lo})\n"
-        )
-        namespace: dict[str, Any] = {}
-        exec(compile(src, f"<ternary cell {cell.name}>", "exec"), namespace)
-        func = namespace["_f"]
-        _ternary_cache.put(key, func)
-    return func
-
-
 _prime_cache: LRUCache[tuple[tuple, tuple]] = LRUCache(CELL_CACHE_SIZE)
 
 
@@ -327,22 +249,6 @@ class CompiledCircuit:
                 )
             )
             self._derived["plan"] = plan
-        return plan
-
-    @property
-    def ternary_plan(
-        self,
-    ) -> tuple[tuple[Callable[..., tuple[int, int]], int, tuple[int, ...]], ...]:
-        """Dual-rail plan: ``(ternary_func, out_net_index, fanin_indices)``."""
-        plan = self._derived.get("ternary_plan")
-        if plan is None:
-            plan = tuple(
-                (cell_ternary_function(cell), self.n_inputs + pos, fanins)
-                for pos, (cell, fanins) in enumerate(
-                    zip(self.gate_cells, self.gate_fanins)
-                )
-            )
-            self._derived["ternary_plan"] = plan
         return plan
 
     def fanouts(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -84,10 +84,6 @@ class LintError(AnalysisError):
     """Raised for invalid linter configuration (unknown rule ids, bad limits)."""
 
 
-class AbsintError(AnalysisError):
-    """Raised by the abstract interpreter (bad config, fixpoint divergence)."""
-
-
 class BaselineError(AnalysisError):
     """Raised for unreadable or structurally invalid baseline files."""
 

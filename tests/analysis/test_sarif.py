@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 
 from repro.analysis import Diagnostic, LintReport, Severity, render_sarif, sarif_log
-from repro.analysis.absint import PASS_REGISTRY
 from repro.analysis.rules import RULE_REGISTRY
 from repro.analysis.sarif import FINGERPRINT_KEY, SARIF_SCHEMA_URI, SARIF_VERSION
 
@@ -45,10 +44,9 @@ def test_log_skeleton():
     assert driver["version"]
 
 
-def test_rules_cover_lint_and_absint_registries():
+def test_rules_cover_lint_registry():
     ids = [r["id"] for r in sarif_log(one_report())["runs"][0]["tool"]["driver"]["rules"]]
-    assert ids == sorted(ids)
-    assert set(ids) == set(RULE_REGISTRY) | set(PASS_REGISTRY)
+    assert ids == sorted(RULE_REGISTRY)
 
 
 def test_result_mapping():

@@ -13,7 +13,6 @@ from repro.engine import (
     compile_circuit,
     compile_program,
     eval_words,
-    evaluate_ternary_words,
     evaluate_words,
     pack_input_words,
     run_program,
@@ -214,8 +213,6 @@ def test_negative_width_is_engine_error(unit_lib):
     # The dict entry points validate before packing, not with a shift error.
     with pytest.raises(EngineError, match="width"):
         simulate_words(cc, words, -1)
-    with pytest.raises(EngineError, match="width"):
-        evaluate_ternary_words(cc, words, words, -1)
 
 
 def test_zero_width_empty_batch_is_legal(unit_lib):

@@ -81,7 +81,6 @@ def test_derived_caches_stay_bounded_over_many_libraries(monkeypatch):
         (cell_module, "_tt_cache"),
         (cell_module, "_primes_cache"),
         (ir_module, "_func_cache"),
-        (ir_module, "_ternary_cache"),
         (ir_module, "_prime_cache"),
     ]
     for module, name in caches:
@@ -96,7 +95,6 @@ def test_derived_caches_stay_bounded_over_many_libraries(monkeypatch):
         made = lib.add(Cell(f"G{i}", ("a", "b"), f"a & b | {i % 2}", 1.0, (1, 2)))
         made.primes()
         ir_module.cell_word_function(made)
-        ir_module.cell_ternary_function(made)
         ir_module.cell_prime_tables(made)
         libraries.append(lib)
     assert all(len(getattr(module, name)) == 8 for module, name in caches)

@@ -4,13 +4,21 @@ The invariants (DESIGN.md §7):
 
 1. short-path and path-based agree exactly,
 2. node-based is a superset of the exact SPCF,
-3. the exact SPCF matches the per-pattern floating-mode oracle.
+3. the exact SPCF matches the per-pattern floating-mode oracle,
+4. every event-simulated vector pair that settles late ends in Sigma_y.
 """
+
+from itertools import product
 
 import pytest
 
 from repro.benchcircuits import circuit_by_name, comparator2, comparator_nbit
-from repro.sim import exhaustive_patterns, stabilization_times
+from repro.sim import (
+    exhaustive_patterns,
+    random_patterns,
+    settle_times,
+    stabilization_times,
+)
 from repro.spcf import (
     SpcfContext,
     compare_algorithms,
@@ -38,6 +46,56 @@ def check_all(circuit, threshold=0.9, exhaustive=True):
             for y, fn in short.per_output.items():
                 assert fn.evaluate(pat) == (st[y] > short.target), (pat, y)
     return short, path, node
+
+
+def vector_pairs(circuit, cap=4096, samples=512, seed=0):
+    """Every ``(v1, v2)`` pair up to ``cap`` pairs, else a seeded sample."""
+    if 4 ** len(circuit.inputs) <= cap:
+        patterns = list(exhaustive_patterns(circuit.inputs))
+        return list(product(patterns, patterns))
+    return list(
+        zip(
+            random_patterns(circuit.inputs, samples, seed=seed),
+            random_patterns(circuit.inputs, samples, seed=seed + 1),
+        )
+    )
+
+
+def late_pairs_outside_sigma(circuit, spcf, pairs):
+    """Late ``(output, v1, v2)`` triples, and those whose ``v2`` misses Sigma_y.
+
+    A two-vector settle time never exceeds the floating-mode stabilization
+    time of ``v2``, so an output that settles after the target must have
+    ``v2`` in its Sigma_y.
+    """
+    late, escaped = [], []
+    for v1, v2 in pairs:
+        for y, t in settle_times(circuit, v1, v2).items():
+            if t > spcf.target:
+                late.append((y, v1, v2))
+                if not spcf.per_output[y].evaluate(v2):
+                    escaped.append((y, v1, v2))
+    return late, escaped
+
+
+@pytest.mark.parametrize(
+    "name", ["comparator2", "cmb", "full_adder", "mux_tree3", "decoder3"]
+)
+def test_late_settling_pairs_land_in_sigma(name):
+    circuit = circuit_by_name(name)
+    spcf = spcf_shortpath(circuit)
+    late, escaped = late_pairs_outside_sigma(circuit, spcf, vector_pairs(circuit))
+    assert late, f"{name}: no pair settles late, so the check is vacuous"
+    assert escaped == []
+
+
+def test_late_pair_check_catches_a_dropped_sigma():
+    """Replacing one Sigma_y by constant false must surface late pairs."""
+    circuit = circuit_by_name("comparator2")
+    spcf = spcf_shortpath(circuit)
+    spcf.per_output["y"] = spcf.context.manager.false
+    late, escaped = late_pairs_outside_sigma(circuit, spcf, vector_pairs(circuit))
+    assert escaped and len(escaped) == len(late)
 
 
 def test_comparator_reproduces_paper_sigma():
