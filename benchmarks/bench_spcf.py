@@ -3,13 +3,18 @@
 A five-point threshold sweep (50%..90% of the critical delay) is computed
 two ways on each circuit:
 
-* ``baseline``  — one fresh *eager* context per threshold (the
-  whole-circuit global-function BDD build paid once per target),
-  short-path recursion from scratch each time;
+* ``baseline``  — one fresh *eager* context per threshold, each on its own
+  fresh BDD manager (the whole-circuit global-function BDD build paid once
+  per target), short-path recursion from scratch each time;
 * ``optimized`` — one :func:`repro.spcf.multiroot.compute_multi` pass over
-  a single shared lazy context: cones are built on first use, and the
-  manager and the ``stable(net, t)`` memo carry over from one target to
-  the next.
+  a single lazy context on a fresh manager: cones are built on first use,
+  and the manager and the ``stable(net, t)`` memo carry over from one
+  target to the next.
+
+Both sides pass explicit fresh managers: a default context reuses the
+circuit's cached manager and global functions
+(:func:`repro.spcf.timedfunc.shared_functions`), which would make every
+timed repeat after the first a warm one.
 
 Gates (``check_targets``):
 
@@ -34,6 +39,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.bdd import BddManager
 from repro.benchcircuits import circuit_by_name
 from repro.netlist import lsi10k_like_library
 from repro.spcf import SpcfContext, spcf_multiroot, spcf_shortpath
@@ -70,10 +76,12 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_spcf.json"
 
 
 def _baseline_sweep(circuit, targets):
-    """One fresh eager context per target."""
+    """One fresh eager context per target, each on a fresh manager."""
     results = {}
     for tgt in targets:
-        ctx = SpcfContext(circuit, target=tgt)
+        ctx = SpcfContext(
+            circuit, target=tgt, manager=BddManager(circuit.inputs)
+        )
         # Eager: every gate's global function is built before the recursion.
         for name in circuit.topo_order():
             ctx.functions[name]
@@ -82,8 +90,10 @@ def _baseline_sweep(circuit, targets):
 
 
 def _optimized_sweep(circuit, targets):
-    """One multi-root pass over a shared lazy context."""
-    return spcf_multiroot(circuit, targets=targets)
+    """One multi-root pass over a lazy context on a fresh manager."""
+    return spcf_multiroot(
+        circuit, targets=targets, manager=BddManager(circuit.inputs)
+    )
 
 
 def _canonical(result):

@@ -3,8 +3,8 @@
 Pipeline implemented by :class:`MaskingSynthesizer`:
 
 1. compute the exact SPCF ``Sigma_y`` of every critical output
-   (:mod:`repro.spcf.shortpath`) on the BDD manager of
-   :data:`_manager_cache`,
+   (:mod:`repro.spcf.shortpath`) on the circuit's shared BDD manager and
+   global functions (:func:`repro.spcf.timedfunc.shared_functions`),
 2. extract the technology-independent network ``T`` of the circuit and
    collapse it into complex nodes of ≤ ``max_support`` inputs (threshold
    independent, so cached per circuit content, library and bounds),
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro import obs
-from repro.bdd.manager import BddManager, Function
+from repro.bdd.manager import Function
 from repro.errors import MaskingError
 from repro.logic.cover import Cover
 from repro.logic.cube import Cube
@@ -74,15 +74,6 @@ _COLLAPSE_MISSES = _METER.counter(
     "mask runs that lifted and collapsed their circuit",
 )
 
-_MANAGER_HITS = _METER.counter(
-    "repro_synth_bdd_manager_cache_hits_total",
-    "mask runs that reused the cached BDD manager of their circuit",
-)
-_MANAGER_MISSES = _METER.counter(
-    "repro_synth_bdd_manager_cache_misses_total",
-    "mask runs that created a BDD manager for their circuit",
-)
-
 #: Most distinct collapsed networks :data:`_collapse_cache` holds at once.
 COLLAPSE_CACHE_SIZE = 16
 
@@ -91,39 +82,6 @@ COLLAPSE_CACHE_SIZE = 16
 #: circuit collapses it once.  Entries are never handed out: a hit returns
 #: a copy, so a caller editing ``MaskingResult.technet`` cannot poison it.
 _collapse_cache: LRUCache[TechNetwork] = LRUCache(COLLAPSE_CACHE_SIZE)
-
-#: Most BDD managers :data:`_manager_cache` holds at once.  A manager keeps
-#: every node it ever built, so only the last circuit's stays alive: a sweep
-#: that runs all thresholds of one circuit before the next needs one entry.
-MANAGER_CACHE_SIZE = 1
-
-#: One BDD manager per circuit content (:func:`_circuit_key`), shared by
-#: every default :class:`MaskingSynthesizer` run on that circuit: the SPCF
-#: context's global functions (which masking, verification and power read),
-#: the care-set relations and the masked design's functions all land in one
-#: node store, so a later threshold rebuilds its functions through
-#: computed-table hits.  Every count taken in it is exact
-#: and over the primary inputs, which come first in its order, so sharing
-#: changes no result.  The key also holds whether observability was on, as a
-#: manager fixes its op counting when it is created.  An explicit
-#: ``context=`` run keeps its context's manager, and a bare
-#: :class:`SpcfContext` still starts a fresh one.
-_manager_cache: LRUCache[BddManager] = LRUCache(MANAGER_CACHE_SIZE)
-
-
-def _circuit_key(circuit: Circuit) -> tuple:
-    """The circuit's content: name, inputs, outputs and gates.
-
-    Gates are listed in topological order because that order fixes the
-    lift's node insertion order, which collapse's worklist follows.
-    """
-    gates = circuit.gates
-    return (
-        circuit.name,
-        circuit.inputs,
-        circuit.outputs,
-        tuple(gates[name] for name in circuit.topo_order()),
-    )
 
 
 def _collapse_key(
@@ -134,20 +92,7 @@ def _collapse_key(
     The library is keyed by identity, like
     :data:`repro.synth.mapping._trial_cache`.
     """
-    return (_circuit_key(circuit), library, max_support, max_cubes)
-
-
-def _shared_manager(circuit: Circuit) -> BddManager:
-    """The cached BDD manager of ``circuit``'s content (created on a miss)."""
-    key = (_circuit_key(circuit), obs.enabled())
-    manager = _manager_cache.get(key)
-    if manager is None:
-        _MANAGER_MISSES.add()
-        manager = BddManager(circuit.inputs)
-        _manager_cache.put(key, manager)
-    else:
-        _MANAGER_HITS.add()
-    return manager
+    return (circuit.content_key(), library, max_support, max_cubes)
 
 
 def _table(cover: Cover) -> int:
@@ -235,10 +180,7 @@ class MaskingSynthesizer:
         self.cube_pool = cube_pool
         self.use_dontcare_isop = dontcare_isop
         self.context = context or SpcfContext(
-            circuit,
-            threshold=threshold,
-            target=target,
-            manager=_shared_manager(circuit),
+            circuit, threshold=threshold, target=target
         )
 
     # ------------------------------------------------------------------ run
@@ -572,8 +514,8 @@ def synthesize_masking(
 ) -> MaskingResult:
     """One-call API: synthesize the error-masking circuit for ``circuit``.
 
-    The run shares the BDD manager of :data:`_manager_cache` with every
-    other run on the same circuit content.
+    The run shares the BDD manager and global functions of its SPCF
+    context with every other default context on the same circuit content.
     """
     return MaskingSynthesizer(
         circuit,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from repro.errors import NetlistError
 from repro.logic.cube import DASH, ONE
@@ -84,6 +84,16 @@ class Gate:
         return cached
 
 
+class _HashedTuple(tuple):
+    """A tuple that computes its hash once (its items are immutable)."""
+
+    def __init__(self, items: tuple) -> None:
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 class Circuit:
     """A combinational logic circuit (a DAG of gates over named nets)."""
 
@@ -102,6 +112,7 @@ class Circuit:
         self._topo: list[str] | None = None
         self._fanouts: dict[str, list[tuple[str, int]]] | None = None
         self._version = 0
+        self._netlist_key: tuple[int, _HashedTuple] | None = None
         for net in inputs:
             self.add_input(net)
         for net in outputs:
@@ -208,6 +219,25 @@ class Circuit:
         against this to detect staleness without hashing the netlist.
         """
         return self._version
+
+    def content_key(self) -> tuple[str, Hashable]:
+        """The circuit's content as a dict key: name, inputs, outputs, gates.
+
+        Gates are listed in topological order, since that order fixes the
+        lift's node insertion order, which collapse's worklist follows.
+        The netlist part is built and hashed once per :attr:`version`;
+        the name is read live, because renaming does not bump the version.
+        """
+        cached = self._netlist_key
+        if cached is None or cached[0] != self._version:
+            gates = self._gates
+            netlist = _HashedTuple((
+                self.inputs,
+                self.outputs,
+                tuple(gates[name] for name in self.topo_order()),
+            ))
+            cached = self._netlist_key = (self._version, netlist)
+        return (self.name, cached[1])
 
     def _invalidate(self) -> None:
         self._topo = None

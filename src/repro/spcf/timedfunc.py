@@ -2,16 +2,21 @@
 
 :class:`SpcfContext` bundles, for one circuit and one speed-path threshold:
 
-* a BDD manager with one variable per primary input (in topological PI order):
-  a fresh one by default, or the caller's (a default masking run passes
-  :data:`repro.core.masking._manager_cache`'s), whose first levels must
-  then be the inputs,
+* a BDD manager with one variable per primary input (in topological PI order),
 * the *global function* ``F[net]`` of every net over the primary inputs,
   a :class:`CircuitFunctions` map: a net's BDD is composed on first access,
   so a query that discharges most of a circuit statically never pays for
   the cold cones,
 * the STA report (latest arrivals, prime-based earliest-stabilization bounds,
   required times for the target ``Delta_y``).
+
+The global functions depend on neither the algorithm nor the threshold, so
+by default every context on one circuit content shares one manager and one
+map (:data:`_functions_cache`): a sweep builds each gate BDD once, and the
+SPCFs of two contexts on one circuit are the same BDD edges.  A context
+given an explicit ``manager=`` (whose first levels must then be the
+inputs) builds its own map on it.  Each context keeps its own STA report
+and its own Eqn. 1 memo tables.
 
 On top of it, :meth:`SpcfContext.stable` implements the paper's Eqn. 1 — the
 pair of timed characteristic functions
@@ -37,11 +42,25 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from repro import obs
 from repro.bdd.manager import BddManager, Function
 from repro.errors import SpcfError
 from repro.logic.expr import BoolExpr
+from repro.lru import LRUCache
 from repro.netlist.circuit import Circuit
 from repro.sta.timing import TimingReport, analyze
+
+_METER = obs.get_meter()
+_SHARED_HITS = _METER.counter(
+    "repro_synth_bdd_manager_cache_hits_total",
+    "SPCF contexts that reused the cached BDD manager and global functions "
+    "of their circuit",
+)
+_SHARED_MISSES = _METER.counter(
+    "repro_synth_bdd_manager_cache_misses_total",
+    "SPCF contexts that created a BDD manager and global-function map for "
+    "their circuit",
+)
 
 
 def expr_to_function(
@@ -140,6 +159,38 @@ class CircuitFunctions(dict[str, Function]):
         return self[net]
 
 
+#: Most circuits :data:`_functions_cache` holds at once.  A manager keeps
+#: every node it ever built, so only the last circuit's stays alive: a sweep
+#: that runs all thresholds and algorithms of one circuit before the next
+#: needs one entry.
+FUNCTIONS_CACHE_SIZE = 1
+
+#: One global-function map, on its own BDD manager, per circuit content
+#: (:meth:`Circuit.content_key`), shared by every :class:`SpcfContext`
+#: built without ``manager=``.  The manager holds only the primary inputs,
+#: and every count taken in it is exact and over them, so sharing changes
+#: no result.  The key also holds whether observability was on, as a
+#: manager fixes its op counting when it is created.
+_functions_cache: LRUCache[CircuitFunctions] = LRUCache(FUNCTIONS_CACHE_SIZE)
+
+
+def shared_functions(circuit: Circuit) -> CircuitFunctions:
+    """The cached global-function map of ``circuit``'s content.
+
+    On a miss it starts a map on a fresh manager over a copy of the
+    circuit, so editing ``circuit`` later cannot reach the cached gates.
+    """
+    key = (circuit.content_key(), obs.enabled())
+    functions = _functions_cache.get(key)
+    if functions is None:
+        _SHARED_MISSES.add()
+        functions = CircuitFunctions(circuit.copy(), BddManager(circuit.inputs))
+        _functions_cache.put(key, functions)
+    else:
+        _SHARED_HITS.add()
+    return functions
+
+
 class SpcfContext:
     """Circuit + threshold context shared by the three SPCF algorithms."""
 
@@ -156,7 +207,7 @@ class SpcfContext:
         self.target = self.report.target
         inputs = circuit.inputs
         if manager is None:
-            manager = BddManager(inputs)
+            self.functions = shared_functions(circuit)
         else:
             # Counts run over the first len(inputs) levels, so the inputs
             # (the missing ones appended below) must fill exactly those.
@@ -170,8 +221,8 @@ class SpcfContext:
             for net in inputs:
                 if net not in known:
                     manager.add_var(net)
-        self.manager = manager
-        self.functions = CircuitFunctions(circuit, manager)
+            self.functions = CircuitFunctions(circuit, manager)
+        self.manager = self.functions.manager
         # Memo tables for the timed characteristic functions, on BDD edges.
         self._stable_memo: dict[tuple[str, int], tuple[int, int]] = {}
         self._late_memo: dict[tuple[str, int], int] = {}

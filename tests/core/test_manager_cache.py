@@ -1,10 +1,12 @@
-"""The content-keyed cache of BDD managers.
+"""The content-keyed cache of BDD managers and global-function maps.
 
-A default :class:`MaskingSynthesizer` run builds its SPCF context on one
-BDD manager per circuit content, and verification and power reuse it, so
-a threshold sweep rebuilds its functions through computed-table hits.
-These tests pin that a shared manager changes no result, that circuit
-content is the whole key, and that the cache stays at its bound.
+Every :class:`SpcfContext` built without ``manager=`` reads one
+:class:`CircuitFunctions` map, on one BDD manager, per circuit content
+(:data:`repro.spcf.timedfunc._functions_cache`).  A default masking run,
+its verification and its power reuse it, so a threshold sweep builds each
+gate BDD once.  These tests pin that a shared manager changes no result,
+that circuit content is the whole key, and that the cache stays at its
+bound.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import dataclasses
 import pytest
 
 import repro.core.masking as masking_mod
+import repro.spcf.timedfunc as timedfunc_mod
 from repro import obs
 from repro.bdd.manager import BddManager
 from repro.benchcircuits import circuit_by_name
@@ -22,7 +25,7 @@ from repro.core.pipeline import mask_circuit
 from repro.core.report import overhead_report
 from repro.core.verify import design_functions
 from repro.netlist import lsi10k_like_library
-from repro.spcf.timedfunc import SpcfContext
+from repro.spcf.timedfunc import CircuitFunctions, SpcfContext
 from repro.synth.power import switching_power
 
 THRESHOLDS = (0.80, 0.85, 0.90, 0.95)
@@ -31,7 +34,7 @@ LSI = lsi10k_like_library()
 
 def clear_caches():
     masking_mod._collapse_cache.clear()
-    masking_mod._manager_cache.clear()
+    timedfunc_mod._functions_cache.clear()
 
 
 @pytest.fixture(autouse=True)
@@ -72,7 +75,7 @@ def test_equal_content_in_distinct_objects_shares_a_manager():
     first = manager_of(circuit)
     assert manager_of(circuit.copy()) is first
     assert manager_of(comparator(), threshold=0.8) is first
-    assert len(masking_mod._manager_cache) == 1
+    assert len(timedfunc_mod._functions_cache) == 1
 
 
 def test_one_different_gate_never_shares_a_manager():
@@ -91,25 +94,57 @@ def test_one_different_gate_never_shares_a_manager():
 def test_explicit_context_keeps_its_own_manager():
     circuit = comparator()
     shared = manager_of(circuit)
-    ctx = SpcfContext(circuit)
+    ctx = SpcfContext(circuit, manager=BddManager(circuit.inputs))
     result = masking_mod.MaskingSynthesizer(circuit, LSI, context=ctx).run()
     assert result.context.manager is ctx.manager is not shared
-    # A bare SpcfContext still starts on a fresh manager.
-    assert SpcfContext(circuit).manager is not shared
+    assert ctx.functions is not SpcfContext(circuit).functions
+    # A bare SpcfContext shares the manager and the function map.
+    bare = SpcfContext(circuit, threshold=0.5)
+    assert bare.manager is shared
+    assert bare.functions is SpcfContext(circuit).functions
+
+
+def test_renamed_or_edited_circuit_never_hits_a_stale_key():
+    circuit = comparator()
+    first = SpcfContext(circuit).functions
+    circuit.name = "renamed"
+    renamed = SpcfContext(circuit).functions
+    assert renamed is not first
+    assert renamed.circuit.name == "renamed"
+    assert SpcfContext(circuit).functions is renamed
+
+    gate = circuit.gates["t1"]
+    circuit.replace_gate(dataclasses.replace(gate, cell=LSI.get("OR2")))
+    edited = SpcfContext(circuit).functions
+    assert edited is not renamed
+    reference = CircuitFunctions(circuit, edited.manager)
+    for net in circuit.topo_order():
+        assert edited[net] == reference[net], net
+
+    # The cache holds a copy of the circuit: editing the circuit a map was
+    # made from never reaches an equal circuit that hits that map.
+    source = comparator()
+    cached = SpcfContext(source).functions
+    source.replace_gate(dataclasses.replace(gate, cell=LSI.get("OR2")))
+    equal = comparator()
+    assert SpcfContext(equal).functions is cached
+    reference = CircuitFunctions(equal, cached.manager)
+    for net in equal.topo_order():
+        assert cached[net] == reference[net], net
 
 
 def test_cache_is_bounded_by_its_size():
-    bound = masking_mod.MANAGER_CACHE_SIZE
+    bound = timedfunc_mod.FUNCTIONS_CACHE_SIZE
     circuit = comparator()
     managers = [
         manager_of(circuit.copy(name=f"cmp{k}")) for k in range(bound + 2)
     ]
-    assert len(masking_mod._manager_cache) == bound
+    assert len(timedfunc_mod._functions_cache) == bound
     assert len({id(m) for m in managers}) == bound + 2
     # The newest still hits; the oldest was evicted and is rebuilt.
     assert manager_of(circuit.copy(name=f"cmp{bound + 1}")) is managers[-1]
     assert manager_of(circuit.copy(name="cmp0")) is not managers[0]
-    assert len(masking_mod._manager_cache) == bound
+    assert len(timedfunc_mod._functions_cache) == bound
 
 
 def test_a_manager_is_never_reused_across_obs_states():

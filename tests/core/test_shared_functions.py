@@ -15,6 +15,7 @@ import pytest
 
 import repro.core.masking as masking_mod
 import repro.core.pipeline as pipeline_mod
+import repro.spcf.timedfunc as timedfunc_mod
 from repro.benchcircuits import circuit_by_name
 from repro.core.pipeline import mask_circuit
 from repro.netlist import lsi10k_like_library
@@ -27,10 +28,10 @@ LSI = lsi10k_like_library()
 @pytest.fixture(autouse=True)
 def cold_caches():
     masking_mod._collapse_cache.clear()
-    masking_mod._manager_cache.clear()
+    timedfunc_mod._functions_cache.clear()
     yield
     masking_mod._collapse_cache.clear()
-    masking_mod._manager_cache.clear()
+    timedfunc_mod._functions_cache.clear()
 
 
 @pytest.mark.parametrize("name", ["comparator2", "cmb", "k2", "C880"])

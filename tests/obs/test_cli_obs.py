@@ -12,6 +12,7 @@ import json
 
 import repro.cli
 import repro.core.masking as masking_mod
+import repro.spcf.timedfunc as timedfunc_mod
 from repro import obs
 from repro.cli import main
 from repro.netlist import lsi10k_like_library
@@ -82,7 +83,7 @@ def test_mask_trace_has_lift_span_only_on_a_collapse_cache_miss(
     library = lsi10k_like_library()
     monkeypatch.setattr(repro.cli, "builtin_library", lambda name: library)
     masking_mod._collapse_cache.clear()
-    masking_mod._manager_cache.clear()
+    timedfunc_mod._functions_cache.clear()
     traces = []
     for k in range(2):
         obs.reset()  # each trace holds only its own run
@@ -98,7 +99,7 @@ def test_mask_trace_has_lift_span_only_on_a_collapse_cache_miss(
              json.loads(metrics.read_text())["metrics"])
         )
     masking_mod._collapse_cache.clear()
-    masking_mod._manager_cache.clear()
+    timedfunc_mod._functions_cache.clear()
     (miss, miss_metrics), (hit, hit_metrics) = traces
     assert "synth.lift" in miss and "synth.lift" not in hit
     assert miss["synth.collapse"]["args"]["cached"] is False
@@ -115,12 +116,12 @@ def test_traced_mask_after_an_untraced_one_publishes_computed_table(
 ):
     # Both runs share the circuit's content, so a manager cached by the
     # untraced run (no op counting) must not serve the traced one.
-    masking_mod._manager_cache.clear()
+    timedfunc_mod._functions_cache.clear()
     code, _, _ = run(capsys, "mask", "comparator2")
     assert code == 0 and not obs.enabled()
     metrics = tmp_path / "mask.json"
     code, _, _ = run(capsys, "mask", "comparator2", "--metrics", str(metrics))
-    masking_mod._manager_cache.clear()
+    timedfunc_mod._functions_cache.clear()
     assert code == 0
     counters = json.loads(metrics.read_text())["metrics"]
     assert "repro_bdd_computed_hits_total" in counters
