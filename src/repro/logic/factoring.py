@@ -14,42 +14,116 @@ trees but factored first.  This module implements classic algebraic
 
 Example: ``a&c | a&d | b&c | b&d`` factors into ``(a|b) & (c|d)``, halving
 the literal count and the mapped depth.
+
+Cubes run as ``(care, value)`` int masks, Espresso's positional-cube
+notation: bit ``i`` of ``care`` marks a literal at position ``i``, the same
+bit of ``value`` a positive one.  :func:`factor` converts its cover once.
+The tree keeps four orders (``tests/logic/data/factor_golden.json``):
+literals count in cube order, then ascending position, which orders the
+kernels and picks the first most frequent literal; a kernel must save
+strictly more than the best so far; kernels dedupe by their sorted cube
+multiset; quotients sort as ``Cube.values`` would (:func:`_order_key`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache, reduce
+from operator import itemgetter
 
 from repro.logic.cover import Cover
 from repro.logic.cube import DASH, Cube
 from repro.logic.expr import BoolExpr
 
-
-def _cube_expr(cube: Cube, names: tuple[str, ...]) -> BoolExpr:
-    lits = [
-        BoolExpr.var(names[i]) if v == 1 else ~BoolExpr.var(names[i])
-        for i, v in enumerate(cube.values)
-        if v != DASH
-    ]
-    if not lits:
-        return BoolExpr.const(True)
-    acc = lits[0]
-    for l in lits[1:]:
-        acc = acc & l
-    return acc
+#: A cube as ``(care, value)`` masks, ``value`` a subset of ``care``.
+Mask = tuple[int, int]
 
 
-def cube_quotient(cube: Cube, divisor: Cube) -> Cube | None:
-    """``cube / divisor`` for single cubes: ``None`` unless divisor ⊆ cube."""
-    out = []
-    for cv, dv in zip(cube.values, divisor.values):
-        if dv == DASH:
-            out.append(cv)
-        elif cv == dv:
-            out.append(DASH)
+def _to_masks(cover: Cover) -> list[Mask]:
+    masks = []
+    for cube in cover.cubes:
+        care = value = 0
+        for i, v in enumerate(cube.values):
+            if v != DASH:
+                care, value = care | 1 << i, value | v << i
+        masks.append((care, value))
+    return masks
+
+
+def _to_cover(names: tuple[str, ...], cubes: list[Mask]) -> Cover:
+    return Cover(names, tuple(
+        Cube(tuple(v >> i & 1 if c >> i & 1 else DASH for i in range(len(names))))
+        for c, v in cubes
+    ))
+
+
+def _order_key(cube: Mask, width: int) -> int:
+    """Sorts like ``Cube.values``: two bits a position, position 0 highest."""
+    care, value = cube
+    key = 0
+    for i in range(width):
+        key = key << 2 | (value >> i & 1 if care >> i & 1 else DASH)
+    return key
+
+
+@lru_cache(maxsize=1 << 14)
+def _literals(cube: Mask) -> tuple[Mask, ...]:
+    """The cube's literals as single-literal cubes, by ascending position."""
+    care, value = cube
+    bits = [1 << i for i in range(care.bit_length()) if care >> i & 1]
+    return tuple((bit, value & bit) for bit in bits)
+
+
+def _literal_counts(cubes: list[Mask]) -> Counter[Mask]:
+    return Counter(lit for cube in cubes for lit in _literals(cube))
+
+
+def _divide_by_cube(cubes: list[Mask], d: Mask) -> tuple[list[Mask], list[Mask]]:
+    """Quotients of the cubes that contain ``d``, and the other cubes."""
+    dc, dv = d
+    quotient: list[Mask] = []
+    rest: list[Mask] = []
+    for c, v in cubes:
+        if c & dc == dc and v & dc == dv:
+            quotient.append((c ^ dc, v ^ dv))
         else:
-            return None
-    return Cube(tuple(out))
+            rest.append((c, v))
+    return quotient, rest
+
+
+def _cube_free(cubes: list[Mask]) -> list[Mask]:
+    """Divide out the largest common cube of all cubes."""
+    care, first, differ = -1, cubes[0][1], 0
+    for c, v in cubes:
+        care &= c
+        differ |= v ^ first
+    common = care & ~differ
+    return [(c ^ common, v ^ (first & common)) for c, v in cubes] if common else cubes
+
+
+def _kernels(cubes: list[Mask], counts: Counter[Mask]) -> list[list[Mask]]:
+    kernels: dict[tuple[Mask, ...], list[Mask]] = {}
+    for lit in [lit for lit, count in counts.items() if count >= 2]:
+        kernel = _cube_free(_divide_by_cube(cubes, lit)[0])
+        if len(kernel) >= 2:
+            kernels.setdefault(tuple(sorted(kernel)), kernel)
+    return list(kernels.values())
+
+
+def _quotient(cubes: list[Mask], divisor: list[Mask], width: int) -> list[Mask]:
+    """Cubes ``q`` with ``d*q`` in ``cubes`` for every divisor cube ``d``."""
+    common: set[Mask] | None = None
+    for dc, dv in divisor:
+        qs = {(c ^ dc, v ^ dv) for c, v in cubes if c & dc == dc and v & dc == dv}
+        common = qs if common is None else common & qs
+    return sorted(common or (), key=lambda q: _order_key(q, width))
+
+
+def _remainder(cubes: list[Mask], divisor: list[Mask], quotient: list[Mask]) -> list[Mask]:
+    """The cubes that ``divisor * quotient`` fails to reproduce."""
+    product = {(dc | qc, dv | qv) for dc, dv in divisor for qc, qv in quotient
+               if not dc & qc & (dv ^ qv)}
+    return [cube for cube in cubes if cube not in product]
 
 
 def weak_divide(cover: Cover, divisor: Cover) -> tuple[Cover, Cover]:
@@ -58,134 +132,60 @@ def weak_divide(cover: Cover, divisor: Cover) -> tuple[Cover, Cover]:
     The quotient is the intersection, over divisor cubes, of the per-cube
     quotients; the remainder is whatever the product fails to reproduce.
     """
-    quotient_sets: list[dict[tuple[int, ...], Cube]] = []
-    for d in divisor.cubes:
-        qs: dict[tuple[int, ...], Cube] = {}
-        for c in cover.cubes:
-            q = cube_quotient(c, d)
-            if q is not None:
-                qs[q.values] = q
-        quotient_sets.append(qs)
-    if not quotient_sets:
-        return Cover(cover.names, ()), cover
-    common = set(quotient_sets[0])
-    for qs in quotient_sets[1:]:
-        common &= set(qs)
-    quotient = Cover(
-        cover.names, tuple(sorted((quotient_sets[0][v] for v in common),
-                                  key=lambda c: c.values))
-    )
-    # remainder = cover - divisor*quotient
-    product: set[tuple[int, ...]] = set()
-    for d in divisor.cubes:
-        for q in quotient.cubes:
-            merged = d.intersect(q)
-            if merged is not None:
-                product.add(merged.values)
-    remainder = Cover(
-        cover.names,
-        tuple(c for c in cover.cubes if c.values not in product),
-    )
-    return quotient, remainder
-
-
-def _literal_counts(cover: Cover) -> Counter:
-    counts: Counter = Counter()
-    for cube in cover.cubes:
-        for pos, pol in cube.literals().items():
-            counts[(pos, pol)] += 1
-    return counts
-
-
-def _make_cube_free(cover: Cover) -> Cover:
-    """Divide out the largest common cube of all cubes."""
-    if not cover.cubes:
-        return cover
-    common = list(cover.cubes[0].values)
-    for cube in cover.cubes[1:]:
-        for i, v in enumerate(cube.values):
-            if common[i] != v:
-                common[i] = DASH
-    if all(v == DASH for v in common):
-        return cover
-    divisor = Cube(tuple(common))
-    cubes = []
-    for cube in cover.cubes:
-        q = cube_quotient(cube, divisor)
-        cubes.append(q if q is not None else cube)
-    return Cover(cover.names, tuple(cubes))
+    cubes, dcubes = _to_masks(cover), _to_masks(divisor)
+    quotient = _quotient(cubes, dcubes, len(cover.names))
+    remainder = _remainder(cubes, dcubes, quotient)
+    return _to_cover(cover.names, quotient), _to_cover(cover.names, remainder)
 
 
 def literal_kernels(cover: Cover) -> list[Cover]:
     """Level-0 kernel candidates: cube-free single-literal quotients."""
-    kernels: list[Cover] = []
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    for (pos, pol), count in _literal_counts(cover).items():
-        if count < 2:
-            continue
-        divisor = Cube.from_literals({pos: pol}, len(cover.names))
-        quotient_cubes = []
-        for cube in cover.cubes:
-            q = cube_quotient(cube, divisor)
-            if q is not None:
-                quotient_cubes.append(q)
-        kernel = _make_cube_free(Cover(cover.names, tuple(quotient_cubes)))
-        key = tuple(sorted(c.values for c in kernel.cubes))
-        if len(kernel.cubes) >= 2 and key not in seen:
-            seen.add(key)
-            kernels.append(kernel)
-    return kernels
+    cubes = _to_masks(cover)
+    return [_to_cover(cover.names, k) for k in _kernels(cubes, _literal_counts(cubes))]
+
+
+@lru_cache(maxsize=1 << 12)
+def _leaf(name: str, positive: bool) -> BoolExpr:
+    return BoolExpr.var(name) if positive else ~BoolExpr.var(name)
+
+
+def _product(names: tuple[str, ...], cube: Mask) -> BoolExpr:
+    lits = [_leaf(names[b.bit_length() - 1], v > 0) for b, v in _literals(cube)]
+    return reduce(BoolExpr.__and__, lits) if lits else BoolExpr.const(True)
 
 
 def factor(cover: Cover) -> BoolExpr:
     """Factored-form expression of the cover (algebraically equivalent)."""
-    if not cover.cubes:
+    return _factor(_to_masks(cover), cover.names)
+
+
+def _factor(cubes: list[Mask], names: tuple[str, ...]) -> BoolExpr:
+    if not cubes:
         return BoolExpr.const(False)
-    if len(cover.cubes) == 1:
-        return _cube_expr(cover.cubes[0], cover.names)
-
-    best: tuple[int, Cover] | None = None
-    for kernel in literal_kernels(cover):
-        quotient, remainder = weak_divide(cover, kernel)
-        if not quotient.cubes:
-            continue
-        saved = (len(kernel.cubes) - 1) * (len(quotient.cubes) - 1)
+    if len(cubes) == 1:
+        return _product(names, cubes[0])
+    counts = _literal_counts(cubes)
+    best: tuple[int, list[Mask], list[Mask]] | None = None
+    for kernel in _kernels(cubes, counts):
+        quotient = _quotient(cubes, kernel, len(names))
+        saved = (len(kernel) - 1) * (len(quotient) - 1)
         if saved > 0 and (best is None or saved > best[0]):
-            best = (saved, kernel)
-
+            best = (saved, kernel, quotient)
     if best is not None:
-        kernel = best[1]
-        quotient, remainder = weak_divide(cover, kernel)
-        expr = factor(kernel) & factor(quotient)
-        if remainder.cubes:
-            expr = expr | factor(remainder)
-        return expr
+        _, kernel, quotient = best
+        expr = _factor(kernel, names) & _factor(quotient, names)
+        remainder = _remainder(cubes, kernel, quotient)
+        return expr | _factor(remainder, names) if remainder else expr
 
     # No multi-cube kernel pays off: divide by the most frequent literal.
-    counts = _literal_counts(cover)
     if not counts:
         # Only universal cubes remain (e.g. the quotient of duplicate cubes).
         return BoolExpr.const(True)
-    (pos, pol), count = counts.most_common(1)[0]
+    lit, count = max(counts.items(), key=itemgetter(1))  # Counter.most_common(1)
     if count < 2:
         # Completely disjoint cubes: plain OR of cube expressions.
-        acc = _cube_expr(cover.cubes[0], cover.names)
-        for cube in cover.cubes[1:]:
-            acc = acc | _cube_expr(cube, cover.names)
-        return acc
-    divisor_cube = Cube.from_literals({pos: pol}, len(cover.names))
-    quotient_cubes = []
-    remainder_cubes = []
-    for cube in cover.cubes:
-        q = cube_quotient(cube, divisor_cube)
-        if q is not None:
-            quotient_cubes.append(q)
-        else:
-            remainder_cubes.append(cube)
-    lit = BoolExpr.var(cover.names[pos])
-    if not pol:
-        lit = ~lit
-    expr = lit & factor(Cover(cover.names, tuple(quotient_cubes)))
-    if remainder_cubes:
-        expr = expr | factor(Cover(cover.names, tuple(remainder_cubes)))
-    return expr
+        return reduce(BoolExpr.__or__, [_product(names, cube) for cube in cubes])
+    quotient, rest = _divide_by_cube(cubes, lit)
+    leaf = _leaf(names[lit[0].bit_length() - 1], lit[1] > 0)
+    expr = leaf & _factor(quotient, names)
+    return expr | _factor(rest, names) if rest else expr

@@ -113,6 +113,7 @@ class Circuit:
         self._fanouts: dict[str, list[tuple[str, int]]] | None = None
         self._version = 0
         self._netlist_key: tuple[int, _HashedTuple] | None = None
+        self._validated_version: int | None = None
         for net in inputs:
             self.add_input(net)
         for net in outputs:
@@ -250,8 +251,11 @@ class Circuit:
         """Check structural invariants; raises :class:`NetlistError`.
 
         Verifies that every fanin is driven, outputs exist, and the gate
-        graph is acyclic (by computing the topological order).
+        graph is acyclic (by computing the topological order).  A pass is
+        remembered until the next :attr:`version`; a failure is not.
         """
+        if self._validated_version == self._version:
+            return
         for gate in self._gates.values():
             for net in gate.fanins:
                 if not self.has_net(net):
@@ -262,6 +266,7 @@ class Circuit:
             if not self.has_net(net):
                 raise NetlistError(f"output {net!r} is not driven")
         self.topo_order()  # raises on cycles
+        self._validated_version = self._version
 
     # ---------------------------------------------------------- derived maps
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetlistError
-from repro.netlist import Circuit, unit_library
+from repro.netlist import Circuit, Gate, unit_library
 
 LIB = unit_library()
 
@@ -65,6 +65,44 @@ def test_cycle_detected():
     c.add_gate("g2", LIB.get("INV"), ("g1",))
     with pytest.raises(NetlistError):
         c.topo_order()
+
+
+def test_validate_pass_is_remembered_until_the_next_edit(monkeypatch):
+    c = small()
+    c.validate()
+    calls = []
+    monkeypatch.setattr(c, "topo_order", lambda: calls.append(1))
+    c.validate()
+    assert calls == []
+    c.add_gate("z", LIB.get("INV"), ("a",))
+    c.validate()
+    assert calls == [1]
+
+
+def test_failed_validate_is_not_remembered():
+    c = Circuit("t", inputs=("a",), outputs=("nope",))
+    for _ in range(2):
+        with pytest.raises(NetlistError):
+            c.validate()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c.add_output("ghost"),
+        lambda c: c.remove_gate("n1"),
+        lambda c: c.replace_gate(Gate("n1", LIB.get("AND2"), ("a", "y"))),
+    ],
+    ids=["undriven_output", "removed_fanin", "loop"],
+)
+def test_validated_circuit_edited_invalid_raises_again(edit):
+    c = small()
+    c.validate()
+    edit(c)
+    with pytest.raises(NetlistError):
+        c.validate()
+    with pytest.raises(NetlistError):
+        c.validate()
 
 
 def test_topo_order_respects_dependencies():
