@@ -38,9 +38,9 @@ lint-py:
 
 # Strict type-checking of the files listed in pyproject.toml [tool.mypy]:
 # the analysis, SPCF and BDD packages, the masking proof (core/verify.py),
-# switching power (synth/power.py), the LRU cache (lru.py) and the
-# factoring kernel (logic/factoring.py).  Optional: skipped with a notice
-# when mypy is not installed.
+# switching power (synth/power.py), the LRU cache (lru.py), the
+# factoring kernel (logic/factoring.py) and static timing (sta/timing.py).
+# Optional: skipped with a notice when mypy is not installed.
 typecheck:
 	@command -v mypy >/dev/null 2>&1 \
 		&& mypy \

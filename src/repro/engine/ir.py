@@ -13,12 +13,13 @@ declaration order; nets ``n_inputs .. n_nets-1`` are the gate outputs in
 topological order.  Gate *position* ``p`` therefore drives net index
 ``n_inputs + p``.
 
-Cell functions are compiled twice:
+Cell functions are compiled twice, each once per distinct cell (cached
+library-wide, keyed by cell content):
 
 * an **opcode program** — a flat postfix tuple interpreted by
   :func:`run_program` (the readable reference, also used by tests), and
-* a **generated Python function** per distinct cell (cached library-wide)
-  taking ``(mask, pin0, pin1, ...)`` words and returning the output word.
+* a **generated Python function** taking ``(mask, pin0, pin1, ...)``
+  words and returning the output word.
   ``NOT`` is emitted as ``mask ^ x``, so no word needs masking afterwards.
 
 The lowering is cached on the circuit against :attr:`Circuit.version`, so
@@ -27,7 +28,6 @@ repeated passes over an unmodified circuit compile exactly once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -132,6 +132,20 @@ def _expr_source(e: BoolExpr, pin_index: Mapping[str, int]) -> str:
     return "(" + sep.join(_expr_source(a, pin_index) for a in e.args) + ")"
 
 
+_program_cache: LRUCache[tuple[tuple[int, int], ...]] = LRUCache(CELL_CACHE_SIZE)
+
+
+def cell_program(cell: Cell) -> tuple[tuple[int, int], ...]:
+    """The opcode program of ``cell`` over its pin order (cached per cell)."""
+    key = cell._key
+    program = _program_cache.get(key)
+    if program is None:
+        pin_index = {pin: i for i, pin in enumerate(cell.inputs)}
+        program = compile_program(cell.expr, pin_index)
+        _program_cache.put(key, program)
+    return program
+
+
 _func_cache: LRUCache[Callable[..., int]] = LRUCache(CELL_CACHE_SIZE)
 
 
@@ -189,9 +203,10 @@ def cell_prime_tables(
 class CompiledCircuit:
     """A :class:`Circuit` lowered to levelized, integer-indexed flat arrays.
 
-    Immutable; derived views (evaluation plan, fanouts, arrival times) are
-    computed lazily and cached.  Contains only tuples of ints, cells, and
-    plain functions, so it pickles cleanly for sharding/batching.
+    Immutable; derived views (evaluation plan, fanouts, arrival times and
+    their shared name maps) are computed lazily and cached.  It pickles
+    as its arrays and cells alone: the derived views, which hold generated
+    functions and read-only maps, are rebuilt on demand after loading.
     """
 
     name: str
@@ -316,21 +331,6 @@ class CompiledCircuit:
         arrival = self.arrival()
         return max((arrival[i] for i in self.output_index), default=0)
 
-    def critical_output_indices(
-        self, target: int | None = None, threshold: float = 0.9
-    ) -> tuple[int, ...]:
-        """Output net indices where at least one speed-path terminates.
-
-        ``target`` defaults to ``floor(threshold * critical_delay)``, the
-        paper's speed-path threshold ``Delta_y``.
-        """
-        if target is None:
-            if not 0.0 < threshold <= 1.0:
-                raise EngineError(f"threshold fraction {threshold} outside (0, 1]")
-            target = int(math.floor(threshold * self.critical_delay()))
-        arrival = self.arrival()
-        return tuple(i for i in self.output_index if arrival[i] > target)
-
     # ------------------------------------------------------------ evaluation
 
     def eval_bits(self, input_bits: Sequence[int]) -> list[int]:
@@ -397,6 +397,9 @@ class CompiledCircuit:
             output_index=self.output_index,
         )
 
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_derived": {}}
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"CompiledCircuit({self.name!r}, {self.n_inputs} in, "
@@ -430,8 +433,7 @@ def _lower(circuit: Circuit) -> CompiledCircuit:
         cells.append(cell)
         fanins.append(fi)
         delays.append(gate.pin_delays())
-        pin_index = {pin: i for i, pin in enumerate(cell.inputs)}
-        programs.append(compile_program(cell.expr, pin_index))
+        programs.append(cell_program(cell))
         levels[n_inputs + pos] = 1 + max((levels[f] for f in fi), default=-1)
 
     try:

@@ -46,11 +46,8 @@ def compute_spcf(
     ) as span:
         ctx = context or SpcfContext(circuit, threshold=threshold, target=target)
         mgr = ctx.manager
-        report = ctx.report
 
-        critical: set[str] = {
-            net for net in report.arrival if report.slack(net) < 0
-        }
+        critical = ctx.report.critical_nets()
         and_ = mgr._and
         functions = ctx.functions
         # Late-activation edges; a critical PI is always late.

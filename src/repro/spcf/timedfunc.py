@@ -7,16 +7,19 @@
   a :class:`CircuitFunctions` map: a net's BDD is composed on first access,
   so a query that discharges most of a circuit statically never pays for
   the cold cones,
-* the STA report (latest arrivals, prime-based earliest-stabilization bounds,
-  required times for the target ``Delta_y``).
+* the STA report for the target ``Delta_y``: latest arrivals and
+  prime-based earliest-stabilization bounds, read from maps built once per
+  compiled circuit, and required times, swept only when first read (by the
+  node-based algorithm; Eqn. 1 and the path-based walk never read them).
 
 The global functions depend on neither the algorithm nor the threshold, so
 by default every context on one circuit content shares one manager and one
 map (:data:`_functions_cache`): a sweep builds each gate BDD once, and the
 SPCFs of two contexts on one circuit are the same BDD edges.  A context
 given an explicit ``manager=`` (whose first levels must then be the
-inputs) builds its own map on it.  Each context keeps its own STA report
-and its own Eqn. 1 memo tables.
+inputs) builds its own map on it.  Each context keeps its own Eqn. 1 memo
+tables and its own report, whose circuit-only timing maps are the shared
+ones of :func:`repro.sta.timing.analyze`.
 
 On top of it, :meth:`SpcfContext.stable` implements the paper's Eqn. 1 — the
 pair of timed characteristic functions

@@ -9,6 +9,11 @@ Computes, for every net of a :class:`~repro.netlist.circuit.Circuit`:
 * ``required`` / ``slack`` with respect to a target arrival time
   ``Delta_y`` (the paper's speed-path threshold, default ``0.9 * Delta``).
 
+The first two depend on the circuit alone: their name maps are built once
+per :class:`~repro.engine.CompiledCircuit` and shared, read-only, by every
+report on it.  ``required`` depends on the target and is swept backward on
+first access, so a reader of arrivals only never pays for it.
+
 Gates with negative slack are the *statically critical* gates used by the
 node-based SPCF algorithm; outputs with ``arrival > Delta_y`` are the paper's
 *critical primary outputs*.
@@ -17,7 +22,9 @@ node-based SPCF algorithm; outputs with ``arrival > Delta_y`` are the paper's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 from repro.engine import CompiledCircuit, compile_circuit
@@ -30,14 +37,42 @@ INFINITE_TIME = 1 << 50
 
 @dataclass(frozen=True)
 class TimingReport:
-    """Result of :func:`analyze`."""
+    """Result of :func:`analyze`.
+
+    ``arrival`` and ``min_stable`` are the read-only maps of the compiled
+    circuit, shared by every report on it; ``required`` is this report's own.
+    """
 
     circuit_name: str
     arrival: Mapping[str, int]
     min_stable: Mapping[str, int]
-    required: Mapping[str, int]
     critical_delay: int
     target: int
+    compiled: CompiledCircuit = field(repr=False, compare=False)
+
+    @cached_property
+    def required(self) -> dict[str, int]:
+        """Latest time each net may settle for every output to meet ``target``.
+
+        Swept backward from the outputs on first access; a net feeding no
+        output keeps :data:`INFINITE_TIME`.
+        """
+        compiled = self.compiled
+        required = [INFINITE_TIME] * compiled.n_nets
+        target = self.target
+        for idx in compiled.output_index:
+            if target < required[idx]:
+                required[idx] = target
+        n_inputs = compiled.n_inputs
+        for pos in range(compiled.n_gates - 1, -1, -1):
+            req = required[n_inputs + pos]
+            for fanin, delay in zip(
+                compiled.gate_fanins[pos], compiled.gate_delays[pos]
+            ):
+                candidate = req - delay
+                if candidate < required[fanin]:
+                    required[fanin] = candidate
+        return dict(zip(compiled.net_names, required))
 
     def slack(self, net: str) -> int:
         """Required minus (latest) arrival for ``net``."""
@@ -54,11 +89,8 @@ class TimingReport:
 
     def critical_nets(self) -> set[str]:
         """All nets (including PIs) with negative slack."""
-        return {
-            net
-            for net in self.arrival
-            if self.required[net] - self.arrival[net] < 0
-        }
+        arrival = self.arrival
+        return {net for net, req in self.required.items() if req < arrival[net]}
 
     def critical_outputs(self, circuit: Circuit) -> tuple[str, ...]:
         """Primary outputs where at least one speed-path terminates."""
@@ -79,6 +111,22 @@ def threshold_target(critical_delay: int, fraction: float) -> int:
     return int(math.floor(fraction * critical_delay))
 
 
+def _shared_map(
+    compiled: CompiledCircuit, view: str, times: tuple[int, ...]
+) -> Mapping[str, int]:
+    """``times`` by net name, built once per compiled circuit.
+
+    Cached in the circuit's derived views next to the array it names and
+    handed out read-only, as every report on the circuit shares it.
+    """
+    key = ("by_name", view)
+    named: Mapping[str, int] | None = compiled._derived.get(key)
+    if named is None:
+        named = MappingProxyType(dict(zip(compiled.net_names, times)))
+        compiled._derived[key] = named
+    return named
+
+
 def analyze(
     circuit: Circuit | CompiledCircuit,
     target: int | None = None,
@@ -89,38 +137,21 @@ def analyze(
     ``target`` overrides the required time at the primary outputs; when
     ``None`` it is derived as ``threshold_target(Delta, threshold)``.
 
-    The forward passes (arrival, prime-based ``min_stable``) are cached on
-    the :class:`~repro.engine.CompiledCircuit`, so repeated analyses of an
-    unmodified circuit only redo the cheap backward required-time sweep.
+    Everything that depends on the circuit alone (arrival, prime-based
+    ``min_stable``, their name maps) is cached on the
+    :class:`~repro.engine.CompiledCircuit`, so a repeated analysis of an
+    unmodified circuit does no sweep at all; the target-dependent backward
+    sweep runs when the report's ``required`` is first read.
     """
     compiled = compile_circuit(circuit)
-    arrival_arr = compiled.arrival()
-    min_stable_arr = compiled.min_stable()
-
     critical_delay = compiled.critical_delay()
     if target is None:
         target = threshold_target(critical_delay, threshold)
-
-    required_arr = [INFINITE_TIME] * compiled.n_nets
-    for idx in compiled.output_index:
-        if target < required_arr[idx]:
-            required_arr[idx] = target
-    n_inputs = compiled.n_inputs
-    for pos in range(compiled.n_gates - 1, -1, -1):
-        req = required_arr[n_inputs + pos]
-        fanins = compiled.gate_fanins[pos]
-        delays = compiled.gate_delays[pos]
-        for fanin, delay in zip(fanins, delays):
-            candidate = req - delay
-            if candidate < required_arr[fanin]:
-                required_arr[fanin] = candidate
-
-    names = compiled.net_names
     return TimingReport(
         circuit_name=compiled.name,
-        arrival=dict(zip(names, arrival_arr)),
-        min_stable=dict(zip(names, min_stable_arr)),
-        required=dict(zip(names, required_arr)),
+        arrival=_shared_map(compiled, "arrival", compiled.arrival()),
+        min_stable=_shared_map(compiled, "min_stable", compiled.min_stable()),
         critical_delay=critical_delay,
         target=target,
+        compiled=compiled,
     )

@@ -18,6 +18,7 @@ from repro.engine import (
     run_program,
 )
 from repro.errors import EngineError, SimulationError
+from repro.lru import LRUCache
 from repro.netlist import lsi10k_like_library, unit_library
 from repro.sim import simulate, simulate_words
 from repro.sta import analyze
@@ -154,13 +155,29 @@ def test_with_delay_scales_rejects_bad_input(unit_lib):
         cc.with_delay_scales({"g1": 0.5})
 
 
-def test_critical_output_indices_threshold_validation(unit_lib):
-    cc = compile_circuit(
-        random_dag_circuit(8, num_inputs=3, num_gates=5, library=unit_lib)
-    )
-    with pytest.raises(EngineError, match="threshold"):
-        cc.critical_output_indices(threshold=0.0)
-    assert cc.critical_output_indices(target=-1)  # everything is critical
+def test_lowering_compiles_one_program_per_distinct_cell(lsi_lib, monkeypatch):
+    import repro.engine.ir as ir
+
+    calls = []
+
+    def counting(expr, pin_index):
+        calls.append(expr)
+        return compile_program(expr, pin_index)
+
+    monkeypatch.setattr(ir, "compile_program", counting)
+    monkeypatch.setattr(ir, "_program_cache", LRUCache(ir.CELL_CACHE_SIZE))
+    circuits = [
+        random_dag_circuit(seed, num_inputs=4, num_gates=40, library=lsi_lib)
+        for seed in range(3)
+    ]
+    compiled = [compile_circuit(c) for c in circuits]
+    cells = {cell._key for cc in compiled for cell in cc.gate_cells}
+    assert sum(cc.n_gates for cc in compiled) > len(cells)
+    assert 0 < len(calls) <= len(cells)
+    for cc in compiled:
+        for cell, program in zip(cc.gate_cells, cc.gate_programs):
+            pin_index = {pin: i for i, pin in enumerate(cell.inputs)}
+            assert program == compile_program(cell.expr, pin_index)
 
 
 # --------------------------------------------------------------- evaluation
@@ -244,3 +261,17 @@ def test_gate_pin_delays_memoized(unit_lib):
     first = gate.pin_delays()
     assert gate.pin_delays() is first
     assert gate.pin_delay(0) == first[0]
+
+
+def test_pickles_after_sta_and_evaluation(unit_lib):
+    import pickle
+
+    c = random_dag_circuit(11, num_inputs=4, num_gates=10, library=unit_lib)
+    cc = compile_circuit(c)
+    report = analyze(cc)
+    bits = [1, 0, 1, 1]
+    values = cc.eval_bits(bits)  # builds the plan of generated functions
+    loaded = pickle.loads(pickle.dumps(cc))
+    assert loaded.gate_programs == cc.gate_programs
+    assert loaded.eval_bits(bits) == values
+    assert analyze(loaded).arrival == report.arrival
