@@ -1,15 +1,14 @@
 # Developer entry points. `make check` is the CI gate: tier-1 tests, the
 # warning-level lint sweep over every builtin benchmark, the campaign
 # crash/quarantine/resume smoke drill, the independent masking verifier,
-# the multi-root SPCF speedup gate, and the lift/collapse golden-network
-# check.
+# and the lift/collapse golden-network check.
 
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check test lint-circuits campaign-smoke verify-mask lint-py typecheck bench bench-obs bench-spcf bench-collapse e2e-check
+.PHONY: check test lint-circuits campaign-smoke verify-mask lint-py typecheck bench bench-obs bench-collapse e2e-check
 
-check: test lint-circuits campaign-smoke verify-mask bench-spcf bench-collapse
+check: test lint-circuits campaign-smoke verify-mask bench-collapse
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -63,12 +62,6 @@ bench-obs:
 e2e-check:
 	$(PYTHON) benchmarks/e2e/run.py --workload table2 --workload threshold_sweep --workload spcf_sweep --repeats 1 --trace 0
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/e2e -q
-
-# Multi-root SPCF gate: the serial 5-threshold exact short-path sweep over
-# one lazy shared context must be bit-identical to one eager context per
-# target and >= 2x faster (median).  Writes BENCH_spcf.json.
-bench-spcf:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_spcf.py --check
 
 # Lift and collapse stage timings over the 20 Table 2 circuits.  Writes
 # BENCH_collapse.json; the gate is only that every lifted and collapsed

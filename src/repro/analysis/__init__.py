@@ -4,8 +4,8 @@ The **linter** (:func:`lint_circuit`) runs rule-based structural checks on
 top of the netlist, engine, and BDD layers, with stable rule ids
 (``LINT001`` combinational-loop ... ``LINT007`` constant-output), and emits
 structured :class:`Diagnostic` records.  Reports support baseline
-suppression (:mod:`repro.analysis.baseline`) and text / JSON / SARIF 2.1.0
-rendering (:mod:`repro.analysis.sarif`).  The reporters also render the
+suppression (:mod:`repro.analysis.baseline`) and text / JSON rendering
+(:mod:`repro.analysis.reporters`).  The reporters also render the
 masking proof of :func:`repro.core.verify.verify_masking`
 (:func:`render_verify_text`, :func:`render_verify_json`).
 
@@ -36,7 +36,6 @@ from repro.analysis.reporters import (
     render_verify_json,
     render_verify_text,
 )
-from repro.analysis.sarif import render_sarif, sarif_log
 
 __all__ = [
     "BASELINE_SCHEMA",
@@ -55,13 +54,11 @@ __all__ = [
     "render_baseline",
     "render_json",
     "render_json_many",
-    "render_sarif",
     "render_text",
     "render_text_many",
     "render_verify_json",
     "render_verify_text",
     "rule",
-    "sarif_log",
     "suite_ok",
     "write_baseline",
 ]

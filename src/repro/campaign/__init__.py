@@ -17,7 +17,6 @@ from repro.campaign.aggregate import aggregate_results
 from repro.campaign.checkpoint import CheckpointWriter, JournalState, load_journal
 from repro.campaign.report import render_campaign_json, render_campaign_text
 from repro.campaign.runner import (
-    CAMPAIGN_BACKENDS,
     CampaignOutcome,
     RunnerConfig,
     resume_campaign,
@@ -69,7 +68,6 @@ __all__ = [
     "render_campaign_text",
     "run_smoke",
     "smoke_spec",
-    "CAMPAIGN_BACKENDS",
     "campaign_status",
     "render_status_text",
     "watch_status",

@@ -46,7 +46,6 @@ from repro.exec import (
     Task,
     TaskResult,
     make_executor,
-    resolve_backend,
 )
 
 #: Callback signature: ``progress(event, shard_index, message)``.
@@ -81,11 +80,6 @@ _SHARD_SECONDS = _METER.histogram(
 )
 
 
-#: Executor backends a campaign may run on (``auto`` keeps the historical
-#: ``workers`` convention: 0 -> inline, otherwise a local process pool).
-CAMPAIGN_BACKENDS = ("auto", "inline", "process")
-
-
 @dataclass(frozen=True)
 class RunnerConfig:
     """Resilience knobs; defaults suit medium campaigns on one machine."""
@@ -97,7 +91,6 @@ class RunnerConfig:
     backoff_cap: float = 8.0
     backoff_jitter: float = 0.25
     max_consecutive_failures: int = 16
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -108,10 +101,6 @@ class RunnerConfig:
             raise CampaignError(f"max_retries {self.max_retries} must be >= 0")
         if self.max_consecutive_failures <= 0:
             raise CampaignError("max_consecutive_failures must be positive")
-        if self.backend not in CAMPAIGN_BACKENDS:
-            raise CampaignError(
-                f"backend {self.backend!r} must be one of {CAMPAIGN_BACKENDS}"
-            )
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(
@@ -246,12 +235,11 @@ class _Bookkeeper:
 def _check_sabotage(
     config: RunnerConfig, sabotage: Mapping[int, dict] | None
 ) -> None:
-    """Refuse drills the resolved backend cannot isolate, before any I/O."""
-    if sabotage and resolve_backend(config.workers, config.backend) != "process":
+    """Refuse drills the inline executor cannot isolate, before any I/O."""
+    if sabotage and config.workers == 0:
         raise CampaignError(
-            "sabotage drills require isolated workers (the process "
-            "backend); the inline backend would kill the campaign "
-            "process itself"
+            "sabotage drills require isolated workers (workers >= 1); "
+            "the inline executor would kill the campaign process itself"
         )
 
 
@@ -281,7 +269,6 @@ def _execute(
         shards=len(plan),
         pending=len(pending),
         workers=config.workers,
-        backend=config.backend,
     ) as run_span:
         with make_executor(
             config.workers,
@@ -289,7 +276,6 @@ def _execute(
             breaker=config.breaker_policy(),
             task_timeout=config.task_timeout,
             events=books.on_event,
-            backend=config.backend,
         ) as executor:
             executor.parent_span_id = getattr(run_span, "id", None)
             report = executor.run(
@@ -314,7 +300,6 @@ def _execute(
         "attempts": report.attempts,
         "wall_seconds": wall,
         "aborted": report.breaker_reason,
-        "backend": config.backend,
     }
     return CampaignOutcome(
         aggregate=aggregate, checkpoint=writer.path, stats=stats

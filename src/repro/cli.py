@@ -13,7 +13,7 @@ Usage (installed as ``python -m repro``)::
     python -m repro table2 --circuits cmb x2 cu
     python -m repro campaign plan --circuits comparator2 --modes delay seu
     python -m repro campaign run camp.ckpt.jsonl --circuits comparator2
-    python -m repro campaign run camp.ckpt.jsonl --backend process --workers 4
+    python -m repro campaign run camp.ckpt.jsonl --workers 4
     python -m repro campaign resume camp.ckpt.jsonl
     python -m repro campaign report camp.ckpt.jsonl --format json
     python -m repro campaign status camp.ckpt.jsonl --watch 2
@@ -49,7 +49,6 @@ from pathlib import Path
 from repro import obs
 from repro.benchcircuits import PAPER_SPECS, TABLE1_NAMES, all_circuit_names, circuit_by_name
 from repro.campaign import (
-    CAMPAIGN_BACKENDS,
     FAULT_KINDS,
     CampaignSpec,
     RunnerConfig,
@@ -83,7 +82,7 @@ from repro.analysis import (
 )
 from repro.core import mask_circuit, synthesize_masking, verify_masking
 from repro.errors import BlifError, CampaignError, ReproError
-from repro.exec import available_backends, default_worker_count
+from repro.exec import default_worker_count
 from repro.netlist import (
     Circuit,
     Library,
@@ -418,7 +417,6 @@ def _runner_config(args: argparse.Namespace) -> RunnerConfig:
         workers=args.workers,
         task_timeout=args.timeout,
         max_retries=args.retries,
-        backend=args.backend,
     )
 
 
@@ -533,7 +531,6 @@ def cmd_info(args: argparse.Namespace) -> int:
         sources.append("--metrics")
     print(f"repro version     : {__version__}")
     print(f"python            : {sys.version.split()[0]} ({sys.platform})")
-    print(f"executor backends : {', '.join(available_backends())}")
     print(f"cpu count         : {os.cpu_count() or 'unknown'}")
     print(f"default workers   : {default_worker_count()}")
     print(f"observability     : {obs_state}"
@@ -675,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "info",
-        help="toolkit version, executor backends, observability status",
+        help="toolkit version, worker defaults, observability status",
         parents=[obs_parent],
     )
     p.set_defaults(func=cmd_info)
@@ -729,10 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-shard attempt timeout in seconds")
         cp.add_argument("--retries", type=int, default=3,
                         help="retries per shard before quarantine")
-        cp.add_argument("--backend", default="auto",
-                        choices=CAMPAIGN_BACKENDS,
-                        help="executor backend (auto: 0 workers = inline, "
-                        "else process pool)")
         cp.add_argument("--progress", action="store_true",
                         help="log per-shard progress lines")
 

@@ -23,10 +23,8 @@ from repro.exec.executors import (
     ProcessPoolExecutor,
     ResultFn,
     TaskAttemptError,
-    available_backends,
     default_worker_count,
     make_executor,
-    resolve_backend,
     validated_jobs,
 )
 from repro.exec.policy import BreakerPolicy, RetryPolicy
@@ -57,10 +55,8 @@ __all__ = [
     "TaskAttemptError",
     "EventFn",
     "ResultFn",
-    "available_backends",
     "default_worker_count",
     "make_executor",
-    "resolve_backend",
     "validated_jobs",
     "register_task_kind",
     "registered_kinds",

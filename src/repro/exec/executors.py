@@ -65,19 +65,6 @@ EventFn = Callable[[str, Task, str, dict], None]
 ResultFn = Callable[[TaskResult], None]
 
 
-def available_backends() -> tuple[str, ...]:
-    """Names of the executor backends this build offers."""
-    return ("inline", "process")
-
-
-def resolve_backend(workers: int, backend: str = "auto") -> str:
-    """The backend ``backend`` names; ``auto`` is inline at 0 workers,
-    otherwise the process pool."""
-    if backend == "auto":
-        return "inline" if workers == 0 else "process"
-    return backend
-
-
 def default_worker_count() -> int:
     """Default process-pool size: the machine's cores, capped at 8."""
     return max(1, min(os.cpu_count() or 1, 8))
@@ -769,28 +756,19 @@ def make_executor(
     breaker: BreakerPolicy | None = None,
     task_timeout: float = 300.0,
     events: EventFn | None = None,
-    backend: str = "auto",
 ) -> Executor:
-    """Build an executor by backend name.
+    """Build the executor a worker count selects.
 
-    ``backend="auto"`` keeps the historical ``workers`` convention:
     ``0`` -> inline, ``N >= 1`` -> a process pool of N persistent
-    workers.  Explicit names select a backend directly.  Negative counts
-    are rejected eagerly.
+    workers.  Negative counts are rejected eagerly.
     """
     workers = validated_jobs(workers)
     kwargs: dict[str, Any] = dict(
         retry=retry, breaker=breaker, task_timeout=task_timeout, events=events
     )
-    backend = resolve_backend(workers, backend)
-    if backend == "inline":
+    if workers == 0:
         return InlineExecutor(**kwargs)
-    if backend == "process":
-        return ProcessPoolExecutor(workers=max(workers, 1), **kwargs)
-    raise ExecError(
-        f"unknown executor backend {backend!r}; "
-        f"choose from {('auto',) + available_backends()}"
-    )
+    return ProcessPoolExecutor(workers=workers, **kwargs)
 
 
 __all__ = [
@@ -802,9 +780,7 @@ __all__ = [
     "ProcessPoolExecutor",
     "TaskAttemptError",
     "WORKER_START_TIMEOUT",
-    "available_backends",
     "default_worker_count",
-    "resolve_backend",
     "validated_jobs",
     "make_executor",
 ]

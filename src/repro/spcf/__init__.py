@@ -9,10 +9,6 @@ Three algorithms, matching Table 1 of the paper:
 :func:`compare_algorithms` runs all three, each on its own fresh manager,
 and reports counts and runtimes, reproducing one row of Table 1.
 
-:func:`spcf_multiroot` compiles a whole threshold sweep over one
-shared context/manager, so the computed table carries sub-results across
-targets.
-
 :func:`monte_carlo_accuracy` cross-checks a computed SPCF against the exact
 floating-mode stabilization oracle on a random pattern batch (driven by the
 compiled circuit engine), classifying each sampled pattern as a true/false
@@ -32,7 +28,6 @@ from repro.netlist.circuit import Circuit
 from repro.sim.logicsim import random_patterns
 from repro.sim.timingsim import stabilization_times
 from repro.spcf import nodebased, pathbased, shortpath
-from repro.spcf.multiroot import compute_multi as spcf_multiroot
 from repro.spcf.result import SpcfResult
 from repro.spcf.timedfunc import SpcfContext, expr_to_function
 
@@ -169,7 +164,6 @@ __all__ = [
     "spcf_shortpath",
     "spcf_pathbased",
     "spcf_nodebased",
-    "spcf_multiroot",
     "AlgorithmComparison",
     "compare_algorithms",
     "SampledAccuracy",

@@ -22,10 +22,6 @@ class SpcfResult:
     context: SpcfContext
     per_output: dict[str, Function]
     runtime_seconds: float = 0.0
-    #: Multi-threshold compiles (see :func:`repro.spcf.multiroot.compute_multi`)
-    #: share one context across several targets; each per-target result
-    #: records its own ``Delta_y`` here instead of the context's default.
-    target_override: int | None = None
 
     @property
     def union(self) -> Function:
@@ -35,8 +31,6 @@ class SpcfResult:
 
     @property
     def target(self) -> int:
-        if self.target_override is not None:
-            return self.target_override
         return self.context.target
 
     @property

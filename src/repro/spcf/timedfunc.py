@@ -276,13 +276,6 @@ class SpcfContext:
         """Outputs where at least one speed-path terminates."""
         return self.report.critical_outputs(self.circuit)
 
-    def critical_outputs_at(self, target: int) -> tuple[str, ...]:
-        """Outputs whose latest arrival exceeds an arbitrary target."""
-        arrival = self.report.arrival
-        return tuple(
-            net for net in self.circuit.outputs if arrival[net] > target
-        )
-
     def count(self, fn: Function) -> int:
         """Model count of an SPCF over the circuit's primary inputs."""
         return fn.count(len(self.circuit.inputs))

@@ -79,9 +79,9 @@ def test_cache_hit_rate_derived_exactly():
 
 
 def test_op_cache_shared_across_spcf_contexts(lsi_lib):
-    """The regression the multi-root compile depends on: a second SPCF query
-    on a shared manager re-enters the computed table populated by the first
-    (across S0/S1 roots and thresholds), instead of recomputing cold."""
+    """Per-target SPCF contexts on one shared manager depend on the
+    computed table: a second query re-enters the table populated by the
+    first (across S0/S1 roots and thresholds) instead of recomputing cold."""
     circuit = circuit_by_name("comparator4", lsi_lib)
     mgr = BddManager()
     mgr.enable_op_counting()

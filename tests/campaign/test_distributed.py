@@ -1,4 +1,4 @@
-"""Campaign backends, journal-only status and adaptive shard sizing."""
+"""Journal-only campaign status and adaptive shard sizing."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro import obs
 from repro.campaign import (
-    CAMPAIGN_BACKENDS,
     CampaignSpec,
     RunnerConfig,
     ShardTiming,
@@ -35,17 +34,6 @@ def tiny_spec(**overrides) -> CampaignSpec:
     )
     base.update(overrides)
     return CampaignSpec(**base)
-
-
-class TestRunnerConfigValidation:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(CampaignError, match="backend"):
-            RunnerConfig(backend="smoke-signals")
-
-    def test_backend_catalog(self):
-        assert CAMPAIGN_BACKENDS == (
-            "auto", "inline", "process"
-        )
 
 
 class TestCampaignStatus:

@@ -85,17 +85,6 @@ def test_sabotage_requires_isolation(tmp_path):
     assert not path.exists()
 
 
-def test_sabotage_requires_isolation_on_inline_backend(tmp_path):
-    # Workers are requested, but the inline backend runs them in-process.
-    path = tmp_path / "c.jsonl"
-    with pytest.raises(CampaignError, match="isolated workers"):
-        run_campaign(
-            tiny_spec(), path, RunnerConfig(backend="inline", workers=2),
-            sabotage={0: {"mode": "kill"}},
-        )
-    assert not path.exists()
-
-
 def test_retry_absorbs_one_worker_sigkill(tmp_path):
     outcome = run_campaign(
         tiny_spec(), tmp_path / "c.jsonl", FAST,

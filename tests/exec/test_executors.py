@@ -23,7 +23,6 @@ from repro.exec import (
     ProcessPoolExecutor,
     RetryPolicy,
     Task,
-    available_backends,
     default_worker_count,
     make_executor,
     validated_jobs,
@@ -47,9 +46,6 @@ def pool():
 
 
 class TestConfiguration:
-    def test_available_backends(self):
-        assert available_backends() == ("inline", "process")
-
     def test_default_worker_count_positive_and_capped(self):
         assert 1 <= default_worker_count() <= 8
 
@@ -69,8 +65,6 @@ class TestConfiguration:
             assert ex.workers == 2
         with pytest.raises(ExecError):
             make_executor(-2)
-        with pytest.raises(ExecError, match="backend"):
-            make_executor(1, backend="carrier-pigeon")
 
     def test_bad_worker_counts(self):
         with pytest.raises(ExecError):

@@ -29,7 +29,6 @@ def test_info_reports_toolkit_state(capsys):
     code, out, _ = run(capsys, "info")
     assert code == 0
     assert "repro version" in out
-    assert "executor backends" in out
     assert "python" in out
     assert "observability     : disabled" in out
 

@@ -22,7 +22,6 @@ from repro.sim import (
 from repro.spcf import (
     SpcfContext,
     compare_algorithms,
-    spcf_multiroot,
     spcf_nodebased,
     spcf_pathbased,
     spcf_shortpath,
@@ -195,7 +194,6 @@ def test_tightened_spcf_is_bit_identical(bypass):
     others = [
         spcf_pathbased(bypass, target=target).per_output,
         spcf_nodebased(bypass, target=target).per_output,
-        spcf_multiroot(bypass, targets=[target])[target].per_output,
     ]
     for other in others:
         assert other.keys() == base.keys()

@@ -3,8 +3,9 @@
 A default :class:`SpcfContext` reads the cached global-function map of its
 circuit's content, so a Table 1 sweep (three algorithms at several
 thresholds) builds each gate BDD once.  These tests pin that sharing moves
-no count, that the two exact algorithms then return the very same BDDs,
-and that :func:`compare_algorithms` still times each algorithm cold.
+no count and no short-path cube, that the two exact algorithms then return
+the very same BDDs, and that :func:`compare_algorithms` still times each
+algorithm cold.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ SOLVERS = {
 }
 
 
+def _cubes(result):
+    """Manager-independent form: output -> its BDD's cube sequence."""
+    return {y: list(fn.cubes()) for y, fn in result.per_output.items()}
+
+
 @pytest.fixture(autouse=True)
 def cold_cache():
     timedfunc_mod._functions_cache.clear()
@@ -43,7 +49,7 @@ def cold_cache():
     timedfunc_mod._functions_cache.clear()
 
 
-@pytest.mark.parametrize("name", ["cmb", "i1", "C432"])
+@pytest.mark.parametrize("name", ["cmb", "i1", "C432", "comparator4"])
 def test_shared_contexts_count_what_fresh_managers_count(name):
     circuit = circuit_by_name(name, LSI)
     shared_manager = None
@@ -62,6 +68,10 @@ def test_shared_contexts_count_what_fresh_managers_count(name):
             assert shared.counts_by_output() == fresh.counts_by_output(), (
                 alg, threshold,
             )
+            if alg == "shortpath":
+                # Both managers order the variables as the circuit's
+                # inputs, so the same functions list the same cubes.
+                assert _cubes(shared) == _cubes(fresh), threshold
             results[alg] = shared
         for result in results.values():
             if shared_manager is None:
