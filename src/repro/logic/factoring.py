@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, reduce
 from operator import itemgetter
+from typing import Any
 
 from repro.logic.cover import Cover
 from repro.logic.cube import DASH, Cube
@@ -37,6 +38,13 @@ from repro.logic.expr import BoolExpr
 
 #: A cube as ``(care, value)`` masks, ``value`` a subset of ``care``.
 Mask = tuple[int, int]
+
+#: A factored form as plain tuples, one per node: ``("lit", name, positive)``,
+#: ``("const", value)``, or ``("and" | "or", left, right)``.
+Tree = tuple[Any, ...]
+
+_TRUE: Tree = ("const", True)
+_FALSE: Tree = ("const", False)
 
 
 def _to_masks(cover: Cover) -> list[Mask]:
@@ -144,24 +152,48 @@ def literal_kernels(cover: Cover) -> list[Cover]:
     return [_to_cover(cover.names, k) for k in _kernels(cubes, _literal_counts(cubes))]
 
 
+def _product(names: tuple[str, ...], cube: Mask) -> Tree:
+    lits: list[Tree] = [
+        ("lit", names[b.bit_length() - 1], v > 0) for b, v in _literals(cube)
+    ]
+    return reduce(_and, lits) if lits else _TRUE
+
+
+def _and(a: Tree, b: Tree) -> Tree:
+    return ("and", a, b)
+
+
+def _or(a: Tree, b: Tree) -> Tree:
+    return ("or", a, b)
+
+
+def factor(cover: Cover) -> BoolExpr:
+    """Factored-form expression of the cover (algebraically equivalent)."""
+    return _to_expr(factor_tree(cover))
+
+
+def factor_tree(cover: Cover) -> Tree:
+    """:func:`factor` as a :data:`Tree`, for callers that walk it once."""
+    return _factor(_to_masks(cover), cover.names)
+
+
 @lru_cache(maxsize=1 << 12)
 def _leaf(name: str, positive: bool) -> BoolExpr:
     return BoolExpr.var(name) if positive else ~BoolExpr.var(name)
 
 
-def _product(names: tuple[str, ...], cube: Mask) -> BoolExpr:
-    lits = [_leaf(names[b.bit_length() - 1], v > 0) for b, v in _literals(cube)]
-    return reduce(BoolExpr.__and__, lits) if lits else BoolExpr.const(True)
+def _to_expr(tree: Tree) -> BoolExpr:
+    op = tree[0]
+    if op == "lit":
+        return _leaf(tree[1], tree[2])
+    if op == "const":
+        return BoolExpr.const(tree[1])
+    return BoolExpr(op, args=(_to_expr(tree[1]), _to_expr(tree[2])))
 
 
-def factor(cover: Cover) -> BoolExpr:
-    """Factored-form expression of the cover (algebraically equivalent)."""
-    return _factor(_to_masks(cover), cover.names)
-
-
-def _factor(cubes: list[Mask], names: tuple[str, ...]) -> BoolExpr:
+def _factor(cubes: list[Mask], names: tuple[str, ...]) -> Tree:
     if not cubes:
-        return BoolExpr.const(False)
+        return _FALSE
     if len(cubes) == 1:
         return _product(names, cubes[0])
     counts = _literal_counts(cubes)
@@ -173,19 +205,19 @@ def _factor(cubes: list[Mask], names: tuple[str, ...]) -> BoolExpr:
             best = (saved, kernel, quotient)
     if best is not None:
         _, kernel, quotient = best
-        expr = _factor(kernel, names) & _factor(quotient, names)
+        expr = ("and", _factor(kernel, names), _factor(quotient, names))
         remainder = _remainder(cubes, kernel, quotient)
-        return expr | _factor(remainder, names) if remainder else expr
+        return ("or", expr, _factor(remainder, names)) if remainder else expr
 
     # No multi-cube kernel pays off: divide by the most frequent literal.
     if not counts:
         # Only universal cubes remain (e.g. the quotient of duplicate cubes).
-        return BoolExpr.const(True)
+        return _TRUE
     lit, count = max(counts.items(), key=itemgetter(1))  # Counter.most_common(1)
     if count < 2:
         # Completely disjoint cubes: plain OR of cube expressions.
-        return reduce(BoolExpr.__or__, [_product(names, cube) for cube in cubes])
+        return reduce(_or, [_product(names, cube) for cube in cubes])
     quotient, rest = _divide_by_cube(cubes, lit)
-    leaf = _leaf(names[lit[0].bit_length() - 1], lit[1] > 0)
-    expr = leaf & _factor(quotient, names)
-    return expr | _factor(rest, names) if rest else expr
+    leaf = ("lit", names[lit[0].bit_length() - 1], lit[1] > 0)
+    expr = ("and", leaf, _factor(quotient, names))
+    return ("or", expr, _factor(rest, names)) if rest else expr

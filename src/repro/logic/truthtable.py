@@ -13,12 +13,17 @@ depends on — the BDD's top level when index order is manager order — and
 takes the same terminal tests and branch order, so it returns the same
 cubes in the same order as ``bdd.isop`` over a manager whose variables are
 registered in index order.
+
+Both :func:`isop` and :func:`sop` take an optional cube ``limit``: past it
+they give up and return None instead of finishing a cover that the caller
+would reject.  ``collapse`` passes its cube cap, so a merge candidate with
+a cover too large to keep costs only the cubes up to the cap.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from typing import Sequence, overload
 
 from repro.errors import LogicError
 from repro.logic.cube import DASH, ONE, ZERO, Cube
@@ -80,14 +85,40 @@ def compose(reader: int, i: int, node: int, k: int) -> int:
     return (node & r1) | (~node & r0)
 
 
-def isop(lower: int, upper: int, k: int) -> list[dict[int, bool]]:
+class _OverLimit(Exception):
+    """Raised inside :func:`isop` when a cover passes its cube limit."""
+
+
+@overload
+def isop(lower: int, upper: int, k: int) -> list[dict[int, bool]]: ...
+
+
+@overload
+def isop(
+    lower: int, upper: int, k: int, limit: int | None
+) -> list[dict[int, bool]] | None: ...
+
+
+def isop(
+    lower: int, upper: int, k: int, limit: int | None = None
+) -> list[dict[int, bool]] | None:
     """Irredundant SOP ``C`` with ``lower <= C <= upper``, cubes as
-    ``{variable: polarity}`` in ``bdd.isop``'s order."""
+    ``{variable: polarity}`` in ``bdd.isop``'s order.
+
+    With a ``limit``, returns None as soon as the cover has more than
+    ``limit`` cubes: every cube the recursion emits ends up in the result,
+    so the cubes emitted so far are a lower bound on its size.
+    """
     if lower & ~upper:
         raise LogicError("isop requires lower <= upper")
     full, var = masks(k)
+    # Cubes the cover may still take; a cover has at most 2**k cubes.
+    budget = [(1 << k) if limit is None else limit]
     cubes: list[dict[int, bool]] = []
-    _isop(lower, upper, 0, full, var, cubes)
+    try:
+        _isop(lower, upper, 0, full, var, cubes, budget)
+    except _OverLimit:
+        return None
     return cubes
 
 
@@ -98,15 +129,20 @@ def _isop(
     full: int,
     var: tuple[int, ...],
     out: list[dict[int, bool]],
+    budget: list[int],
 ) -> int:
     """Recursive core; returns the table of the cubes it appended.
 
     Neither bound depends on a variable below ``first``: each call splits
-    on a variable and its sub-problems no longer depend on it.
+    on a variable and its sub-problems no longer depend on it.  Each cube
+    is emitted once, at a leaf, and spends one unit of ``budget[0]``.
     """
     if lower == 0:
         return 0
     if upper == full:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise _OverLimit
         out.append({})
         return full
     i = first
@@ -125,11 +161,11 @@ def _isop(
     u0 |= u0 << shift
     u1 |= u1 >> shift
     cubes0: list[dict[int, bool]] = []
-    f0 = _isop(l0 & ~u1, u0, i + 1, full, var, cubes0)
+    f0 = _isop(l0 & ~u1, u0, i + 1, full, var, cubes0, budget)
     cubes1: list[dict[int, bool]] = []
-    f1 = _isop(l1 & ~u0, u1, i + 1, full, var, cubes1)
+    f1 = _isop(l1 & ~u0, u1, i + 1, full, var, cubes1, budget)
     cubes_d: list[dict[int, bool]] = []
-    fd = _isop((l0 & ~f0) | (l1 & ~f1), u0 & u1, i + 1, full, var, cubes_d)
+    fd = _isop((l0 & ~f0) | (l1 & ~f1), u0 & u1, i + 1, full, var, cubes_d, budget)
     for cube in cubes0:
         cube[i] = False
         out.append(cube)
@@ -140,19 +176,44 @@ def _isop(
     return (f0 & ~hi_mask) | (f1 & hi_mask) | fd
 
 
-def sop(f: int, k: int) -> tuple[tuple[int, ...], tuple[Cube, ...], tuple[Cube, ...]]:
+#: ``(kept, on, off)`` as :func:`sop` returns it: the support of a table
+#: among its variables and the ISOP covers of the table and its complement
+#: over those positions.
+Sop = tuple[tuple[int, ...], tuple[Cube, ...], tuple[Cube, ...]]
+
+
+@overload
+def sop(f: int, k: int) -> Sop: ...
+
+
+@overload
+def sop(f: int, k: int, limit: int | None) -> Sop | None: ...
+
+
+def sop(f: int, k: int, limit: int | None = None) -> Sop | None:
     """``(kept, on, off)``: the support of ``f`` and the ISOP cubes of ``f``
-    and ``~f``, position ``j`` of each cube being variable ``kept[j]``."""
+    and ``~f``, position ``j`` of each cube being variable ``kept[j]``.
+
+    With a ``limit``, None when either cover has more than ``limit`` cubes;
+    the off-set is not covered when the on-set is already over.
+    """
+    on = isop(f, f, k, limit)
+    if on is None:
+        return None
+    off_table = f ^ masks(k)[0]
+    off = isop(off_table, off_table, k, limit)
+    if off is None:
+        return None
     kept = support(f, k)
     position = {v: j for j, v in enumerate(kept)}
 
-    def cubes(table: int) -> tuple[Cube, ...]:
-        out = []
-        for lits in isop(table, table, k):
+    def cubes(found: list[dict[int, bool]]) -> tuple[Cube, ...]:
+        out: list[Cube] = []
+        for lits in found:
             values = [DASH] * len(kept)
             for v, polarity in lits.items():
                 values[position[v]] = ONE if polarity else ZERO
             out.append(Cube(tuple(values)))
         return tuple(out)
 
-    return kept, cubes(f), cubes(f ^ masks(k)[0])
+    return kept, cubes(on), cubes(off)

@@ -13,6 +13,12 @@ Both stages compute on truth tables (:mod:`repro.logic.truthtable`): every
 function they touch has at most ``max_support + 1`` variables, and the
 table ISOP returns the same cubes, in the same order, as ``bdd.isop`` over
 a manager registering the variables in the same order.
+
+The merge test is kept cheap in two ways.  A candidate's ISOP stops at the
+cube cap (:func:`_table_sop`), so a candidate that the cap rejects never
+has its covers finished and never becomes a :class:`TechNode`.  With a
+library, each call prices every node of the network once: a lifted node
+when first read, a merged node at the price it was tested with.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from collections import deque
 from repro.errors import SynthesisError
 from repro.logic import truthtable
 from repro.logic.cover import Cover
-from repro.logic.cube import Cube
+from repro.logic.truthtable import Sop
 from repro.lru import LRUCache
 from repro.netlist.cell import Cell
 from repro.netlist.circuit import Circuit
@@ -31,11 +37,6 @@ from repro.synth.technet import TechNetwork, TechNode
 # benchmarks/e2e/tracer.py probes this name here (synth.collapse.candidates).
 from repro.synth.technet import node_from_function  # noqa: F401
 
-#: ``(kept, on cubes, off cubes)`` of a table as :func:`truthtable.sop`
-#: gives them: the function's support among the table's variables and its
-#: ISOP covers over those positions.  A node renames them to its nets.
-Sop = tuple[tuple[int, ...], tuple[Cube, ...], tuple[Cube, ...]]
-
 #: Most entries each of :data:`_lift_cache` and :data:`_merge_cache` holds.
 SOP_CACHE_SIZE = 4096
 
@@ -43,13 +44,16 @@ SOP_CACHE_SIZE = 4096
 #: among the gate's distinct fanins (the fanin-duplication pattern).
 _lift_cache: LRUCache[Sop] = LRUCache(SOP_CACHE_SIZE)
 
-#: Covers of a merge candidate keyed by its table: different nets often
-#: merge into the same function of the same positions.
-_merge_cache: LRUCache[Sop] = LRUCache(SOP_CACHE_SIZE)
+#: Covers of a merge candidate keyed by its table and cube cap: different
+#: nets often merge into the same function of the same positions.  ``False``
+#: records a table with a cover over the cap.
+_merge_cache: LRUCache[Sop | bool] = LRUCache(SOP_CACHE_SIZE)
 
 
 def _node(name: str, variables: tuple[str, ...], sop: Sop) -> TechNode:
-    """The node whose table variable ``i`` is the net ``variables[i]``."""
+    """The node whose table variable ``i`` is the net ``variables[i]``:
+    ``sop`` holds the support among the table's variables and the covers
+    over those positions, which the node renames to its nets."""
     kept, on, off = sop
     fanins = tuple(variables[i] for i in kept)
     return TechNode(name, fanins, Cover(fanins, on), Cover(fanins, off))
@@ -74,13 +78,15 @@ def _cell_sop(cell: Cell, pattern: tuple[int, ...]) -> Sop:
     return cached
 
 
-def _table_sop(table: int, k: int) -> Sop:
-    """:func:`truthtable.sop` through :data:`_merge_cache`."""
-    cached = _merge_cache.get((table, k))
+def _table_sop(table: int, k: int, cap: int) -> Sop | None:
+    """:func:`truthtable.sop` limited to ``cap`` cubes, through
+    :data:`_merge_cache`; None when either cover is over the cap."""
+    key = (table, k, cap)
+    cached = _merge_cache.get(key)
     if cached is None:
-        cached = truthtable.sop(table, k)
-        _merge_cache.put((table, k), cached)
-    return cached
+        cached = truthtable.sop(table, k, cap) or False
+        _merge_cache.put(key, cached)
+    return cached or None
 
 
 def circuit_to_technet(circuit: Circuit) -> TechNetwork:
@@ -132,6 +138,11 @@ def collapse(
             f"{truthtable.MAX_VARS - 1})"
         )
 
+    # Best cost of each node of the network, priced once: a lifted node when
+    # first read, a merged node as it was tested.  Keyed by name and checked
+    # by identity, as a committed merge replaces the node under its name.
+    prices: dict[str, tuple[TechNode, tuple[int, float]]] = {}
+
     def best_cost(tech_node: TechNode) -> tuple[int, float]:
         from repro.synth.mapping import trial_cost
 
@@ -139,6 +150,13 @@ def collapse(
             trial_cost(tech_node.on_cover, library, inverted=False),
             trial_cost(tech_node.off_cover, library, inverted=True),
         )
+
+    def price(tech_node: TechNode) -> tuple[int, float]:
+        entry = prices.get(tech_node.name)
+        if entry is None or entry[0] is not tech_node:
+            entry = prices[tech_node.name] = (tech_node, best_cost(tech_node))
+        return entry[1]
+
     net = network.copy()
     readers: dict[str, set[str]] = {}
     for node in net.nodes.values():
@@ -156,7 +174,7 @@ def collapse(
         reading = sorted(readers.get(name, ()))
         if not reading or len(reading) > max_fanout:
             continue
-        merged: list[tuple[TechNode, TechNode]] = []
+        merged: list[tuple[TechNode, TechNode, tuple[int, float] | None]] = []
         ok = True
         for reader_name in reading:
             reader = net.node(reader_name)
@@ -178,41 +196,42 @@ def collapse(
                 reader.on_cover.cubes, [index[f] for f in reader.fanins], k
             )
             combined = truthtable.compose(reader_table, k - 1, node_table, k)
-            candidate = _node(reader_name, variables, _table_sop(combined, k))
             # XOR-rich functions have no compact SOP (a k-input parity has
             # 2^(k-1) cubes); refusing candidates whose cover exceeds its
             # support size keeps such structures as separate nodes.
             cube_cap = min(max_cubes, max(4, len(support)))
-            if (
-                candidate.on_cover.num_cubes > cube_cap
-                or candidate.off_cover.num_cubes > cube_cap
-            ):
+            sop = _table_sop(combined, k, cube_cap)
+            if sop is None:
                 ok = False
                 break
+            candidate = _node(reader_name, variables, sop)
+            cost: tuple[int, float] | None = None
             if library is not None:
-                cand_delay, cand_area = best_cost(candidate)
-                node_delay, node_area = best_cost(node)
-                reader_delay, reader_area = best_cost(reader)
-                if cand_delay > node_delay + reader_delay or (
-                    cand_area > 1.25 * (node_area + reader_area) + 4.0
+                cost = best_cost(candidate)
+                node_delay, node_area = price(node)
+                reader_delay, reader_area = price(reader)
+                if cost[0] > node_delay + reader_delay or (
+                    cost[1] > 1.25 * (node_area + reader_area) + 4.0
                 ):
                     ok = False
                     break
-            merged.append((reader, candidate))
+            merged.append((reader, candidate, cost))
         if not ok:
             continue
         # Commit: rewrite every reader, then drop the eliminated node.
-        for reader, candidate in merged:
+        for reader, candidate, cost in merged:
             for f in reader.fanins:
                 readers.get(f, set()).discard(reader.name)
             net.replace_node(candidate)
+            if cost is not None:
+                prices[candidate.name] = (candidate, cost)
             for f in candidate.fanins:
                 readers.setdefault(f, set()).add(candidate.name)
         for f in node.fanins:
             readers.get(f, set()).discard(name)
         net.remove_node(name)
         # Fanins may have become low-fanout; readers got new shapes.
-        for follow_up in (*node.fanins, *(c.name for _, c in merged)):
+        for follow_up in (*node.fanins, *(c.name for _, c, _ in merged)):
             if follow_up not in queued and follow_up in net.nodes:
                 worklist.append(follow_up)
                 queued.add(follow_up)

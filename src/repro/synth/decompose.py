@@ -1,7 +1,9 @@
 """Decomposition of covers and factored expressions into library gates.
 
-Covers are factored algebraically (:mod:`repro.logic.factoring`) and lowered
-through :func:`decompose_expr`, which
+Covers are factored algebraically (:mod:`repro.logic.factoring`) into a
+tree of plain tuples, which is lowered directly; :func:`decompose_expr`
+converts a :class:`~repro.logic.expr.BoolExpr` into the same tree and lowers
+it the same way.  The lowering
 
 * pushes negations down to the literals (De Morgan), so an inverted cover
   costs inverters at the leaves instead of one slow output inverter,
@@ -21,7 +23,7 @@ from typing import Iterable, Sequence
 from repro.errors import SynthesisError
 from repro.logic.cover import Cover
 from repro.logic.expr import BoolExpr
-from repro.logic.factoring import factor
+from repro.logic.factoring import Tree, factor_tree
 from repro.netlist.cell import Cell
 from repro.netlist.circuit import Circuit
 from repro.netlist.library import Library
@@ -90,10 +92,12 @@ class GateBuilder:
         if self.circuit is not None:
             self.circuit.add_gate(out, cell, fanins)
         arrival = self.arrival
-        arrival[out] = max(
-            (arrival.get(f, 0) + d for f, d in zip(fanins, cell.pin_delays)),
-            default=0,
-        )
+        latest = 0  # pin delays are non-negative
+        for f, d in zip(fanins, cell.pin_delays):
+            t = arrival.get(f, 0) + d
+            if t > latest:
+                latest = t
+        arrival[out] = latest
         self.area += cell.area
         self._read.update(fanins)
 
@@ -179,21 +183,55 @@ class GateBuilder:
         return out_name
 
 
-def _gather(
-    expr: BoolExpr, negate: bool, op: str, out: list[tuple[BoolExpr, bool]]
-) -> None:
-    """Flatten nested associative chains of ``op`` under negation push-down."""
-    if expr.op == "not":
-        _gather(expr.args[0], not negate, op, out)
-        return
-    effective = expr.op
-    if negate and expr.op in ("and", "or"):
-        effective = "or" if expr.op == "and" else "and"
-    if effective == op and expr.op in ("and", "or"):
-        for a in expr.args:
-            _gather(a, negate, op, out)
-    else:
-        out.append((expr, negate))
+def _to_tree(expr: BoolExpr, negate: bool = False) -> Tree:
+    """``expr`` (complemented if ``negate``) as a tree with its negations
+    pushed to the literals: :data:`~repro.logic.factoring.Tree` nodes, where
+    an and/or node may have any number of arguments, plus
+    ``("xor", inverted, *args)``."""
+    op = expr.op
+    if op == "var":
+        return ("lit", expr.name, not negate)
+    if op == "const":
+        return ("const", expr.value != negate)
+    if op == "not":
+        return _to_tree(expr.args[0], not negate)
+    if op == "xor":
+        return ("xor", negate, *(_to_tree(a) for a in expr.args))
+    if negate:
+        op = "or" if op == "and" else "and"
+    return (op, *(_to_tree(a, negate) for a in expr.args))
+
+
+def _flatten(tree: Tree, op: str, out: list[Tree]) -> None:
+    """The arguments of the associative chain of ``op`` rooted at ``tree``."""
+    for arg in tree[1:]:
+        if arg[0] == op:
+            _flatten(arg, op, out)
+        else:
+            out.append(arg)
+
+
+def _lower(tree: Tree, builder: GateBuilder, negate: bool) -> str:
+    """Gates of ``tree`` (complemented if ``negate``); returns the result net."""
+    op = tree[0]
+    if op == "lit":
+        return builder.literal(tree[1], tree[2] != negate)
+    if op == "const":
+        return builder.constant(tree[1] != negate)
+    if op == "xor":
+        nets = [_lower(a, builder, False) for a in tree[2:]]
+        acc = nets[0]
+        for net in nets[1:]:
+            acc = builder.emit("XOR2", (acc, net), "xor") if "XOR2" in builder.library \
+                else _xor_fallback(builder, acc, net)
+        return builder.inverter(acc) if tree[1] != negate else acc
+    # and / or: one balanced tree per chain, De Morgan applied under negate.
+    leaves: list[Tree] = []
+    _flatten(tree, op, leaves)
+    nets = [_lower(leaf, builder, negate) for leaf in leaves]
+    if (op == "and") != negate:
+        return builder.and_tree(nets)
+    return builder.or_tree(nets)
 
 
 def decompose_expr(expr: BoolExpr, builder: GateBuilder, negate: bool = False) -> str:
@@ -201,27 +239,7 @@ def decompose_expr(expr: BoolExpr, builder: GateBuilder, negate: bool = False) -
 
     Variable names in the expression are interpreted as existing net names.
     """
-    if expr.op == "var":
-        return builder.literal(expr.name, not negate)
-    if expr.op == "const":
-        return builder.constant(expr.value ^ negate)
-    if expr.op == "not":
-        return decompose_expr(expr.args[0], builder, not negate)
-    if expr.op == "xor":
-        nets = [decompose_expr(a, builder) for a in expr.args]
-        acc = nets[0]
-        for net in nets[1:]:
-            acc = builder.emit("XOR2", (acc, net), "xor") if "XOR2" in builder.library \
-                else _xor_fallback(builder, acc, net)
-        return builder.inverter(acc) if negate else acc
-    # and / or with flattening and De Morgan applied.
-    target = expr.op
-    if negate:
-        target = "or" if target == "and" else "and"
-    leaves: list[tuple[BoolExpr, bool]] = []
-    _gather(expr, negate, target, leaves)
-    nets = [decompose_expr(e, builder, n) for e, n in leaves]
-    return builder.and_tree(nets) if target == "and" else builder.or_tree(nets)
+    return _lower(_to_tree(expr), builder, negate)
 
 
 def _xor_fallback(builder: GateBuilder, a: str, b: str) -> str:
@@ -239,9 +257,7 @@ def decompose_cover(
     """Factor and lower an SOP cover; returns the net of the result.
 
     ``invert_output`` implements the complement of the cover, with the
-    inversion pushed to the leaves (used for ``n~ = NOT n^0``).
+    inversion pushed to the leaves (used for ``n~ = NOT n^0``).  An empty
+    cover factors to constant 0.
     """
-    if cover.num_cubes == 0:
-        return builder.constant(invert_output)
-    expr = factor(cover)
-    return decompose_expr(expr, builder, negate=invert_output)
+    return _lower(factor_tree(cover), builder, invert_output)

@@ -28,6 +28,25 @@ from repro.netlist.circuit import Circuit
 from repro.spcf.timedfunc import CircuitFunctions
 
 
+def _counts(
+    circuit: Circuit, functions: CircuitFunctions | None
+) -> tuple[int, dict[str, int]]:
+    """``(n, counts)``: the input count and, per gate net, how many of the
+    ``2**n`` input patterns set it to 1."""
+    n = len(circuit.inputs)
+    if functions is None:
+        functions = CircuitFunctions(circuit, BddManager(circuit.inputs))
+    elif set(functions.manager.var_names[:n]) != set(circuit.inputs):
+        raise SimulationError(
+            f"BDD manager does not hold the inputs of {circuit.name!r} first"
+        )
+    counts: dict[str, int] = {}
+    for name in circuit.topo_order():
+        fn = functions[name]
+        counts[name] = fn.count(n) if n else int(fn.is_true)
+    return n, counts
+
+
 def signal_probabilities_bdd(
     circuit: Circuit, functions: CircuitFunctions | None = None
 ) -> dict[str, Fraction]:
@@ -37,17 +56,10 @@ def signal_probabilities_bdd(
     ``len(circuit.inputs)`` levels must hold the circuit's inputs, in any
     order, as counts are taken over those levels.
     """
-    n = len(circuit.inputs)
-    if functions is None:
-        functions = CircuitFunctions(circuit, BddManager(circuit.inputs))
-    elif set(functions.manager.var_names[:n]) != set(circuit.inputs):
-        raise SimulationError(
-            f"BDD manager does not hold the inputs of {circuit.name!r} first"
-        )
+    n, counts = _counts(circuit, functions)
     probs: dict[str, Fraction] = {net: Fraction(1, 2) for net in circuit.inputs}
-    for name in circuit.topo_order():
-        fn = functions[name]
-        probs[name] = Fraction(fn.count(n), 1 << n) if n else Fraction(int(fn.is_true))
+    for name, count in counts.items():
+        probs[name] = Fraction(count, 1 << n)
     return probs
 
 
@@ -56,11 +68,14 @@ def switching_power(
 ) -> float:
     """Total switching power: ``sum(load_cap * 2 p (1-p))`` over gate outputs.
 
-    ``functions`` is passed to :func:`signal_probabilities_bdd`.
+    ``functions`` is taken as by :func:`signal_probabilities_bdd`.  Each
+    ``p`` is ``count / 2**n`` as a float: int true division rounds
+    correctly, so it equals ``float`` of the exact :class:`Fraction`.
     """
-    probs = signal_probabilities_bdd(circuit, functions=functions)
+    n, counts = _counts(circuit, functions)
+    patterns = 1 << n
     total = 0.0
     for name, gate in circuit.gates.items():
-        p = float(probs[name])
+        p = counts[name] / patterns
         total += gate.cell.load_cap * 2.0 * p * (1.0 - p)
     return total

@@ -69,6 +69,37 @@ def test_isop_equals_bdd_isop_cube_for_cube(case):
     assert got == expected
 
 
+@st.composite
+def table_and_limit(draw, max_vars=13):
+    """``(k, f, limit)``: ``f`` an OR of 0-25 random cubes, so its covers
+    straddle limits 0-20 (a random 13-variable table never would)."""
+    k = draw(st.integers(0, max_vars))
+    full, var = truthtable.masks(k)
+    f = 0
+    for _ in range(draw(st.integers(0, 25))):
+        term = full
+        for i in range(k):
+            literal = draw(st.sampled_from((None, None, None, False, True)))
+            if literal is not None:
+                term &= var[i] if literal else ~var[i]
+        f |= term
+    return k, f, draw(st.integers(0, 20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_and_limit())
+def test_capped_isop_and_sop_give_the_full_cover_or_none(case):
+    k, f, limit = case
+    cubes = truthtable.isop(f, f, k)
+    assert truthtable.isop(f, f, k, limit) == (
+        cubes if len(cubes) <= limit else None
+    )
+    _, on, off = full = truthtable.sop(f, k)
+    assert truthtable.sop(f, k, limit) == (
+        full if max(len(on), len(off)) <= limit else None
+    )
+
+
 def test_isop_rejects_crossed_bounds():
     with pytest.raises(LogicError):
         truthtable.isop(0b0110, 0b0100, 2)

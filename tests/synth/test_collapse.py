@@ -111,3 +111,32 @@ def test_cover_caches_are_bounded_and_exact(monkeypatch):
         assert again.digest() == expected.digest()
         assert all(len(getattr(collapse_module, name)) == 2 for name in names)
     assert functions_match(c, expected)
+
+
+def test_collapse_prices_each_node_once(monkeypatch):
+    """Every cover collapse prices, at either polarity, is priced once: a
+    node keeps its cost for as long as it stays in the network."""
+    import json
+    from pathlib import Path
+
+    from repro.benchcircuits import make_benchmark
+    from repro.synth import mapping
+
+    lib = lsi10k_like_library()
+    real = mapping.trial_cost
+    # (id(cover), inverted) -> [cover, calls]; holding the cover keeps its id.
+    priced: dict[tuple[int, bool], list] = {}
+
+    def counting(cover, library, inverted=False):
+        priced.setdefault((id(cover), inverted), [cover, 0])[1] += 1
+        return real(cover, library, inverted=inverted)
+
+    monkeypatch.setattr(mapping, "trial_cost", counting)
+    collapsed = collapse(circuit_to_technet(make_benchmark("alu4", lib)), library=lib)
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "collapsed_networks.json").read_text()
+    )["circuits"]["alu4"]["collapsed"]
+    assert collapsed.digest() == golden["sha256"]
+    assert len(priced) > 100
+    twice = [(str(cover), inv) for (_, inv), (cover, n) in priced.items() if n > 1]
+    assert not twice, f"{len(twice)} covers priced more than once: {twice[:3]}"

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from repro.bdd import BddManager
-from repro.benchcircuits import comparator2
+from repro.benchcircuits import PAPER_SPECS, comparator2, make_benchmark
 from repro.errors import SimulationError
-from repro.netlist import Circuit, unit_library
+from repro.netlist import Circuit, lsi10k_like_library, unit_library
 from repro.sim import exhaustive_patterns, simulate
 from repro.spcf.timedfunc import CircuitFunctions
 from repro.synth import signal_probabilities_bdd, switching_power
@@ -44,6 +44,20 @@ def test_switching_power_matches_exhaustive_simulation():
     expected = 0.0
     for name, gate in c.gates.items():
         p = float(probs[name])
+        expected += gate.cell.load_cap * 2.0 * p * (1.0 - p)
+    assert switching_power(c) == expected > 0
+
+
+@pytest.mark.parametrize("name", ["i1", "cu", "k2", "C880", "apex6"])
+def test_float_probabilities_equal_the_fraction_formula(name):
+    # switching_power divides counts as floats; that must equal float() of
+    # the exact Fraction on every net, summed in gate order.
+    assert name in PAPER_SPECS
+    c = make_benchmark(name, lsi10k_like_library())
+    probs = signal_probabilities_bdd(c)
+    expected = 0.0
+    for net, gate in c.gates.items():
+        p = float(probs[net])
         expected += gate.cell.load_cap * 2.0 * p * (1.0 - p)
     assert switching_power(c) == expected > 0
 
