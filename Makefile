@@ -38,8 +38,10 @@ lint-py:
 # Strict type-checking of the files listed in pyproject.toml [tool.mypy]:
 # the analysis, SPCF and BDD packages, the masking proof (core/verify.py),
 # switching power (synth/power.py), the LRU cache (lru.py), the
-# factoring kernel (logic/factoring.py), static timing (sta/timing.py) and
-# the truth-table kernel (logic/truthtable.py).
+# factoring kernel (logic/factoring.py), static timing (sta/timing.py),
+# the truth-table kernel (logic/truthtable.py), cube selection
+# (core/cubeselect.py) and technology-independent networks
+# (synth/technet.py).
 # Optional: skipped with a notice when mypy is not installed.
 typecheck:
 	@command -v mypy >/dev/null 2>&1 \

@@ -10,13 +10,17 @@ Two views are provided:
 * :func:`cube_image` / :func:`cover_image` map local cubes *back* to
   primary-input space: the image of a cube is the conjunction of the
   fanins' global functions with the cube's polarities, so no quantification
-  is needed (the paper's per-cube formulation, used by cube selection);
+  is needed (the paper's per-cube formulation).  Only the exact essential
+  weights of :class:`repro.core.cubeselect.SelectionResult` still need it,
+  as they count primary-input patterns;
 * :func:`local_image_cover` and :func:`local_care_sets` map ``Sigma_y``
   *forward* into the local space.  Nodes have at most
   :data:`repro.logic.truthtable.MAX_VARS` fanins, so the image is a
   truth table over ``node.fanins`` (fanin ``i`` is variable ``i``),
   computed by :meth:`BddManager.image_table` in one memoized cofactor walk
-  over the manager's nodes.  The manager gains no variables.
+  over the manager's nodes.  The manager gains no variables.  Cube
+  selection decides each cube against the same table (the same memo
+  entry), so a node's selections and its care sets take one walk.
 """
 
 from __future__ import annotations

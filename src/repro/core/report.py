@@ -121,12 +121,14 @@ def overhead_report(
     mask_area = result.masking_circuit.area() + mux_area
     orig_area = original.area()
 
-    # The design map reads the original nets from the context's map, so the
-    # second call builds only the masking and mux nets.  SpcfContext put the
+    # Masking power is summed over the gates the design adds (masking gates
+    # and output muxes), not taken as the design's power minus the
+    # original's: constant added gates then give exactly 0.  The design map
+    # reads the original nets from the context's map.  SpcfContext put the
     # inputs on its manager's first levels, which is all power needs.
     orig_power = switching_power(original, functions=result.context.functions)
-    combined_power = switching_power(design.circuit, functions=functions)
-    mask_power = combined_power - orig_power
+    added = [name for name in design.circuit.gates if name not in original.gates]
+    mask_power = switching_power(design.circuit, functions=functions, gates=added)
 
     union_count = result.spcf.count() if result.outputs else 0
     return OverheadReport(

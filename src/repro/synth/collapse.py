@@ -158,6 +158,7 @@ def collapse(
         return entry[1]
 
     net = network.copy()
+    outputs = frozenset(net.outputs)
     readers: dict[str, set[str]] = {}
     for node in net.nodes.values():
         for f in node.fanins:
@@ -168,7 +169,7 @@ def collapse(
     while worklist:
         name = worklist.popleft()
         queued.discard(name)
-        if name not in net.nodes or name in net.outputs:
+        if name not in net.nodes or name in outputs:
             continue
         node = net.node(name)
         reading = sorted(readers.get(name, ()))

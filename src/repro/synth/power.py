@@ -21,6 +21,7 @@ Without a map, a fresh one is built in a fresh manager.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from repro.bdd.manager import BddManager
 from repro.errors import SimulationError
@@ -29,10 +30,10 @@ from repro.spcf.timedfunc import CircuitFunctions
 
 
 def _counts(
-    circuit: Circuit, functions: CircuitFunctions | None
+    circuit: Circuit, functions: CircuitFunctions | None, nets: Iterable[str]
 ) -> tuple[int, dict[str, int]]:
-    """``(n, counts)``: the input count and, per gate net, how many of the
-    ``2**n`` input patterns set it to 1."""
+    """``(n, counts)``: the input count and, per net of ``nets``, how many
+    of the ``2**n`` input patterns set it to 1."""
     n = len(circuit.inputs)
     if functions is None:
         functions = CircuitFunctions(circuit, BddManager(circuit.inputs))
@@ -41,7 +42,7 @@ def _counts(
             f"BDD manager does not hold the inputs of {circuit.name!r} first"
         )
     counts: dict[str, int] = {}
-    for name in circuit.topo_order():
+    for name in nets:
         fn = functions[name]
         counts[name] = fn.count(n) if n else int(fn.is_true)
     return n, counts
@@ -56,7 +57,7 @@ def signal_probabilities_bdd(
     ``len(circuit.inputs)`` levels must hold the circuit's inputs, in any
     order, as counts are taken over those levels.
     """
-    n, counts = _counts(circuit, functions)
+    n, counts = _counts(circuit, functions, circuit.topo_order())
     probs: dict[str, Fraction] = {net: Fraction(1, 2) for net in circuit.inputs}
     for name, count in counts.items():
         probs[name] = Fraction(count, 1 << n)
@@ -64,18 +65,24 @@ def signal_probabilities_bdd(
 
 
 def switching_power(
-    circuit: Circuit, functions: CircuitFunctions | None = None
+    circuit: Circuit,
+    functions: CircuitFunctions | None = None,
+    gates: Iterable[str] | None = None,
 ) -> float:
     """Total switching power: ``sum(load_cap * 2 p (1-p))`` over gate outputs.
 
     ``functions`` is taken as by :func:`signal_probabilities_bdd`.  Each
     ``p`` is ``count / 2**n`` as a float: int true division rounds
     correctly, so it equals ``float`` of the exact :class:`Fraction`.
+    ``gates`` limits the sum to those gate nets, in the given order (by
+    default every gate, in ``circuit.gates`` order); only their functions
+    are read.
     """
-    n, counts = _counts(circuit, functions)
+    names = list(circuit.gates if gates is None else gates)
+    n, counts = _counts(circuit, functions, names)
     patterns = 1 << n
     total = 0.0
-    for name, gate in circuit.gates.items():
+    for name in names:
         p = counts[name] / patterns
-        total += gate.cell.load_cap * 2.0 * p * (1.0 - p)
+        total += circuit.gates[name].cell.load_cap * 2.0 * p * (1.0 - p)
     return total

@@ -88,10 +88,18 @@ class TechNetwork:
         outputs: Iterable[str],
     ) -> None:
         self.name = name
-        self.inputs: tuple[str, ...] = tuple(inputs)
+        self._inputs: tuple[str, ...] = tuple(inputs)
+        # Membership tests read the set: wide circuits have ~900 inputs.
+        self._input_set: frozenset[str] = frozenset(self._inputs)
         self.outputs: tuple[str, ...] = tuple(outputs)
         self._nodes: dict[str, TechNode] = {}
         self._topo: list[str] | None = None
+
+    @property
+    def inputs(self) -> tuple[str, ...]:
+        """Primary inputs in order (read-only, so the lookup set stays
+        in step)."""
+        return self._inputs
 
     @property
     def nodes(self) -> Mapping[str, TechNode]:
@@ -103,7 +111,7 @@ class TechNetwork:
         return len(self._nodes)
 
     def add_node(self, node: TechNode) -> TechNode:
-        if node.name in self._nodes or node.name in self.inputs:
+        if node.name in self._nodes or node.name in self._input_set:
             raise SynthesisError(f"duplicate node {node.name!r}")
         self._nodes[node.name] = node
         self._topo = None
@@ -128,10 +136,10 @@ class TechNetwork:
             raise SynthesisError(f"unknown node {name!r}") from None
 
     def has_net(self, net: str) -> bool:
-        return net in self._nodes or net in self.inputs
+        return net in self._nodes or net in self._input_set
 
     def is_input(self, net: str) -> bool:
-        return net in self.inputs
+        return net in self._input_set
 
     def validate(self) -> None:
         """Structural validation: driven fanins/outputs, acyclicity."""
@@ -190,7 +198,7 @@ class TechNetwork:
         stack = [net]
         while stack:
             n = stack.pop()
-            if n in self.inputs or n in cone:
+            if n in self._input_set or n in cone:
                 continue
             cone.add(n)
             stack.extend(self._nodes[n].fanins)

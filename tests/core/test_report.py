@@ -1,5 +1,6 @@
 """Tests for verification and overhead reporting."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from repro.core import (
     synthesize_masking,
     verify_masking,
 )
+from repro.core.pipeline import mask_circuit
 from repro.core.verify import VerificationReport
 from repro.netlist import lsi10k_like_library, unit_library
 from repro.sta import analyze
+from repro.synth import signal_probabilities_bdd, switching_power
 
 UNIT = unit_library()
 LSI = lsi10k_like_library()
@@ -60,6 +63,35 @@ def test_overhead_report_consistency(result):
         r.power_overhead_percent / 100.0 * r.original_power
     )
     assert r.meets_slack_constraint == (r.slack_percent >= 20.0)
+
+
+def test_masking_power_sums_the_gates_the_design_adds(result):
+    design = build_masked_design(result)
+    r = overhead_report(result, design=design)
+    added = [n for n in design.circuit.gates if n not in result.circuit.gates]
+    assert len(added) == result.masking_circuit.num_gates + len(result.outputs)
+    probs = signal_probabilities_bdd(design.circuit)
+    exact = sum(
+        design.circuit.gates[n].cell.load_cap * 2 * probs[n] * (1 - probs[n])
+        for n in added
+    )
+    assert r.masking_power == pytest.approx(float(exact), rel=1e-12)
+    difference = switching_power(design.circuit) - switching_power(result.circuit)
+    assert r.masking_power == pytest.approx(difference, rel=1e-9)
+
+
+def test_constant_masking_gates_cost_exactly_no_power():
+    """C2670's masking gates and its one mux are all constant at 0.9, so
+    its power overhead is exactly +0.0 (a difference of two design-wide
+    sums read -8.46e-14)."""
+    run = mask_circuit(make_benchmark("C2670", LSI), LSI, threshold=0.9)
+    design = run.design
+    added = [n for n in design.circuit.gates if n not in run.masking.circuit.gates]
+    probs = signal_probabilities_bdd(design.circuit)
+    assert added and all(probs[n] in (0, 1) for n in added)
+    assert run.report.masking_power == 0.0
+    assert run.report.power_overhead_percent == 0.0
+    assert math.copysign(1.0, run.report.power_overhead_percent) == 1.0
 
 
 def test_report_on_lsi_benchmark():

@@ -55,6 +55,21 @@ def test_outputs_survive_collapse():
             assert y in col.nodes
 
 
+def test_collapse_never_eliminates_an_output_node():
+    """An output read by one other node is the ideal merge candidate;
+    collapse keeps it, and would merge it were it not an output."""
+    from repro.netlist import Circuit
+
+    lib = unit_library()
+    for outputs in (("n2",), ("n1", "n2")):
+        c = Circuit("t", inputs=("a", "b", "c"), outputs=outputs)
+        c.add_gate("n1", lib.get("AND2"), ("a", "b"))
+        c.add_gate("n2", lib.get("OR2"), ("n1", "c"))
+        col = collapse(circuit_to_technet(c), max_support=8)
+        assert set(col.nodes) == set(outputs)
+        assert functions_match(c, col)
+
+
 def test_collapse_with_library_cost_guard():
     lib = lsi10k_like_library()
     for seed in range(4):

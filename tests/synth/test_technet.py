@@ -104,3 +104,42 @@ def test_nodes_is_a_live_read_only_view():
     assert "n1" not in view and len(view) == 0
     with pytest.raises(TypeError):
         view["n2"] = and_node("n2", ["a", "b"])
+
+
+def test_add_node_rejects_an_input_name():
+    net = TechNetwork("t", ["a", "b"], [])
+    with pytest.raises(SynthesisError, match="duplicate"):
+        net.add_node(and_node("a", ["b"]))
+    assert net.num_nodes == 0
+
+
+def test_membership_after_copy():
+    net = TechNetwork("t", ["a", "b"], ["n1"])
+    net.add_node(and_node("n1", ["a", "b"]))
+    dup = net.copy("u")
+    dup.add_node(and_node("n2", ["n1", "a"]))
+    for copy in (net, dup):
+        assert copy.inputs == ("a", "b")
+        assert copy.is_input("a") and copy.is_input("b")
+        assert not copy.is_input("n1") and not copy.is_input("ghost")
+        assert copy.has_net("a") and copy.has_net("n1")
+        assert not copy.has_net("ghost")
+    assert dup.has_net("n2") and not net.has_net("n2")
+
+
+def test_fanin_cone_stops_at_inputs():
+    net = TechNetwork("t", ["a", "b", "c"], ["n3"])
+    net.add_node(and_node("n1", ["a", "b"]))
+    net.add_node(and_node("n2", ["b", "c"]))
+    net.add_node(and_node("n3", ["n1", "n2"]))
+    assert net.fanin_cone("n3") == {"n1", "n2", "n3"}
+    assert net.fanin_cone("n1") == {"n1"}
+    assert net.fanin_cone("a") == set()
+
+
+def test_inputs_are_read_only():
+    net = TechNetwork("t", ["a", "b"], [])
+    with pytest.raises(AttributeError):
+        net.inputs = ("a", "b", "c")
+    assert net.inputs == ("a", "b")
+    assert not net.is_input("c")
