@@ -6,7 +6,7 @@ faults, wearout drift, clock-period squeeze — across circuits, and count
 how many sampled output errors the masking mux patch repairs.
 
 The subsystem is built around a *resilient runner*: deterministic seeded
-shards executed in isolated worker subprocesses, per-task timeouts,
+shards executed in isolated worker subprocesses, per-attempt timeouts,
 bounded retries with exponential backoff and jitter, quarantine for
 persistently failing shards, and an append-only fsync'd checkpoint journal
 that makes a killed campaign resume to bit-identical aggregates.  See

@@ -1,52 +1,46 @@
-"""The resilient campaign runner, re-plumbed onto :mod:`repro.exec`.
+"""The resilient campaign runner.
 
-Execution model (unchanged semantics, new substrate):
+Execution model:
 
-* Each pending shard becomes a ``campaign.shard`` :class:`~repro.exec.Task`
-  dispatched through an executor — :class:`~repro.exec.InlineExecutor`
-  for ``workers=0`` (no isolation, fastest; unit tests and tiny sweeps),
-  or a :class:`~repro.exec.ProcessPoolExecutor` of persistent worker
-  subprocesses otherwise.  A segfault, OOM kill, or hang costs one shard
-  attempt, never the campaign.
-* Every attempt runs under a **per-task timeout**; an expired worker is
-  killed and the attempt counted as a failure.
+* Each pending shard runs through one retry loop.  With ``workers=0`` an
+  attempt calls :func:`~repro.campaign.shard.run_shard` in the calling
+  thread (no isolation, fastest; unit tests and tiny sweeps); with
+  ``workers >= 1`` it goes to a persistent worker subprocess
+  (:mod:`repro.campaign.pool`), one per dispatch thread.  A segfault, OOM
+  kill, or hang costs one shard attempt, never the campaign.
+* Every isolated attempt runs under a **per-attempt timeout**; an expired
+  worker is killed and the attempt counted as a failure.
 * Environmental failures (crash, signal, timeout, garbled pipe) are
   retried with **exponential backoff plus deterministic jitter**
-  (:class:`~repro.exec.RetryPolicy`); deterministic shard failures skip
-  the retry budget.
+  (:meth:`RunnerConfig.backoff`); deterministic shard failures skip the
+  retry budget.
 * A shard that exhausts its budget is **quarantined**; a run-wide
-  **circuit breaker** (:class:`~repro.exec.BreakerPolicy`) aborts
-  dispatch when too many consecutive attempts fail.
+  **circuit breaker** aborts dispatch when too many consecutive attempts
+  fail.
 * Completed shards are journaled (fsync'd) to the **checkpoint** before
   they count; :func:`resume_campaign` replays the journal and re-runs only
   what is missing, producing a bit-identical aggregate.
-
-This module keeps the campaign-facing surface (RunnerConfig,
-CampaignOutcome, run_campaign, resume_campaign, progress events, metric
-series, journal format) exactly as before; the retry loop, subprocess
-management, and breaker now live in :mod:`repro.exec.executors`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import queue
+import random
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
 from repro import obs
+from repro.campaign import worker as _worker
 from repro.campaign.aggregate import aggregate_results
 from repro.campaign.checkpoint import CheckpointWriter, load_journal
+from repro.campaign.pool import AttemptError, WorkerSlot
 from repro.campaign.spec import CampaignSpec, ShardSpec, plan_campaign
 from repro.errors import CampaignError
-from repro.exec import (
-    BreakerPolicy,
-    RetryPolicy,
-    Task,
-    TaskResult,
-    make_executor,
-)
 
 #: Callback signature: ``progress(event, shard_index, message)``.
 ProgressFn = Callable[[str, int, str], None]
@@ -82,7 +76,14 @@ _SHARD_SECONDS = _METER.histogram(
 
 @dataclass(frozen=True)
 class RunnerConfig:
-    """Resilience knobs; defaults suit medium campaigns on one machine."""
+    """Resilience knobs; defaults suit medium campaigns on one machine.
+
+    ``workers=0`` runs attempts inline, ``N >= 1`` on N worker processes.
+    ``max_retries`` counts *re*-tries after the first attempt.  The delay
+    before retry ``n`` (0-based) is ``min(backoff_cap, backoff_base *
+    2**n)`` stretched by up to ``backoff_jitter`` of itself.  The breaker
+    trips after ``max_consecutive_failures`` failed attempts in a row.
+    """
 
     workers: int = 2
     task_timeout: float = 300.0
@@ -93,27 +94,32 @@ class RunnerConfig:
     max_consecutive_failures: int = 16
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise CampaignError(f"workers {self.workers} must be >= 0")
+        if not isinstance(self.workers, int) or self.workers < 0:
+            raise CampaignError(
+                f"workers {self.workers!r} must be an integer >= 0 (0 = inline)"
+            )
         if self.task_timeout <= 0:
             raise CampaignError(f"task_timeout {self.task_timeout} must be positive")
         if self.max_retries < 0:
             raise CampaignError(f"max_retries {self.max_retries} must be >= 0")
+        if self.backoff_base < 0 or self.backoff_cap < 0:
+            raise CampaignError("backoff base/cap must be >= 0")
+        if self.backoff_jitter < 0:
+            raise CampaignError("backoff jitter must be >= 0")
         if self.max_consecutive_failures <= 0:
             raise CampaignError("max_consecutive_failures must be positive")
 
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
-            backoff_jitter=self.backoff_jitter,
-        )
+    def backoff(self, fingerprint: str, attempt: int) -> float:
+        """Seconds to sleep before re-running the shard with this
+        fingerprint after failed attempt number ``attempt`` (0-based).
 
-    def breaker_policy(self) -> BreakerPolicy:
-        return BreakerPolicy(
-            max_consecutive_failures=self.max_consecutive_failures
-        )
+        The jitter is seeded from the fingerprint, so a resumed or re-driven
+        run sleeps the same schedule without shared state.
+        """
+        delay = min(self.backoff_cap, self.backoff_base * (2.0 ** attempt))
+        seed_text = f"{fingerprint}:backoff:{attempt}"
+        seed = int.from_bytes(hashlib.sha256(seed_text.encode()).digest()[:8], "big")
+        return delay * (1.0 + self.backoff_jitter * random.Random(seed).random())
 
 
 @dataclass
@@ -129,117 +135,216 @@ class CampaignOutcome:
         return bool(self.aggregate.get("complete"))
 
 
-def _shard_task(shard: ShardSpec) -> Task:
-    """A campaign shard as a content-addressed executor task."""
-    return Task(
-        kind="campaign.shard",
-        payload={"shard": shard.to_json()},
-        key=shard.index,
-        span_name="campaign.shard",
-        span_category="campaign",
-        span_attrs={
-            "shard": shard.index,
-            "circuit": shard.circuit,
-            "mode": shard.mode_key,
-        },
-        attempt_attrs={"shard": shard.index},
-    )
+class _Dispatch:
+    """One run's retry/quarantine/breaker loop over the pending shards.
 
-
-def _shard_obs_record(result: TaskResult) -> dict | None:
-    """Journalable telemetry for one completed shard.
-
-    Worker spans/metrics were already ingested into the parent registry by
-    the executor at attempt completion; here we only keep the journalable
-    copy so a resumed campaign can rebuild the aggregate's telemetry
-    section without re-running the shard.
+    Settled shards are journaled, metered and reported from whichever
+    dispatch thread settled them.
     """
-    if not _METER.enabled:
-        return None
-    record: dict = {
-        "wall_seconds": round(result.wall_seconds, 6),
-        "attempts": result.attempts,
-    }
-    worker_obs = result.worker_obs
-    if worker_obs:
-        metrics = worker_obs.get("metrics")
-        if metrics:
-            record["metrics"] = metrics
-        if isinstance(worker_obs.get("wall_seconds"), (int, float)):
-            record["worker_wall_seconds"] = round(
-                worker_obs["wall_seconds"], 6
-            )
-    return record
 
-
-class _Bookkeeper:
-    """Bridges executor callbacks to journal, metrics, and progress."""
-
-    def __init__(self, writer: CheckpointWriter, progress: ProgressFn | None):
+    def __init__(
+        self,
+        config: RunnerConfig,
+        writer: CheckpointWriter,
+        sabotage: Mapping[int, dict] | None,
+        progress: ProgressFn | None,
+        parent_id: int | None,
+    ):
+        self.config = config
         self.writer = writer
+        self.sabotage = dict(sabotage or {})
         self.progress = progress
+        #: The run span; shard spans on pool threads cannot rely on
+        #: implicit nesting.
+        self.parent_id = parent_id
         self.results: dict[int, dict] = {}
         self.quarantined: dict[int, dict] = {}
         self.shard_obs: dict[int, dict] = {}
+        self.attempts = 0
+        self.aborted: str | None = None
+        self.stop = threading.Event()
+        self._lock = threading.Lock()
+        self._streak = 0
 
     def _emit(self, event: str, index: int, message: str) -> None:
         if self.progress is not None:
             self.progress(event, index, message)
 
-    def on_event(self, event: str, task: Task, message: str, info: dict) -> None:
-        index = int(task.key)
-        if event == "attempt-started":
-            _ATTEMPTS.add()
-        elif event == "attempt-failed":
-            _ATTEMPT_FAILURES.add(
-                1, retryable="true" if info.get("retryable") else "false"
+    def _count_attempt(self, error: str | None) -> None:
+        """Count a settled attempt; a failure may trip the breaker."""
+        with self._lock:
+            self.attempts += 1
+            if error is None:
+                self._streak = 0
+                return
+            self._streak += 1
+            limit = self.config.max_consecutive_failures
+            if self.stop.is_set() or self._streak < limit:
+                return
+            self.aborted = (
+                f"circuit breaker: {self._streak} consecutive "
+                f"failed attempts (last: {error})"
             )
-            self._emit("attempt-failed", index, message)
-        elif event == "retry":
-            _RETRIES.add()
-        elif event == "breaker":
-            _BREAKER_TRIPS.add()
-        elif event == "task-done":
-            if _METER.enabled:
-                _SHARDS_COMPLETED.add()
-                _SHARD_SECONDS.observe(info.get("wall_seconds", 0.0))
-            self._emit(
-                "shard-done", index, f"attempts={info.get('attempts', 0)}"
-            )
-        elif event == "quarantined":
-            _QUARANTINED.add()
-            self._emit("quarantined", index, message)
+            self.stop.set()
+        _BREAKER_TRIPS.add()
 
-    def on_result(self, result: TaskResult) -> None:
-        """Journal a settled shard (done or quarantined) durably."""
-        index = int(result.task.key)
-        if result.outcome == "done":
-            obs_record = _shard_obs_record(result)
-            self.results[index] = result.value
-            if obs_record is not None:
-                self.shard_obs[index] = obs_record
-            self.writer.shard_done(
-                index, result.attempts, result.value, obs_record=obs_record
-            )
-        elif result.outcome == "quarantined":
-            error = result.error or "no attempt made"
+    def _attempt(
+        self,
+        slot: WorkerSlot | None,
+        shard: ShardSpec,
+        attempt: int,
+        fingerprint: str,
+    ) -> tuple[dict, dict | None]:
+        """One attempt: in this thread without a slot, else on its worker."""
+        if slot is None:
+            try:
+                return _worker.run_shard(shard), None
+            except _worker.DETERMINISTIC_ERRORS as exc:
+                raise AttemptError(
+                    f"{type(exc).__name__}: {exc}", retryable=False
+                ) from exc
+        return slot.attempt(
+            shard, attempt, self.sabotage.get(shard.index), fingerprint
+        )
+
+    def run_shard(self, slot: WorkerSlot | None, shard: ShardSpec) -> None:
+        """Drive one shard to done, quarantined, or stopped by the breaker."""
+        index = shard.index
+        with _TRACER.span(
+            "campaign.shard",
+            parent_id=self.parent_id,
+            shard=index,
+            circuit=shard.circuit,
+            mode=shard.mode_key,
+        ) as span:
+            started = time.perf_counter()
+            fingerprint = shard.fingerprint()
+            failures = 0
+            error = ""
+            attempt = 0
+            while attempt <= self.config.max_retries:
+                if self.stop.is_set():
+                    span.set(outcome="stopped")
+                    return
+                _ATTEMPTS.add()
+                try:
+                    with _TRACER.span(
+                        "campaign.attempt", shard=index, attempt=attempt
+                    ):
+                        value, worker_obs = self._attempt(
+                            slot, shard, attempt, fingerprint
+                        )
+                except AttemptError as exc:
+                    failures += 1
+                    error = str(exc)
+                    self._count_attempt(error)
+                    _ATTEMPT_FAILURES.add(
+                        1, retryable="true" if exc.retryable else "false"
+                    )
+                    self._emit("attempt-failed", index, f"attempt {attempt + 1}: {exc}")
+                    if not exc.retryable:
+                        break
+                    attempt += 1
+                    if attempt <= self.config.max_retries and not self.stop.is_set():
+                        _RETRIES.add()
+                        time.sleep(self.config.backoff(fingerprint, attempt - 1))
+                    continue
+                self._count_attempt(None)
+                self._done(shard, attempt + 1, value, worker_obs, started)
+                span.set(outcome="done", attempts=attempt + 1)
+                return
             self.quarantined[index] = {
                 "kind": "quarantine",
                 "shard": index,
-                "attempts": result.attempts,
+                "attempts": failures,
                 "error": error,
             }
-            self.writer.quarantine(index, result.attempts, error)
+            self.writer.quarantine(index, failures, error)
+            _QUARANTINED.add()
+            self._emit("quarantined", index, error)
+            span.set(outcome="quarantined", attempts=failures)
+
+    def _done(
+        self,
+        shard: ShardSpec,
+        attempts: int,
+        value: dict,
+        worker_obs: dict | None,
+        started: float,
+    ) -> None:
+        """Journal a completed shard durably, then count it."""
+        wall = time.perf_counter() - started
+        obs_record = None
+        if _METER.enabled:
+            # The journalable copy of the shard's telemetry, so a resumed
+            # campaign rebuilds the aggregate's telemetry section without
+            # re-running the shard.
+            obs_record = {"wall_seconds": round(wall, 6), "attempts": attempts}
+            if worker_obs:
+                if worker_obs.get("metrics"):
+                    obs_record["metrics"] = worker_obs["metrics"]
+                if isinstance(worker_obs.get("wall_seconds"), (int, float)):
+                    obs_record["worker_wall_seconds"] = round(
+                        worker_obs["wall_seconds"], 6
+                    )
+            self.shard_obs[shard.index] = obs_record
+        self.results[shard.index] = value
+        self.writer.shard_done(shard.index, attempts, value, obs_record=obs_record)
+        if _METER.enabled:
+            _SHARDS_COMPLETED.add()
+            _SHARD_SECONDS.observe(wall)
+        self._emit("shard-done", shard.index, f"attempts={attempts}")
+
+    def run(self, shards: list[ShardSpec]) -> None:
+        """Run every shard to a terminal outcome.
+
+        Without workers the calling thread runs them in order; otherwise
+        one dispatch thread per worker slot pulls from a shared queue.
+        """
+        work: queue.SimpleQueue[ShardSpec] = queue.SimpleQueue()
+        for shard in shards:
+            work.put(shard)
+        width = min(self.config.workers, len(shards))
+        slots: list[WorkerSlot | None] = [
+            WorkerSlot(self.config) for _ in range(width)
+        ] or [None]
+
+        def loop(slot: WorkerSlot | None) -> None:
+            while not self.stop.is_set():
+                try:
+                    shard = work.get_nowait()
+                except queue.Empty:
+                    return
+                self.run_shard(slot, shard)
+
+        try:
+            if len(slots) == 1:
+                loop(slots[0])
+                return
+            threads = [
+                threading.Thread(
+                    target=loop, args=(slot,), name=f"campaign-dispatch-{i}"
+                )
+                for i, slot in enumerate(slots)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            for slot in slots:
+                if slot is not None:
+                    slot.close()
 
 
 def _check_sabotage(
     config: RunnerConfig, sabotage: Mapping[int, dict] | None
 ) -> None:
-    """Refuse drills the inline executor cannot isolate, before any I/O."""
+    """Refuse drills the inline mode cannot isolate, before any I/O."""
     if sabotage and config.workers == 0:
         raise CampaignError(
             "sabotage drills require isolated workers (workers >= 1); "
-            "the inline executor would kill the campaign process itself"
+            "inline attempts would kill the campaign process itself"
         )
 
 
@@ -260,7 +365,6 @@ def _execute(
                 f"{len(plan)} shards"
             )
     pending = [shard for shard in plan if shard.index not in prior_results]
-    books = _Bookkeeper(writer, progress)
 
     started = time.monotonic()
     with _TRACER.span(
@@ -270,36 +374,27 @@ def _execute(
         pending=len(pending),
         workers=config.workers,
     ) as run_span:
-        with make_executor(
-            config.workers,
-            retry=config.retry_policy(),
-            breaker=config.breaker_policy(),
-            task_timeout=config.task_timeout,
-            events=books.on_event,
-        ) as executor:
-            executor.parent_span_id = getattr(run_span, "id", None)
-            report = executor.run(
-                [_shard_task(shard) for shard in pending],
-                on_result=books.on_result,
-                sabotage=sabotage,
-            )
+        dispatch = _Dispatch(
+            config, writer, sabotage, progress, getattr(run_span, "id", None)
+        )
+        dispatch.run(pending)
     wall = time.monotonic() - started
 
     merged = dict(prior_results)
-    merged.update(books.results)
+    merged.update(dispatch.results)
     shard_obs = dict(prior_obs or {})
-    shard_obs.update(books.shard_obs)
+    shard_obs.update(dispatch.shard_obs)
     aggregate = aggregate_results(
-        spec, plan, merged, books.quarantined, shard_obs=shard_obs
+        spec, plan, merged, dispatch.quarantined, shard_obs=shard_obs
     )
     stats = {
         "shards_total": len(plan),
         "shards_previously_done": len(prior_results),
-        "shards_run": len(books.results),
-        "shards_quarantined": len(books.quarantined),
-        "attempts": report.attempts,
+        "shards_run": len(dispatch.results),
+        "shards_quarantined": len(dispatch.quarantined),
+        "attempts": dispatch.attempts,
         "wall_seconds": wall,
-        "aborted": report.breaker_reason,
+        "aborted": dispatch.aborted,
     }
     return CampaignOutcome(
         aggregate=aggregate, checkpoint=writer.path, stats=stats

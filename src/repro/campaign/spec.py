@@ -189,6 +189,20 @@ class ShardSpec:
             "library": self.library,
         }
 
+    def fingerprint(self) -> str:
+        """SHA-256 of the canonical shard JSON.
+
+        It seeds the shard's retry jitter and is the correlation id its
+        worker spans carry.
+        """
+        try:
+            text = canonical_json(self.to_json())
+        except (TypeError, ValueError) as exc:
+            raise CampaignError(
+                f"shard {self.index} is not JSON-serializable: {exc}"
+            ) from None
+        return hashlib.sha256(text.encode()).hexdigest()
+
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ShardSpec":
         try:

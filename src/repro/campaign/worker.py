@@ -1,42 +1,114 @@
-"""Campaign shard task: the ``campaign.shard`` runner for repro.exec.
+"""One shard attempt, on either side of the worker process boundary.
 
-:func:`run_shard_task` / :func:`shard_task_span` are the registry entries
-the generic execution substrate resolves — the persistent worker pool
-(:mod:`repro.exec.worker`) calls them for every ``campaign.shard`` task,
-wrapping the run in a ``campaign.worker_shard`` span.
+The runner's inline path (``workers=0``) calls :func:`run_shard` through
+this module's global; a worker process (``python -m repro.campaign.serve``)
+answers each request line with :func:`serve_request`, which looks up the
+same global.  A wrapper installed on ``repro.campaign.worker.run_shard``
+therefore sees every shard either path runs.
+
+Protocol, one JSON document per line in each direction, after the worker
+announces ``{"schema": 1, "ready": true}`` once its imports are done::
+
+    -> {"schema": 1, "key": <shard index>, "attempt": 0,
+        "sabotage": null, "corr": "<shard fingerprint>", "shard": {...}}
+    <- {"schema": 1, "key": ..., "result": {...}, "obs": {...}?}
+    <- {"schema": 1, "key": ..., "error": "CampaignError: ..."}
+
+A deterministic failure (a :class:`~repro.errors.ReproError` or a common
+programming error inside the shard) comes back as data and keeps the
+worker alive; anything else (a crash, an OOM kill, a drill) costs the
+whole process, which the runner sees as EOF and retries.
+
+With ``REPRO_OBS`` on, each response carries the spans and metric
+increments recorded since the previous response, so the runner merges
+snapshots without double-counting a long-lived worker.
+
+The ``sabotage`` directive is the fault drill (SIGKILL self, hang, exit
+nonzero), applied per attempt before the shard runs.  It is a runner
+option, never part of the shard, so fingerprints and journals are
+untouched by drills.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+import os
+import signal
+import sys
+import time
 
+from repro import obs
 from repro.campaign.shard import run_shard
 from repro.campaign.spec import ShardSpec
 from repro.errors import ReproError
 
-__all__ = [
-    "run_shard_task",
-    "shard_task_span",
-]
+#: Protocol version of the request/response documents.
+SCHEMA = 1
+
+#: Sabotage directives the drill understands.
+SABOTAGE_MODES = ("kill", "hang", "exit")
+
+#: Exceptions that mark the *shard* (not the environment) as broken:
+#: reported as data, never retried.
+DETERMINISTIC_ERRORS = (ReproError, KeyError, TypeError, ValueError)
+
+_TRACER = obs.get_tracer("campaign")
 
 
-def run_shard_task(payload: dict) -> dict:
-    """Registry runner for ``campaign.shard``: payload holds the shard JSON."""
-    return run_shard(ShardSpec.from_json(payload["shard"]))
+def apply_sabotage(directive: dict | None, attempt: int) -> None:
+    """Carry out a fault drill if it applies to this attempt."""
+    if not directive:
+        return
+    if attempt >= int(directive.get("attempts", 1 << 30)):
+        return
+    mode = directive.get("mode")
+    if mode == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    elif mode == "hang":
+        time.sleep(float(directive.get("seconds", 3600.0)))
+    elif mode == "exit":
+        sys.exit(int(directive.get("code", 3)))
+    else:
+        raise ValueError(
+            f"unknown sabotage mode {mode!r}; choose from {SABOTAGE_MODES}"
+        )
 
 
-def shard_task_span(
-    payload: dict, attempt: int
-) -> tuple[str, str, Mapping[str, Any]]:
-    """Worker-span factory for ``campaign.shard`` tasks."""
-    shard = payload.get("shard") or {}
-    attrs: dict[str, Any] = {
-        "shard": shard.get("index"),
-        "circuit": shard.get("circuit"),
-        "attempt": attempt,
-    }
+def serve_request(request: dict) -> dict:
+    """Run one request to a response document (no I/O; testable inline)."""
+    key = request.get("key")
+    attempt = int(request.get("attempt", 0))
+    started = time.perf_counter()
     try:
-        attrs["mode"] = ShardSpec.from_json(shard).mode_key
-    except ReproError:
-        pass
-    return ("campaign", "campaign.worker_shard", attrs)
+        shard = ShardSpec.from_json(request["shard"])
+        with _TRACER.span(
+            "campaign.worker_shard",
+            shard=shard.index,
+            circuit=shard.circuit,
+            mode=shard.mode_key,
+            attempt=attempt,
+        ):
+            result = run_shard(shard)
+    except DETERMINISTIC_ERRORS as exc:
+        return {
+            "schema": SCHEMA,
+            "key": key,
+            "error": f"{type(exc).__name__}: {exc}",
+        }
+    response: dict = {"schema": SCHEMA, "key": key, "result": result}
+    if obs.enabled():
+        response["obs"] = {
+            "wall_seconds": round(time.perf_counter() - started, 6),
+            "spans": obs.span_records(),
+            "metrics": obs.metrics_snapshot(),
+        }
+    return response
+
+
+__all__ = [
+    "SCHEMA",
+    "SABOTAGE_MODES",
+    "DETERMINISTIC_ERRORS",
+    "apply_sabotage",
+    "run_shard",
+    "serve_request",
+]

@@ -82,7 +82,6 @@ from repro.analysis import (
 )
 from repro.core import mask_circuit, synthesize_masking, verify_masking
 from repro.errors import BlifError, CampaignError, ReproError
-from repro.exec import default_worker_count
 from repro.netlist import (
     Circuit,
     Library,
@@ -532,7 +531,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"repro version     : {__version__}")
     print(f"python            : {sys.version.split()[0]} ({sys.platform})")
     print(f"cpu count         : {os.cpu_count() or 'unknown'}")
-    print(f"default workers   : {default_worker_count()}")
+    print(f"default workers   : {RunnerConfig().workers}")
     print(f"observability     : {obs_state}"
           + (f" (via {', '.join(sources)})" if sources else ""))
     print(f"library (selected): {args.library}")

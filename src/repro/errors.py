@@ -52,10 +52,6 @@ class ObsError(ReproError):
     """Raised by :mod:`repro.obs` (bad metric names, malformed trace files)."""
 
 
-class ExecError(ReproError):
-    """Raised by :mod:`repro.exec` (bad tasks, unknown kinds, executor misuse)."""
-
-
 class CampaignError(ReproError):
     """Raised by :mod:`repro.campaign` (bad specs, runner misconfiguration)."""
 

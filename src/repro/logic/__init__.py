@@ -1,16 +1,10 @@
-"""Two-level logic: expressions, cubes, covers, Quine–McCluskey, minimize."""
+"""Two-level logic: expressions, cubes, covers, Quine–McCluskey, truth tables, factoring."""
 
 from repro.logic.cover import Cover
 from repro.logic.cube import DASH, ONE, ZERO, Cube, merge_adjacent
 from repro.logic.expr import BoolExpr, parse_expr
 from repro.logic.factoring import factor, literal_kernels, weak_divide
-from repro.logic.minimize import (
-    expand,
-    irredundant,
-    minimize,
-    single_cube_containment,
-)
-from repro.logic.qm import minimal_cover, prime_implicants, primes_of_truth_table
+from repro.logic.qm import prime_implicants, primes_of_truth_table
 
 __all__ = [
     "BoolExpr",
@@ -26,9 +20,4 @@ __all__ = [
     "weak_divide",
     "prime_implicants",
     "primes_of_truth_table",
-    "minimal_cover",
-    "single_cube_containment",
-    "irredundant",
-    "expand",
-    "minimize",
 ]

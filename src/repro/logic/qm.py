@@ -74,39 +74,3 @@ def primes_of_truth_table(table: Sequence[bool]) -> tuple[list[Cube], list[Cube]
     off = [i for i, v in enumerate(table) if not v]
     return prime_implicants(on, width), prime_implicants(off, width)
 
-
-def minimal_cover(
-    minterms: Iterable[int], width: int, dont_cares: Iterable[int] = ()
-) -> list[Cube]:
-    """A small (greedy essential-first) prime cover of the on-set.
-
-    Exact minimality is not required anywhere in the pipeline; this provides
-    good two-level covers for cell modelling and for tests.
-    """
-    on = sorted(set(minterms))
-    primes = prime_implicants(on, width, dont_cares)
-    remaining = set(on)
-    chosen: list[Cube] = []
-    # Essential primes first.
-    for m in on:
-        bits = tuple((m >> (width - 1 - i)) & 1 for i in range(width))
-        covering = [p for p in primes if p.contains_minterm(bits)]
-        if len(covering) == 1 and covering[0] not in chosen:
-            chosen.append(covering[0])
-    for p in chosen:
-        remaining -= set(p.minterms())
-    # Greedy for the rest: biggest marginal coverage, fewest literals.
-    while remaining:
-        best = max(
-            primes,
-            key=lambda p: (
-                len(set(p.minterms()) & remaining),
-                -p.literal_count(),
-            ),
-        )
-        gained = set(best.minterms()) & remaining
-        if not gained:
-            raise LogicError("prime cover cannot cover on-set (internal error)")
-        chosen.append(best)
-        remaining -= gained
-    return chosen

@@ -4,7 +4,6 @@ from repro.sim.aging import (
     AGING_MODELS,
     LinearAging,
     SaturatingAging,
-    aged_compiled,
     aged_copy,
     aging_model,
     speed_path_gates,
@@ -59,7 +58,6 @@ __all__ = [
     "LinearAging",
     "SaturatingAging",
     "aged_copy",
-    "aged_compiled",
     "aging_model",
     "speed_path_gates",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.engine import CompiledCircuit, compile_circuit
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.sta.timing import TimingReport, analyze
@@ -97,24 +96,3 @@ def aged_copy(
         gates = speed_path_gates(circuit, threshold=threshold)
     return circuit.with_delay_scales({g: scale for g in gates})
 
-
-def aged_compiled(
-    circuit: Circuit | CompiledCircuit,
-    scale: float,
-    gates: Iterable[str] | None = None,
-    threshold: float = 0.9,
-) -> CompiledCircuit:
-    """Compiled counterpart of :func:`aged_copy` for Monte-Carlo sweeps.
-
-    Rebuilds only the flat delay arrays of the compiled IR — the lowering
-    (opcode programs, fanin indices, levels) is shared — so wearout loops
-    that age the same circuit at many stress times never re-lower it.
-    """
-    if scale < 1.0:
-        raise SimulationError(f"aging scale {scale} < 1 would speed gates up")
-    compiled = compile_circuit(circuit)
-    if gates is None:
-        gates = analyze(compiled, threshold=threshold).critical_nets() & set(
-            compiled.gate_names
-        )
-    return compiled.with_delay_scales({g: scale for g in gates})

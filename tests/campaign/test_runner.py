@@ -1,7 +1,7 @@
 """The resilient runner: isolation, retries, quarantine, crash recovery.
 
 Subprocess tests use the real persistent worker pool
-(`python -m repro.exec.worker`) and real SIGKILLs via the runner's sabotage
+(`python -m repro.campaign.serve`) and real SIGKILLs via the runner's sabotage
 drills, but keep specs tiny so each worker attempt is cheap.
 """
 

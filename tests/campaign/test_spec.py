@@ -11,7 +11,7 @@ from repro.campaign import (
     mode_key,
     plan_campaign,
 )
-from repro.campaign.spec import normalize_mode
+from repro.campaign.spec import canonical_json, normalize_mode
 from repro.errors import CampaignError
 
 
@@ -102,3 +102,34 @@ def test_every_fault_kind_has_defaults():
     for kind in FAULT_KINDS:
         assert kind in DEFAULT_MODE_PARAMS
         normalize_mode(kind)
+
+
+def test_canonical_json_is_stable():
+    assert canonical_json({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}'
+
+
+class TestShardFingerprint:
+    def test_content_addressed(self):
+        shard = plan_campaign(tiny_spec())[0]
+        again = ShardSpec.from_json(shard.to_json())
+        assert again.fingerprint() == shard.fingerprint()
+        assert plan_campaign(tiny_spec())[0].fingerprint() == shard.fingerprint()
+
+    def test_content_changes_it(self):
+        a, b = plan_campaign(tiny_spec())[:2]
+        assert a.fingerprint() != b.fingerprint()
+        reseeded = ShardSpec.from_json({**a.to_json(), "seed": a.seed + 1})
+        assert reseeded.fingerprint() != a.fingerprint()
+
+    def test_key_order_irrelevant(self):
+        shard = plan_campaign(tiny_spec())[0]
+        mode = dict(reversed(list(shard.mode.items())))
+        assert list(mode) != list(shard.mode)
+        reordered = ShardSpec(**{**vars(shard), "mode": mode})
+        assert reordered.fingerprint() == shard.fingerprint()
+
+    def test_unserializable_shard_rejected(self):
+        shard = plan_campaign(tiny_spec())[0]
+        bad = ShardSpec(**{**vars(shard), "mode": {"kind": "seu", "bad": object()}})
+        with pytest.raises(CampaignError, match="JSON-serializable"):
+            bad.fingerprint()

@@ -1,4 +1,4 @@
-"""Tests for Quine–McCluskey prime generation and greedy covers."""
+"""Tests for Quine–McCluskey prime generation."""
 
 import itertools
 
@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import LogicError
-from repro.logic import Cube, minimal_cover, prime_implicants, primes_of_truth_table
-
-
-def covers_exactly(cubes, on, width):
-    got = set()
-    for c in cubes:
-        got |= set(c.minterms())
-    return got == set(on)
+from repro.logic import Cube, prime_implicants, primes_of_truth_table
 
 
 def is_prime(cube, on_set, width):
@@ -80,26 +73,3 @@ def test_primes_are_prime_and_sound(on):
         union |= minterms
     assert union == set(on)  # completeness of the union of primes
 
-
-@given(st.sets(st.integers(min_value=0, max_value=31), min_size=1, max_size=20))
-@settings(max_examples=60, deadline=None)
-def test_minimal_cover_covers_exactly(on):
-    width = 5
-    cover = minimal_cover(sorted(on), width)
-    assert covers_exactly(cover, sorted(on), width)
-
-
-@given(
-    st.sets(st.integers(min_value=0, max_value=15), min_size=1, max_size=8),
-    st.sets(st.integers(min_value=0, max_value=15), max_size=4),
-)
-@settings(max_examples=40, deadline=None)
-def test_minimal_cover_with_dont_cares(on, dc):
-    width = 4
-    dc = dc - on
-    cover = minimal_cover(sorted(on), width, dont_cares=sorted(dc))
-    covered = set()
-    for c in cover:
-        covered |= set(c.minterms())
-    assert set(on) <= covered
-    assert covered <= set(on) | set(dc)

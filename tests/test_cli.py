@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import main
@@ -314,14 +316,15 @@ def test_exit_codes_documented_in_help(capsys):
     assert "--baseline" in out
 
 
-def test_info_reports_executor_backends(capsys):
-    # The worker count alone picks the executor, so info reports the
-    # default count and the cores it is capped by.
+def test_info_reports_executor_backends(capsys, monkeypatch):
+    # The worker count alone picks inline or isolated attempts, so info
+    # reports the default `campaign run --workers`, whatever the cores.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     code, out, _ = run(capsys, "info")
     assert code == 0
     assert "executor backends" not in out
-    assert "cpu count" in out
-    assert "default workers" in out
+    assert "cpu count         : 8" in out
+    assert "default workers   : 2" in out
 
 
 @pytest.mark.parametrize(

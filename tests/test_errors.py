@@ -21,7 +21,6 @@ def test_hierarchy():
         errors.AnalysisError,
         errors.LintError,
         errors.VerificationError,
-        errors.ExecError,
         errors.CampaignError,
         errors.CheckpointError,
     ]
@@ -111,15 +110,9 @@ def _masking_bad_pool():
 
 
 def _exec_bad_jobs():
-    from repro.exec import validated_jobs
+    from repro.campaign import RunnerConfig
 
-    validated_jobs(-1)
-
-
-def _exec_unknown_kind():
-    from repro.exec import resolve
-
-    resolve("no.such.kind")
+    RunnerConfig(workers=-1)
 
 
 def _campaign_bad_mode():
@@ -160,7 +153,6 @@ def _analysis_bad_severity():
         _spcf_unbound_name,
         _masking_bad_pool,
         _exec_bad_jobs,
-        _exec_unknown_kind,
         _campaign_bad_mode,
         _campaign_missing_checkpoint,
         _analysis_unknown_rule,
