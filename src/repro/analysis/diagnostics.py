@@ -12,7 +12,6 @@ codes on a threshold (the CLI's ``--fail-on``).
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 
 from repro.errors import LintError
@@ -42,12 +41,7 @@ class Severity(enum.IntEnum):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One finding: a rule firing at a net/gate of a circuit.
-
-    ``data`` is an optional JSON-ready payload of machine-readable evidence
-    (e.g. the witness vector pair of a confirmed hazard); reporters carry it
-    through verbatim so ``to_dict``/``from_dict`` round-trip losslessly.
-    """
+    """One finding: a rule firing at a net/gate of a circuit."""
 
     rule_id: str
     rule_name: str
@@ -56,7 +50,6 @@ class Diagnostic:
     location: str
     message: str
     hint: str = ""
-    data: dict | None = None
 
     def to_dict(self) -> dict:
         """JSON-ready representation (stable key order)."""
@@ -70,55 +63,7 @@ class Diagnostic:
         }
         if self.hint:
             d["hint"] = self.hint
-        if self.data is not None:
-            d["data"] = self.data
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Diagnostic":
-        """Inverse of :meth:`to_dict` (unknown keys rejected)."""
-        known = {
-            "rule_id",
-            "rule_name",
-            "severity",
-            "circuit",
-            "location",
-            "message",
-            "hint",
-            "data",
-        }
-        extra = set(d) - known
-        if extra:
-            raise LintError(
-                f"diagnostic dict has unknown key(s) {sorted(extra)}"
-            )
-        try:
-            return cls(
-                rule_id=d["rule_id"],
-                rule_name=d["rule_name"],
-                severity=Severity.from_name(d["severity"]),
-                circuit=d["circuit"],
-                location=d["location"],
-                message=d["message"],
-                hint=d.get("hint", ""),
-                data=d.get("data"),
-            )
-        except KeyError as exc:
-            raise LintError(
-                f"diagnostic dict missing key {exc.args[0]!r}"
-            ) from None
-
-    def fingerprint(self) -> str:
-        """Stable identity for baselines: rule + place + message.
-
-        Deliberately excludes severity, hint, and ``data`` so re-wording a
-        hint or enriching the evidence payload does not un-suppress a
-        baselined finding.
-        """
-        text = "\x1f".join(
-            (self.rule_id, self.circuit, self.location, self.message)
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:20]
 
     def render(self) -> str:
         """One-line human-readable rendering."""
@@ -153,19 +98,6 @@ class LintReport:
             out[str(diag.severity)] += 1
         return out
 
-    def by_rule(self) -> dict[str, int]:
-        """Findings per rule id."""
-        out: dict[str, int] = {}
-        for diag in self.diagnostics:
-            out[diag.rule_id] = out.get(diag.rule_id, 0) + 1
-        return out
-
-    def max_severity(self) -> Severity | None:
-        """Worst severity present, or ``None`` for a clean report."""
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
-
     def at_or_above(self, threshold: Severity) -> tuple[Diagnostic, ...]:
         """Diagnostics whose severity is at least ``threshold``."""
         return tuple(d for d in self.diagnostics if d.severity >= threshold)
@@ -184,21 +116,3 @@ class LintReport:
             "summary": self.counts(),
             "diagnostics": [d.to_dict() for d in self.diagnostics],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LintReport":
-        """Inverse of :meth:`to_dict` (the summary is recomputed, not read)."""
-        try:
-            return cls(
-                circuit_name=d["circuit"],
-                num_gates=d["gates"],
-                num_inputs=d["inputs"],
-                num_outputs=d["outputs"],
-                diagnostics=tuple(
-                    Diagnostic.from_dict(entry) for entry in d["diagnostics"]
-                ),
-            )
-        except KeyError as exc:
-            raise LintError(
-                f"report dict missing key {exc.args[0]!r}"
-            ) from None

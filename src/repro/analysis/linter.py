@@ -1,7 +1,9 @@
 """The rule-driven netlist linter.
 
-:func:`lint_circuit` runs every registered rule (minus config exclusions)
-over one circuit and returns a :class:`~repro.analysis.diagnostics.LintReport`.
+:func:`lint_circuit` runs every rule of :data:`~repro.analysis.rules.RULES`
+(minus config exclusions) over one circuit and returns a
+:class:`~repro.analysis.diagnostics.LintReport`; :func:`lint_suite` does so
+for every builtin benchmark (``repro lint all``, ``make lint-circuits``).
 Unlike :meth:`Circuit.validate`, the linter never raises on a broken netlist —
 it *reports*: a circuit with a combinational loop and three dangling nets
 yields four diagnostics, not one exception.
@@ -10,31 +12,25 @@ yields four diagnostics, not one exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
+from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
+from repro.analysis.rules import RULES, LintContext, resolve_rule_ids
+from repro.benchcircuits.suite import all_circuit_names, circuit_by_name
 from repro.errors import LintError
 from repro.netlist.circuit import Circuit
-from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
-from repro.analysis.rules import (
-    RULE_REGISTRY,
-    LintContext,
-    LintRule,
-    resolve_rule_ids,
-)
+from repro.netlist.library import Library, builtin_library
 
 
 @dataclass(frozen=True)
 class LintConfig:
     """Tunables for one lint run.
 
-    ``select``/``ignore`` take rule ids (``"LINT005"``) or rule names
-    (``"fanout-threshold"``); ``select=None`` means all registered rules.
-    ``max_function_inputs`` bounds the BDD constant-function check of
-    ``LINT007`` — cones with more primary inputs are skipped.
+    ``ignore`` takes rule ids (``"LINT005"``) or rule names
+    (``"fanout-threshold"``); an unknown entry raises :class:`LintError`.
     """
 
     fanout_threshold: int = 64
-    max_function_inputs: int = 24
-    select: frozenset[str] | None = None
     ignore: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
@@ -42,66 +38,55 @@ class LintConfig:
             raise LintError(
                 f"fanout threshold must be >= 1, got {self.fanout_threshold}"
             )
-        if self.max_function_inputs < 0:
-            raise LintError(
-                f"max function inputs must be >= 0, got {self.max_function_inputs}"
-            )
-
-    def active_rules(self) -> tuple[LintRule, ...]:
-        """The rules this config enables, in rule-id order."""
-        selected = (
-            resolve_rule_ids(self.select)
-            if self.select is not None
-            else frozenset(RULE_REGISTRY)
-        )
-        ignored = resolve_rule_ids(self.ignore)
-        return tuple(
-            RULE_REGISTRY[rid]
-            for rid in sorted(selected - ignored)
-        )
-
-
-class CircuitLinter:
-    """Run the registered rules over circuits with one shared config."""
-
-    def __init__(self, config: LintConfig | None = None) -> None:
-        self.config = config or LintConfig()
-
-    def lint(self, circuit: Circuit) -> LintReport:
-        """Run every active rule; diagnostics come out in rule-id order."""
-        ctx = LintContext(circuit)
-        diagnostics: list[Diagnostic] = []
-        for rule in self.config.active_rules():
-            for location, message, hint in rule.check(circuit, ctx, self.config):
-                diagnostics.append(
-                    Diagnostic(
-                        rule_id=rule.rule_id,
-                        rule_name=rule.name,
-                        severity=rule.severity,
-                        circuit=circuit.name,
-                        location=location,
-                        message=message,
-                        hint=hint,
-                    )
-                )
-        return LintReport(
-            circuit_name=circuit.name,
-            num_gates=circuit.num_gates,
-            num_inputs=len(circuit.inputs),
-            num_outputs=len(circuit.outputs),
-            diagnostics=tuple(diagnostics),
-        )
+        resolve_rule_ids(self.ignore)
 
 
 def lint_circuit(circuit: Circuit, config: LintConfig | None = None) -> LintReport:
-    """One-call API: lint ``circuit`` with the given (or default) config."""
-    return CircuitLinter(config).lint(circuit)
+    """Run every rule ``config`` keeps; diagnostics come out in rule-id order."""
+    config = config or LintConfig()
+    ignored = resolve_rule_ids(config.ignore)
+    ctx = LintContext(circuit)
+    diagnostics = tuple(
+        Diagnostic(
+            rule_id=rule_id,
+            rule_name=name,
+            severity=severity,
+            circuit=circuit.name,
+            location=location,
+            message=message,
+            hint=hint,
+        )
+        for rule_id, name, severity, _, check in RULES
+        if rule_id not in ignored
+        for location, message, hint in check(circuit, ctx, config)
+    )
+    return LintReport(
+        circuit_name=circuit.name,
+        num_gates=circuit.num_gates,
+        num_inputs=len(circuit.inputs),
+        num_outputs=len(circuit.outputs),
+        diagnostics=diagnostics,
+    )
+
+
+def lint_suite(
+    library: Library | None = None,
+    config: LintConfig | None = None,
+    names: Iterable[str] | None = None,
+) -> dict[str, LintReport]:
+    """Lint every builtin benchmark (or the given subset), by name."""
+    lib = library or builtin_library("lsi10k_like")
+    selected = tuple(names) if names is not None else all_circuit_names()
+    return {
+        name: lint_circuit(circuit_by_name(name, lib), config)
+        for name in selected
+    }
 
 
 __all__ = [
-    "CircuitLinter",
     "LintConfig",
     "LintReport",
     "Severity",
     "lint_circuit",
+    "lint_suite",
 ]

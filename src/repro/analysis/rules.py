@@ -1,8 +1,9 @@
-"""Rule registry and the builtin netlist lint rules.
+"""The builtin netlist lint rules.
 
 Every rule has a stable id (``LINT001`` ...), a kebab-case name, a fixed
-severity, and a check function.  Check functions receive the circuit, a
-shared :class:`LintContext` of precomputed structural facts, and the
+severity, and a check function; :data:`RULES` lists all seven in id order.
+Check functions receive the circuit, a shared :class:`LintContext` of
+precomputed structural facts, and the
 :class:`~repro.analysis.linter.LintConfig`; they yield
 ``(location, message, hint)`` triples which the linter wraps into
 :class:`~repro.analysis.diagnostics.Diagnostic` records.
@@ -12,8 +13,6 @@ Rules must work on *structurally broken* circuits — the whole point of
 :meth:`Circuit.validate` would raise — so nothing here may call
 ``topo_order()`` on the full circuit.  The :class:`LintContext` provides
 cycle-safe traversals instead.
-
-Builtin rules:
 
 ========  ======================  ========  =====================================
 id        name                    severity  meaning
@@ -30,13 +29,12 @@ LINT007   constant-output         info      primary output is a constant functio
 ``LINT004``/``LINT007`` are *info*, not warnings: the builtin paper
 benchmarks are grown from published (inputs, outputs, gates) shapes, so
 padded-but-unread inputs and outputs whose cones collapse to a constant are
-expected by construction there.  Flows where either is a defect can promote
-them via a custom registry entry or gate the CLI with ``--fail-on info``.
+expected by construction there.  Flows where either is a defect gate the
+CLI with ``--fail-on info``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.bdd.manager import BddManager
@@ -53,49 +51,8 @@ from repro.analysis.diagnostics import Severity
 Finding = tuple[str, str, str]
 CheckFn = Callable[[Circuit, "LintContext", "LintConfig"], Iterator[Finding]]
 
-
-@dataclass(frozen=True)
-class LintRule:
-    """One registered rule: identity, severity, and its check function."""
-
-    rule_id: str
-    name: str
-    severity: Severity
-    description: str
-    check: CheckFn
-
-
-#: Registry of builtin rules by rule id (populated by :func:`rule` below).
-RULE_REGISTRY: dict[str, LintRule] = {}
-
-
-def rule(rule_id: str, name: str, severity: Severity, description: str):
-    """Decorator registering a check function as a lint rule."""
-
-    def decorate(fn: CheckFn) -> CheckFn:
-        if rule_id in RULE_REGISTRY:
-            raise LintError(f"duplicate rule id {rule_id!r}")
-        RULE_REGISTRY[rule_id] = LintRule(rule_id, name, severity, description, fn)
-        return fn
-
-    return decorate
-
-
-def resolve_rule_ids(names: frozenset[str] | set[str]) -> frozenset[str]:
-    """Map rule ids *or* rule names to rule ids; raise on unknown entries."""
-    by_name = {r.name: r.rule_id for r in RULE_REGISTRY.values()}
-    out = set()
-    for entry in names:
-        if entry in RULE_REGISTRY:
-            out.add(entry)
-        elif entry in by_name:
-            out.add(by_name[entry])
-        else:
-            raise LintError(
-                f"unknown lint rule {entry!r}; known rules: "
-                f"{sorted(RULE_REGISTRY)}"
-            )
-    return frozenset(out)
+#: ``LINT007`` skips output cones that read more primary inputs than this.
+MAX_FUNCTION_INPUTS = 24
 
 
 class LintContext:
@@ -178,10 +135,6 @@ class LintContext:
         self._sccs = sorted(sccs)
         return self._sccs
 
-    @property
-    def is_cyclic(self) -> bool:
-        return bool(self.cycles())
-
     # ---------------------------------------------------------- reachability
 
     def reachable_from_outputs(self) -> set[str]:
@@ -203,14 +156,12 @@ class LintContext:
 
     # ------------------------------------------------------------ cone logic
 
-    def cone_function_constant(
-        self, net: str, max_inputs: int
-    ) -> bool | None:
+    def cone_function_constant(self, net: str) -> bool | None:
         """Whether the global function of ``net`` is constant.
 
         Returns ``True``/``False`` when decidable, ``None`` when the check is
         skipped: the cone is broken (dangling fanin, part of a cycle) or has
-        more than ``max_inputs`` primary inputs.
+        more than :data:`MAX_FUNCTION_INPUTS` primary inputs.
         """
         circuit = self.circuit
         if circuit.is_input(net):
@@ -234,7 +185,7 @@ class LintContext:
             stack.extend(gate.fanins)
         if any(n in cone for scc in self.cycles() for n in scc):
             return None
-        if len(pis) > max_inputs:
+        if len(pis) > MAX_FUNCTION_INPUTS:
             return None
         mgr = BddManager(sorted(pis, key=list(circuit.inputs).index))
         fn = CircuitFunctions(circuit, mgr)[net]
@@ -244,12 +195,6 @@ class LintContext:
 # --------------------------------------------------------------------- rules
 
 
-@rule(
-    "LINT001",
-    "combinational-loop",
-    Severity.ERROR,
-    "gates forming a combinational cycle",
-)
 def check_combinational_loop(
     circuit: Circuit, ctx: LintContext, config: "LintConfig"
 ) -> Iterator[Finding]:
@@ -262,12 +207,6 @@ def check_combinational_loop(
         )
 
 
-@rule(
-    "LINT002",
-    "dangling-net",
-    Severity.ERROR,
-    "net referenced but driven by nothing",
-)
 def check_dangling_net(
     circuit: Circuit, ctx: LintContext, config: "LintConfig"
 ) -> Iterator[Finding]:
@@ -289,12 +228,6 @@ def check_dangling_net(
             )
 
 
-@rule(
-    "LINT003",
-    "unreachable-node",
-    Severity.WARNING,
-    "gate outside every primary-output cone",
-)
 def check_unreachable_node(
     circuit: Circuit, ctx: LintContext, config: "LintConfig"
 ) -> Iterator[Finding]:
@@ -308,12 +241,6 @@ def check_unreachable_node(
             )
 
 
-@rule(
-    "LINT004",
-    "unused-pi",
-    Severity.INFO,
-    "primary input with no reader",
-)
 def check_unused_pi(
     circuit: Circuit, ctx: LintContext, config: "LintConfig"
 ) -> Iterator[Finding]:
@@ -328,19 +255,9 @@ def check_unused_pi(
             )
 
 
-@rule(
-    "LINT005",
-    "fanout-threshold",
-    Severity.WARNING,
-    "net fanout above the configured threshold",
-)
 def check_fanout_threshold(
     circuit: Circuit, ctx: LintContext, config: "LintConfig"
 ) -> Iterator[Finding]:
-    if config.fanout_threshold < 1:
-        raise LintError(
-            f"fanout threshold must be >= 1, got {config.fanout_threshold}"
-        )
     counts = ctx.fanout_counts()
     for net in sorted(counts):
         if counts[net] > config.fanout_threshold:
@@ -352,12 +269,6 @@ def check_fanout_threshold(
             )
 
 
-@rule(
-    "LINT006",
-    "non-monotone-arc-delay",
-    Severity.WARNING,
-    "zero-delay arc breaks stabilization-time monotonicity",
-)
 def check_non_monotone_arc_delay(
     circuit: Circuit, ctx: LintContext, config: "LintConfig"
 ) -> Iterator[Finding]:
@@ -379,12 +290,6 @@ def check_non_monotone_arc_delay(
             )
 
 
-@rule(
-    "LINT007",
-    "constant-output",
-    Severity.INFO,
-    "primary output computes a constant function",
-)
 def check_constant_output(
     circuit: Circuit, ctx: LintContext, config: "LintConfig"
 ) -> Iterator[Finding]:
@@ -399,10 +304,42 @@ def check_constant_output(
                 "tie-offs on outputs usually indicate a synthesis bug",
             )
             continue
-        constant = ctx.cone_function_constant(net, config.max_function_inputs)
+        constant = ctx.cone_function_constant(net)
         if constant:
             yield (
                 net,
                 f"output {net!r} computes a constant function",
                 "the cone reduces to a tie-off; check the logic feeding it",
             )
+
+
+#: Every rule as ``(rule_id, name, severity, description, check)``, in id order.
+RULES: tuple[tuple[str, str, Severity, str, CheckFn], ...] = (
+    ("LINT001", "combinational-loop", Severity.ERROR,
+     "gates forming a combinational cycle", check_combinational_loop),
+    ("LINT002", "dangling-net", Severity.ERROR,
+     "net referenced but driven by nothing", check_dangling_net),
+    ("LINT003", "unreachable-node", Severity.WARNING,
+     "gate outside every primary-output cone", check_unreachable_node),
+    ("LINT004", "unused-pi", Severity.INFO,
+     "primary input with no reader", check_unused_pi),
+    ("LINT005", "fanout-threshold", Severity.WARNING,
+     "net fanout above the configured threshold", check_fanout_threshold),
+    ("LINT006", "non-monotone-arc-delay", Severity.WARNING,
+     "zero-delay arc breaks stabilization-time monotonicity",
+     check_non_monotone_arc_delay),
+    ("LINT007", "constant-output", Severity.INFO,
+     "primary output computes a constant function", check_constant_output),
+)
+
+
+def resolve_rule_ids(names: frozenset[str]) -> frozenset[str]:
+    """Map rule ids *or* rule names to rule ids; raise on unknown entries."""
+    by_key = {key: r[0] for r in RULES for key in r[:2]}
+    unknown = sorted(names - by_key.keys())
+    if unknown:
+        raise LintError(
+            f"unknown lint rule {unknown[0]!r}; known rules: "
+            f"{[r[0] for r in RULES]}"
+        )
+    return frozenset(by_key[entry] for entry in names)

@@ -23,12 +23,6 @@ from repro.campaign.runner import (
     run_campaign,
 )
 from repro.campaign.shard import run_shard
-from repro.campaign.sizing import (
-    ShardTiming,
-    autoshard_spec,
-    shard_timing,
-    suggest_spec,
-)
 from repro.campaign.smoke import run_smoke, smoke_spec
 from repro.campaign.status import (
     campaign_status,
@@ -71,8 +65,4 @@ __all__ = [
     "campaign_status",
     "render_status_text",
     "watch_status",
-    "ShardTiming",
-    "shard_timing",
-    "suggest_spec",
-    "autoshard_spec",
 ]

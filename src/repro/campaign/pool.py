@@ -60,8 +60,11 @@ class AttemptError(Exception):
         self.retryable = retryable
 
 
-def ingest_worker_obs(worker_obs: dict) -> None:
+def ingest_worker_obs(worker_obs: dict, parent_id: int | None = None) -> None:
     """Merge a worker's spans and metric deltas into this process.
+
+    The worker's root spans become children of the local span
+    ``parent_id`` (the ``campaign.attempt`` that waited on them).
 
     Telemetry is best effort: a malformed payload must never fail a shard
     that computed fine, so any ingest error is swallowed and counted.
@@ -69,7 +72,7 @@ def ingest_worker_obs(worker_obs: dict) -> None:
     try:
         spans = worker_obs.get("spans")
         if spans:
-            obs.ingest_spans(spans)
+            obs.ingest_spans(spans, parent_id)
         metrics = worker_obs.get("metrics")
         if metrics:
             obs.merge_metrics(metrics)
@@ -295,11 +298,13 @@ class WorkerSlot:
         attempt: int,
         sabotage: dict | None,
         corr: str,
+        parent_id: int | None = None,
     ) -> tuple[dict, dict | None]:
         """Run one attempt of ``shard`` on this slot's worker.
 
         Returns the shard record and the worker's telemetry payload (merged
-        into this process already), or raises :class:`AttemptError`.
+        into this process already, its spans under the span ``parent_id``),
+        or raises :class:`AttemptError`.
         """
         handle = self._worker()
         line = json.dumps({
@@ -349,7 +354,7 @@ class WorkerSlot:
         worker_obs = response.get("obs")
         if not isinstance(worker_obs, dict):
             return response["result"], None
-        ingest_worker_obs(worker_obs)
+        ingest_worker_obs(worker_obs, parent_id)
         return response["result"], worker_obs
 
     def close(self) -> None:

@@ -194,8 +194,10 @@ class _Dispatch:
         shard: ShardSpec,
         attempt: int,
         fingerprint: str,
+        span_id: int | None,
     ) -> tuple[dict, dict | None]:
-        """One attempt: in this thread without a slot, else on its worker."""
+        """One attempt: in this thread without a slot, else on its worker
+        (whose spans nest under the attempt span ``span_id``)."""
         if slot is None:
             try:
                 return _worker.run_shard(shard), None
@@ -204,7 +206,8 @@ class _Dispatch:
                     f"{type(exc).__name__}: {exc}", retryable=False
                 ) from exc
         return slot.attempt(
-            shard, attempt, self.sabotage.get(shard.index), fingerprint
+            shard, attempt, self.sabotage.get(shard.index), fingerprint,
+            span_id,
         )
 
     def run_shard(self, slot: WorkerSlot | None, shard: ShardSpec) -> None:
@@ -230,9 +233,9 @@ class _Dispatch:
                 try:
                     with _TRACER.span(
                         "campaign.attempt", shard=index, attempt=attempt
-                    ):
+                    ) as attempt_span:
                         value, worker_obs = self._attempt(
-                            slot, shard, attempt, fingerprint
+                            slot, shard, attempt, fingerprint, attempt_span.id
                         )
                 except AttemptError as exc:
                     failures += 1

@@ -7,7 +7,7 @@ Usage (installed as ``python -m repro``)::
     python -m repro spcf C432 --algorithm all
     python -m repro mask C432 --out masked.blif --mask-out mask.blif
     python -m repro lint C432 --format json
-    python -m repro lint all --fail-on warning --baseline lint.baseline.json
+    python -m repro lint all --fail-on warning
     python -m repro verify-mask cmb
     python -m repro table1
     python -m repro table2 --circuits cmb x2 cu
@@ -53,7 +53,6 @@ from repro.campaign import (
     CampaignSpec,
     RunnerConfig,
     aggregate_results,
-    autoshard_spec,
     campaign_status,
     load_journal,
     plan_campaign,
@@ -68,17 +67,14 @@ from repro.campaign import (
 from repro.analysis import (
     LintConfig,
     Severity,
-    apply_baseline_many,
     lint_circuit,
     lint_suite,
-    load_baseline,
     render_json,
     render_json_many,
     render_text,
     render_text_many,
     render_verify_json,
     render_verify_text,
-    write_baseline,
 )
 from repro.core import mask_circuit, synthesize_masking, verify_masking
 from repro.errors import BlifError, CampaignError, ReproError
@@ -237,31 +233,6 @@ def cmd_mask(args: argparse.Namespace) -> int:
     return 0 if result.verification.ok else 1
 
 
-def _finish_reports(reports: dict, args: argparse.Namespace) -> dict:
-    """Baseline plumbing of ``lint``.
-
-    Writes the baseline first (so ``--write-baseline`` records *all* current
-    findings), then filters through ``--baseline``; returns the filtered
-    reports.
-    """
-    if args.write_baseline:
-        n = write_baseline(args.write_baseline, reports)
-        print(
-            f"baseline with {n} finding(s) written to {args.write_baseline}",
-            file=sys.stderr,
-        )
-    if args.baseline:
-        reports, suppressed = apply_baseline_many(
-            reports, load_baseline(args.baseline)
-        )
-        if suppressed:
-            print(
-                f"{suppressed} baselined finding(s) suppressed",
-                file=sys.stderr,
-            )
-    return reports
-
-
 def _emit_reports(reports: dict, args: argparse.Namespace, fail_on: Severity) -> int:
     """Render reports in the chosen format and derive the exit code."""
     if args.format == "json":
@@ -296,7 +267,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
                 _load_circuit(args.circuit, library, validate=False), config
             )
         }
-    reports = _finish_reports(reports, args)
     return _emit_reports(reports, args, fail_on)
 
 
@@ -419,24 +389,6 @@ def _runner_config(args: argparse.Namespace) -> RunnerConfig:
     )
 
 
-def _maybe_autoshard(spec: CampaignSpec, args: argparse.Namespace) -> CampaignSpec:
-    """Apply ``--auto-shard-from`` resizing, narrating what changed."""
-    donor = getattr(args, "auto_shard_from", None)
-    if not donor:
-        return spec
-    resized, timing = autoshard_spec(spec, donor, args.target_shard_seconds)
-    print(
-        f"auto-shard: {timing.samples} journaled shard(s) from {donor} "
-        f"(p50 {timing.p50_seconds:.2f}s / p90 {timing.p90_seconds:.2f}s "
-        f"at {timing.vectors_per_shard} vectors) -> "
-        f"{resized.vectors_per_shard} vectors x "
-        f"{resized.shards_per_cell} shards per cell "
-        f"(~{args.target_shard_seconds:g}s per shard)",
-        file=sys.stderr,
-    )
-    return resized
-
-
 def _emit_campaign(outcome_aggregate: dict, args: argparse.Namespace) -> None:
     render = (
         render_campaign_json if args.format == "json" else render_campaign_text
@@ -452,7 +404,7 @@ def _emit_campaign(outcome_aggregate: dict, args: argparse.Namespace) -> None:
 
 
 def cmd_campaign_plan(args: argparse.Namespace) -> int:
-    spec = _maybe_autoshard(_campaign_spec(args), args)
+    spec = _campaign_spec(args)
     plan = plan_campaign(spec)
     print(f"campaign {spec.fingerprint()[:12]}: {len(plan)} shards")
     for shard in plan:
@@ -465,7 +417,7 @@ def cmd_campaign_plan(args: argparse.Namespace) -> int:
 
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     outcome = run_campaign(
-        _maybe_autoshard(_campaign_spec(args), args),
+        _campaign_spec(args),
         args.checkpoint,
         _runner_config(args),
         sabotage=_parse_sabotage(args.sabotage),
@@ -535,11 +487,11 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(f"observability     : {obs_state}"
           + (f" (via {', '.join(sources)})" if sources else ""))
     print(f"library (selected): {args.library}")
-    from repro.analysis.rules import RULE_REGISTRY
+    from repro.analysis.rules import RULES
 
     print("analysis rules    :")
-    for rid, rule in sorted(RULE_REGISTRY.items()):
-        print(f"  {rid}  {rule.name:24s} [{rule.severity}] {rule.description}")
+    for rid, name, severity, description, _ in RULES:
+        print(f"  {rid}  {name:24s} [{severity}] {description}")
     return 0
 
 
@@ -615,18 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verilog", help="write the masked design as Verilog")
     p.set_defaults(func=cmd_mask)
 
-    def add_baseline_options(cp: argparse.ArgumentParser) -> None:
-        cp.add_argument(
-            "--baseline",
-            metavar="FILE",
-            help="suppress findings recorded in this baseline file",
-        )
-        cp.add_argument(
-            "--write-baseline",
-            metavar="FILE",
-            help="record the current findings as a new baseline file",
-        )
-
     p = sub.add_parser(
         "lint",
         help="rule-based netlist lint (LINT001-LINT007)",
@@ -646,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ignore", nargs="*", metavar="RULE", help="rule ids or names to skip"
     )
-    add_baseline_options(p)
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser(
@@ -728,19 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--progress", action="store_true",
                         help="log per-shard progress lines")
 
-    def add_autoshard_options(cp: argparse.ArgumentParser) -> None:
-        cp.add_argument(
-            "--auto-shard-from", default=None, metavar="CKPT",
-            help="resize shards from this donor journal's wall-time "
-            "telemetry (total vectors preserved exactly)",
-        )
-        cp.add_argument(
-            "--target-shard-seconds", type=float, default=30.0,
-            metavar="SECONDS",
-            help="p90 wall budget per shard for --auto-shard-from "
-            "(default: 30)",
-        )
-
     def add_output_options(cp: argparse.ArgumentParser) -> None:
         cp.add_argument("--format", default="text", choices=("text", "json"))
         cp.add_argument("--out", help="write the report to a file")
@@ -749,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
         "plan", help="show the deterministic shard plan", parents=[obs_parent]
     )
     add_spec_options(p)
-    add_autoshard_options(p)
     p.set_defaults(func=cmd_campaign_plan)
 
     p = csub.add_parser(
@@ -759,7 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("checkpoint", help="checkpoint journal path (must not exist)")
     add_spec_options(p)
-    add_autoshard_options(p)
     add_runner_options(p)
     add_output_options(p)
     p.add_argument(

@@ -80,9 +80,5 @@ class LintError(AnalysisError):
     """Raised for invalid linter configuration (unknown rule ids, bad limits)."""
 
 
-class BaselineError(AnalysisError):
-    """Raised for unreadable or structurally invalid baseline files."""
-
-
 class VerificationError(AnalysisError):
     """Raised when formal verification of a masking circuit finds a violation."""

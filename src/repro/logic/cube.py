@@ -11,7 +11,7 @@ SPCF.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.errors import LogicError
 
@@ -194,8 +194,3 @@ def merge_adjacent(a: Cube, b: Cube) -> Cube | None:
     if diff < 0:
         return None
     return a.expand_position(diff)
-
-
-def cover_covers_minterm(cubes: Iterable[Cube], bits: Sequence[int]) -> bool:
-    """True iff any cube in the iterable covers the minterm."""
-    return any(c.contains_minterm(bits) for c in cubes)

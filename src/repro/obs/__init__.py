@@ -134,9 +134,10 @@ def span_records() -> list[dict]:
     return _COLLECTOR.records()
 
 
-def ingest_spans(records) -> None:
-    """Adopt span records from another process into the global collector."""
-    _COLLECTOR.ingest(records)
+def ingest_spans(records, parent_id: int | None = None) -> None:
+    """Adopt span records from another process into the global collector,
+    parenting their roots under the local span ``parent_id``."""
+    _COLLECTOR.ingest(records, parent_id)
 
 
 # Honour REPRO_OBS at import time so subprocess workers (which receive the

@@ -2,10 +2,10 @@
 
 Aggregates span records by ``(cat, name)`` and renders an aligned table:
 call counts, total/mean/max wall time, total CPU time, self (exclusive)
-time, and the share of the trace's wall-clock envelope each span family
-accounts for, inclusive (``%env``) and exclusive (``%self``).  Inclusive
-shares double-count nested spans; self shares of nested spans add up to
-at most 100%.
+time, each span family's share of the trace's wall-clock envelope
+(``%env``, inclusive) and its share of all recorded self time (``%self``).
+Inclusive shares double-count nested spans and add up concurrent threads
+and worker processes; self shares add up to 100%.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ def render_trace_summary(records: list[dict], top: int = 0) -> str:
         lines.append("(no spans)")
         return "\n".join(lines) + "\n"
     envelope = summary["envelope_us"] or 1
+    busy = sum(row["self_us"] for row in summary["rows"]) or 1
     header = (
         f"{'span':<34} {'count':>6} {'total':>10} {'mean':>10} "
         f"{'max':>10} {'cpu':>10} {'self':>10} {'%env':>6} {'%self':>6}"
@@ -100,7 +101,7 @@ def render_trace_summary(records: list[dict], top: int = 0) -> str:
             label = label[:31] + "..."
         mean = row["wall_us"] // row["count"] if row["count"] else 0
         share = 100.0 * row["wall_us"] / envelope
-        self_share = 100.0 * row["self_us"] / envelope
+        self_share = 100.0 * row["self_us"] / busy
         lines.append(
             f"{label:<34} {row['count']:>6} {_us(row['wall_us']):>10} "
             f"{_us(mean):>10} {_us(row['max_us']):>10} "

@@ -77,6 +77,7 @@ class _NoopSpan:
     """Shared do-nothing span returned while tracing is disabled."""
 
     __slots__ = ()
+    id = None
 
     def __enter__(self):
         return self
@@ -220,11 +221,13 @@ class TraceCollector:
         with self._lock:
             return [dict(r) for r in self._records]
 
-    def ingest(self, records) -> None:
+    def ingest(self, records, parent_id: int | None = None) -> None:
         """Adopt span records produced elsewhere (e.g. a worker process).
 
         Foreign ``id``/``parent`` pairs are remapped into this collector's
-        id space so cross-process parents stay consistent.
+        id space so cross-process parents stay consistent; foreign roots
+        become children of ``parent_id`` (the local span that waited on
+        the foreign work), so their time is not counted twice.
         """
         remap: dict = {}
         adopted = []
@@ -239,8 +242,7 @@ class TraceCollector:
             new["id"] = new_id
             adopted.append(new)
         for new in adopted:
-            if new["parent"] is not None:
-                new["parent"] = remap.get(new["parent"])
+            new["parent"] = remap.get(new["parent"], parent_id)
             if new.get("args") is None:
                 new["args"] = {}
         with self._lock:

@@ -117,12 +117,6 @@ class SampledAccuracy:
     def is_exact_on_sample(self) -> bool:
         return self.false_positives == 0 and self.false_negatives == 0
 
-    @property
-    def is_superset_on_sample(self) -> bool:
-        """No false negatives (sound over-approximation on the sample)."""
-        return self.false_negatives == 0
-
-
 def monte_carlo_accuracy(
     result: SpcfResult, num_patterns: int = 256, seed: int = 0
 ) -> SampledAccuracy:

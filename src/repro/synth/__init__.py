@@ -2,7 +2,7 @@
 
 from repro.synth.collapse import circuit_to_technet, collapse
 from repro.synth.decompose import GateBuilder, decompose_cover
-from repro.synth.mapping import map_technet, mapped_stats, remove_buffers
+from repro.synth.mapping import map_technet, remove_buffers
 from repro.synth.power import signal_probabilities_bdd, switching_power
 from repro.synth.technet import TechNetwork, TechNode, node_from_function
 
@@ -16,7 +16,6 @@ __all__ = [
     "decompose_cover",
     "map_technet",
     "remove_buffers",
-    "mapped_stats",
     "signal_probabilities_bdd",
     "switching_power",
 ]

@@ -200,15 +200,3 @@ def remove_buffers(circuit: Circuit) -> Circuit:
         )
     out.validate()
     return out
-
-
-def mapped_stats(circuit: Circuit) -> dict[str, float]:
-    """Quick area/depth statistics for a mapped circuit."""
-    from repro.sta.timing import analyze
-
-    report = analyze(circuit, target=0)
-    return {
-        "gates": float(circuit.num_gates),
-        "area": circuit.area(),
-        "delay": float(report.critical_delay),
-    }

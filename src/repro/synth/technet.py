@@ -46,12 +46,6 @@ class TechNode:
     def num_fanins(self) -> int:
         return len(self.fanins)
 
-    def local_function(self, mgr: BddManager) -> Function:
-        """On-set function over manager variables named like the fanins."""
-        for net in self.fanins:
-            mgr.ensure_var(net)
-        return self.on_cover.to_function(mgr)
-
     def check_consistent(self) -> None:
         """Verify the on/off covers partition the local input space."""
         mgr = BddManager(self.fanins)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import LintConfig, Severity, lint_circuit
+from repro.analysis.rules import MAX_FUNCTION_INPUTS
 from repro.errors import LintError
 from repro.netlist import Cell, Circuit
 
@@ -142,12 +143,26 @@ def test_constant_output_by_collapsing_cone(unit_lib):
     assert [d.location for d in hits] == ["g1"]
 
 
+def _constant_and_tree(unit_lib, width):
+    """``AND(x0..x{width-1}) & ~AND(x0..x{width-1})``: constant 0 over
+    ``width`` primary inputs."""
+    inputs = [f"x{i}" for i in range(width)]
+    c = Circuit(f"wide{width}", inputs=inputs, outputs=["g1"])
+    c.add_gate("t0", unit_lib.get("AND2"), ("x0", "x1"))
+    for i in range(2, width):
+        c.add_gate(f"t{i - 1}", unit_lib.get("AND2"), (f"t{i - 2}", f"x{i}"))
+    top = f"t{width - 2}"
+    c.add_gate("n", unit_lib.get("INV"), (top,))
+    c.add_gate("g1", unit_lib.get("AND2"), (top, "n"))
+    return c
+
+
 def test_constant_output_skips_wide_cones(unit_lib):
-    c = Circuit("wide", inputs=["a", "b"], outputs=["g1"])
-    c.add_gate("n", unit_lib.get("INV"), ("a",))
-    c.add_gate("g1", unit_lib.get("AND2"), ("a", "n"))
-    config = LintConfig(max_function_inputs=0)
-    assert not findings(lint_circuit(c, config), "LINT007")
+    assert MAX_FUNCTION_INPUTS == 24
+    narrow = _constant_and_tree(unit_lib, MAX_FUNCTION_INPUTS)
+    assert [d.location for d in findings(lint_circuit(narrow), "LINT007")] == ["g1"]
+    wide = _constant_and_tree(unit_lib, MAX_FUNCTION_INPUTS + 1)
+    assert not findings(lint_circuit(wide), "LINT007")
 
 
 def test_non_constant_output_not_flagged(unit_lib):
@@ -162,12 +177,11 @@ def test_select_and_ignore_by_id_and_name(unit_lib):
     all_ids = rule_ids(lint_circuit(c))
     assert all_ids == ["LINT004"]
     assert not lint_circuit(c, LintConfig(ignore=frozenset({"unused-pi"}))).diagnostics
-    assert not lint_circuit(c, LintConfig(select=frozenset({"LINT001"}))).diagnostics
+    assert not lint_circuit(c, LintConfig(ignore=frozenset({"LINT004"}))).diagnostics
 
 
-def test_unknown_rule_raises_lint_error(unit_lib):
-    c = Circuit("bad", inputs=["a"], outputs=["a"])
-    with pytest.raises(LintError):
-        lint_circuit(c, LintConfig(select=frozenset({"LINT999"})))
+def test_unknown_rule_raises_lint_error():
+    with pytest.raises(LintError, match="LINT999"):
+        LintConfig(ignore=frozenset({"LINT999"}))
     with pytest.raises(LintError):
         LintConfig(fanout_threshold=0)

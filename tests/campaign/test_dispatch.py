@@ -491,7 +491,7 @@ class TestObservability:
         ingest_worker_obs({"metrics": {"bogus": 7}})
         assert series("repro_campaign_telemetry_drops_total") == {"": 2}
 
-        def refuse(records):
+        def refuse(records, parent_id=None):
             raise RuntimeError("collector is full")
 
         monkeypatch.setattr(obs, "ingest_spans", refuse)
@@ -511,6 +511,24 @@ class TestObservability:
         assert {r["args"].get("corr") for r in worker_spans} == {
             plan_campaign(spec)[0].fingerprint()
         }
+
+    def test_worker_shard_spans_nest_under_attempt_spans(self, tmp_path):
+        obs.configure(enabled=True)
+        run(tmp_path, tiny_spec(shards_per_cell=2), ISOLATED)
+        records = obs.span_records()
+        by_id = {r["id"]: r for r in records}
+        worker_shards = [
+            r for r in records if r["name"] == "campaign.worker_shard"
+        ]
+        assert len(worker_shards) == 2
+        for r in worker_shards:
+            assert by_id[r["parent"]]["name"] == "campaign.attempt"
+        # The worker's time is the attempt's child time, not its self time.
+        (attempt,) = [
+            row for row in obs.summarize_trace(records)["rows"]
+            if row["name"] == "campaign.attempt"
+        ]
+        assert attempt["self_us"] < attempt["wall_us"]
 
     def test_shard_spans_record_outcome(self, tmp_path):
         obs.configure(enabled=True)

@@ -175,3 +175,21 @@ def test_self_shares_of_nested_spans_add_up_to_at_most_100():
     assert sum(env) > 100.0
     assert sum(self_pct) <= 100.0
     assert self_pct == [20.0, 20.0, 60.0]
+
+
+def test_self_shares_of_concurrent_threads_add_up_to_100():
+    """Two threads each busy for the whole envelope: 50% self each, not
+    100% (the shares of a ``--workers 2`` campaign trace)."""
+    records = [
+        {
+            "name": f"attempt{tid}", "cat": "t", "ts_us": 0, "dur_us": 1000,
+            "cpu_us": 0, "pid": 1, "tid": tid, "id": tid, "parent": None,
+            "args": {},
+        }
+        for tid in (1, 2)
+    ]
+    lines = render_trace_summary(records).splitlines()[3:]
+    assert [float(line.split()[-2].rstrip("%")) for line in lines] == [100.0, 100.0]
+    assert [float(line.split()[-1].rstrip("%")) for line in lines] == [50.0, 50.0]
+    top = render_trace_summary(records, top=1).splitlines()[3:]
+    assert [float(line.split()[-1].rstrip("%")) for line in top] == [50.0]

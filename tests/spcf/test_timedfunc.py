@@ -99,7 +99,7 @@ def test_deep_cones_build_without_recursion():
         ctx = SpcfContext(c)
         assert ctx.functions[prev] == ctx.manager.var("x")
         assert signal_probabilities_bdd(c)[prev] == Fraction(1, 2)
-        assert LintContext(c).cone_function_constant(prev, 16) is False
+        assert LintContext(c).cone_function_constant(prev) is False
         """
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}

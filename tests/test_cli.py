@@ -298,22 +298,13 @@ def test_campaign_report_written_to_file(capsys, tmp_path):
     assert payload["complete"] is True
 
 
-def test_lint_baseline_round_trip(capsys, tmp_path):
-    base = tmp_path / "lint.baseline.json"
-    code, _, _ = run(capsys, "lint", "i1", "--write-baseline", str(base))
-    assert code == 0
-    code, _, err = run(capsys, "lint", "i1", "--baseline", str(base),
-                       "--fail-on", "info")
-    assert code == 0
-    assert "suppressed" in err
-
-
 def test_exit_codes_documented_in_help(capsys):
     with pytest.raises(SystemExit):
         run(capsys, "lint", "--help")
     out = capsys.readouterr().out
     assert "exit codes" in out.lower()
-    assert "--baseline" in out
+    assert "--ignore" in out
+    assert "--baseline" not in out
 
 
 def test_info_reports_executor_backends(capsys, monkeypatch):
@@ -353,8 +344,28 @@ def test_spcf_has_no_jobs_option(capsys, argv):
         ),
         (("paths", "bypass"), "invalid choice"),
         (("analyze", "comparator2"), "invalid choice"),
+        (
+            ("campaign", "run", "x.jsonl", "--auto-shard-from", "d.jsonl"),
+            "unrecognized arguments: --auto-shard-from d.jsonl",
+        ),
+        (
+            ("campaign", "plan", "--target-shard-seconds", "30"),
+            "unrecognized arguments: --target-shard-seconds 30",
+        ),
+        (
+            ("lint", "i1", "--baseline", "b.json"),
+            "unrecognized arguments: --baseline b.json",
+        ),
+        (
+            ("lint", "i1", "--write-baseline", "b.json"),
+            "unrecognized arguments: --write-baseline b.json",
+        ),
     ],
-    ids=["worker", "obs-serve", "backend-queue", "paths", "analyze"],
+    ids=[
+        "worker", "obs-serve", "backend-queue", "paths", "analyze",
+        "auto-shard-from", "target-shard-seconds", "lint-baseline",
+        "lint-write-baseline",
+    ],
 )
 def test_removed_queue_surfaces_are_usage_errors(
     capsys, tmp_path, argv, message

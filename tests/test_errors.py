@@ -130,7 +130,7 @@ def _campaign_missing_checkpoint():
 def _analysis_unknown_rule():
     from repro.analysis import LintConfig
 
-    LintConfig(select=frozenset({"LINT999"})).active_rules()
+    LintConfig(ignore=frozenset({"LINT999"}))
 
 
 def _analysis_bad_severity():
