@@ -15,12 +15,11 @@ import pytest
 
 from repro.benchcircuits import make_benchmark
 from repro.core import mask_circuit
-from repro.engine import compile_circuit
+from repro.engine import compile_circuit, patterns_to_words
 from repro.sim import (
-    pack_patterns,
+    eval_words_with_faults,
     random_patterns,
-    sample_at_clock,
-    simulate_words,
+    sample_words,
     speed_path_gates,
 )
 
@@ -53,26 +52,27 @@ def test_injected_errors_are_fully_masked(benchmark, name, lsi_lib):
             break
     workload = [p for pair in zip(pats, seeded or pats) for p in pair]
 
-    # Reference outputs for the whole workload in one word-parallel engine
-    # pass (one bit per pattern) instead of one dict walk per vector.
-    words, width = pack_patterns(circuit.inputs, workload)
-    ref_words = simulate_words(circuit, words, width)
+    # The workload's consecutive patterns are the vector pairs; bit k of
+    # each word is pair k, and the whole workload is sampled at once.
     aged_raw_cc = compile_circuit(aged_raw)
-    aged_masked_cc = compile_circuit(aged_masked)
+    v1, width = patterns_to_words(aged_raw_cc, workload[:-1])
+    v2, _ = patterns_to_words(aged_raw_cc, workload[1:])
+    settled = eval_words_with_faults(circuit, v2, width)
 
     def run():
-        raw_errors = residual = activations = 0
-        for i, (v1, v2) in enumerate(zip(workload, workload[1:])):
-            raw = sample_at_clock(aged_raw_cc, v1, v2, clock)
-            raw_errors += int(raw.has_error)
-            masked = sample_at_clock(aged_masked_cc, v1, v2, clock)
-            if sigma.evaluate(v2):
-                activations += 1
-            for y, net in design.output_map.items():
-                ref_bit = bool((ref_words[y] >> (i + 1)) & 1)
-                if masked.sampled[net] != ref_bit:
-                    residual += 1
-        return raw_errors, residual, activations
+        raw = sample_words(aged_raw_cc, v1, v2, width, clock, circuit.outputs)
+        wrong = 0
+        for y, word in zip(circuit.outputs, raw):
+            wrong |= word ^ settled[y]
+        masked = sample_words(
+            aged_masked, v1, v2, width, clock, design.output_map.values()
+        )
+        residual = sum(
+            (word ^ settled[y]).bit_count()
+            for y, word in zip(design.output_map, masked)
+        )
+        activations = sum(sigma.evaluate(p) for p in workload[1:])
+        return wrong.bit_count(), residual, activations
 
     raw_errors, residual, activations = benchmark.pedantic(
         run, rounds=1, iterations=1

@@ -17,13 +17,12 @@ Run with::
     python examples/adder_protection.py
 """
 
+import itertools
+
 from repro import lsi10k_like_library, mask_circuit
 from repro.benchcircuits.handmade import ripple_adder, ripple_adder_reference
-from repro.sim import (
-    exhaustive_patterns,
-    sample_at_clock,
-    speed_path_gates,
-)
+from repro.engine import compile_circuit, patterns_to_words
+from repro.sim import exhaustive_patterns, sample_clocks, speed_path_gates
 from repro.sta import analyze
 
 N = 4
@@ -85,7 +84,6 @@ def main() -> None:
     # v2 sets every propagate bit (a_i != b_i) and v1 differs only in cin,
     # so cin's edge ripples through all N stages — the textbook worst case.
     pairs = []
-    import itertools
     for bits in itertools.product([False, True], repeat=N):
         v2 = {f"a{i}": bits[i] for i in range(N)}
         v2.update({f"b{i}": not bits[i] for i in range(N)})
@@ -101,23 +99,29 @@ def main() -> None:
         pairs.append((v1, v2))
     pats = list(exhaustive_patterns(adder.inputs))
     pairs.extend(zip(pats[::7], pats[1::7]))
-    raw_errors = residual = 0
-    checked = 0
+    # Sample every pair at once: bit k of each word is pair k.
+    raw_cc = compile_circuit(raw_aged)
+    v1, width = patterns_to_words(raw_cc, [a for a, _ in pairs])
+    v2, _ = patterns_to_words(raw_cc, [b for _, b in pairs])
+    want = dict.fromkeys(adder.outputs, 0)
+    for k, (_, b) in enumerate(pairs):
+        for y, bit in ripple_adder_reference(N, b).items():
+            want[y] |= bit << k
+    # Conservative sampling: a net still switching at the clock edge is an
+    # error even if the instantaneous value is accidentally right.
     clock_raw = report.critical_delay  # the unprotected design's own period
-    for v1, v2 in pairs:
-        raw = sample_at_clock(raw_aged, v1, v2, clock_raw)
-        # conservative sampling: a net still switching at the clock edge is
-        # an error even if the instantaneous value is accidentally right
-        unstable = any(t > clock_raw for t in raw.settle_time.values())
-        raw_errors += int(raw.has_error or unstable)
-        masked = sample_at_clock(aged, v1, v2, clock)
-        want = ripple_adder_reference(N, v2)
-        for y, net in design.output_map.items():
-            stable = masked.settle_time[net] <= clock
-            if masked.sampled[net] != want[y] or not stable:
-                residual += 1
-        checked += 1
-    print(f"\naged carry chain: {checked} sampled operand pairs, "
+    raw = sample_clocks(raw_aged, v1, v2, width, [clock_raw], adder.outputs)
+    late = 0
+    for word in raw[clock_raw].unsettled.values():
+        late |= word  # pairs with any output still switching
+    raw_errors = late.bit_count()
+    nets = list(design.output_map.values())
+    masked = sample_clocks(aged, v1, v2, width, [clock], nets)[clock]
+    residual = sum(
+        (masked.values[net] ^ want[y] | masked.unsettled[net]).bit_count()
+        for y, net in design.output_map.items()
+    )
+    print(f"\naged carry chain: {width} sampled operand pairs, "
           f"{raw_errors} raw timing errors, {residual} errors after masking")
     assert residual == 0
 

@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.apps.wearout import _biased_workload, _error_words, _observed_nets
 from repro.core.integrate import MaskedDesign
 from repro.core.masking import MaskingResult
+from repro.engine import compile_circuit, patterns_to_words
 from repro.errors import SimulationError
-from repro.sim.eventsim import two_vector_waveforms
+from repro.sim.eventsim import sample_clocks
 
 
 @dataclass(frozen=True)
@@ -60,34 +62,6 @@ class DvsResult:
         return 100.0 * (1.0 - self.min_safe_period() / self.nominal_period)
 
 
-def _cycle_outcome(
-    design: MaskedDesign, waves, period: int
-) -> tuple[bool, bool, bool]:
-    """(raw error, masked event, residual error) for one sampled cycle."""
-    raw = masked_event = residual = False
-    for y in design.output_map:
-        correct = waves[y].final
-        sampled = waves[y].value_at(period)
-        unstable = waves[y].settle_time > period
-        if sampled != correct or unstable:
-            raw = True
-        pred_net = design.prediction_nets.get(y)
-        if pred_net is None:
-            if sampled != correct or unstable:
-                residual = True
-            continue
-        e = waves[design.indicator_nets[y]].value_at(period)
-        pred = waves[pred_net].value_at(period)
-        if e and (sampled != pred or unstable):
-            masked_event = True
-        if e:
-            if pred != correct:
-                residual = True
-        elif sampled != correct or unstable:
-            residual = True
-    return raw, masked_event, residual
-
-
 def dvs_sweep(
     masking: MaskingResult,
     design: MaskedDesign,
@@ -103,8 +77,6 @@ def dvs_sweep(
     the safe region should extend to roughly 90%).  The workload is biased
     into the SPCF like :func:`repro.apps.wearout.wearout_experiment`.
     """
-    from repro.apps.wearout import _biased_workload
-
     nominal = design.clock_period
     if periods is None:
         periods = sorted(
@@ -115,31 +87,22 @@ def dvs_sweep(
     pats = _biased_workload(
         masking, design.circuit.inputs, cycles + 1, seed, sigma_bias
     )
-    pairs = list(zip(pats, pats[1:]))
-    # Waveforms are period-independent: simulate each vector pair once and
-    # re-sample at every swept period.
-    relevant = set(design.output_map) | set(
-        design.prediction_nets.values()
-    ) | set(design.indicator_nets.values())
-    all_waves = []
-    for v1, v2 in pairs:
-        waves = two_vector_waveforms(design.circuit, v1, v2)
-        all_waves.append({net: waves[net] for net in relevant})
+    compiled = compile_circuit(design.circuit)
+    v1, width = patterns_to_words(compiled, pats[:-1])
+    v2, _ = patterns_to_words(compiled, pats[1:])
+    # One word pass answers every swept period.
+    samples = sample_clocks(
+        compiled, v1, v2, width, periods, _observed_nets(design)
+    )
     points = []
     for period in periods:
-        raw = events = residual = 0
-        for waves in all_waves:
-            r, m, esc = _cycle_outcome(design, waves, period)
-            raw += int(r)
-            events += int(m)
-            residual += int(esc)
-        n = len(pairs)
+        raw, events, residual = _error_words(design, samples[period])
         points.append(
             DvsPoint(
                 period=period,
-                raw_error_rate=raw / n,
-                masked_error_rate=events / n,
-                residual_error_rate=residual / n,
+                raw_error_rate=raw.bit_count() / cycles,
+                masked_error_rate=events.bit_count() / cycles,
+                residual_error_rate=residual.bit_count() / cycles,
             )
         )
     return DvsResult(nominal_period=nominal, points=tuple(points))

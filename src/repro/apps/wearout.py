@@ -16,14 +16,14 @@ timing errors would have corrupted outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.integrate import MaskedDesign
 from repro.core.masking import MaskingResult
+from repro.engine import compile_circuit, patterns_to_words
 from repro.errors import SimulationError
-from repro.netlist.circuit import Circuit
 from repro.sim.aging import LinearAging, SaturatingAging, speed_path_gates
-from repro.sim.eventsim import two_vector_waveforms
+from repro.sim.eventsim import ClockSample, sample_clocks
 from repro.sim.logicsim import random_patterns
 
 
@@ -92,46 +92,41 @@ class WearoutEpoch:
     masking circuit retains slack)."""
 
 
-def _masked_cycle(
-    design: MaskedDesign,
-    aged: Circuit,
-    v1: Mapping[str, bool],
-    v2: Mapping[str, bool],
-    clock: int,
-) -> tuple[bool, bool, bool]:
-    """One clocked cycle on the aged masked design.
+def _observed_nets(design: MaskedDesign) -> list[str]:
+    """Each original output of ``design``, its predictions and indicators."""
+    return [
+        *design.output_map,
+        *design.prediction_nets.values(),
+        *design.indicator_nets.values(),
+    ]
 
-    Returns ``(masked_error_event, unmasked_error, residual_error)``.
+
+def _error_words(design: MaskedDesign, sample: ClockSample) -> tuple[int, int, int]:
+    """``(raw error, masked event, residual error)`` words of one batch.
+
+    ``sample`` holds the :func:`_observed_nets` of the masked design at its
+    clock edge; bit ``k`` of each returned word is vector pair ``k``.  An
+    output is in error when it is still switching after the edge: that
+    covers a wrong sample, and under conservative sampling semantics a net
+    still switching at the edge is unreliable even if its instantaneous
+    value happens to be right (the flop may catch a glitch or go
+    metastable).  An asserted indicator selects the prediction instead, so
+    the output is then wrong only when the prediction is; the logged masked
+    event is the paper's ``e_i AND (y_i XOR y~_i)``.
     """
-    waves = two_vector_waveforms(aged, v1, v2)
-    masked_event = False
-    unmasked_error = False
-    residual_error = False
-    for y, masked_net in design.output_map.items():
-        correct = waves[y].final
-        raw_sampled = waves[y].value_at(clock)
-        # Conservative sampling semantics: a net still switching at the
-        # clock edge is unreliable even if the instantaneous value happens
-        # to be right (the flop may catch a glitch or go metastable).
-        raw_bad = raw_sampled != correct or waves[y].settle_time > clock
-        if raw_bad:
-            unmasked_error = True
+    raw = event = residual = 0
+    for y in design.output_map:
+        bad = sample.unsettled[y]
+        raw |= bad
         pred_net = design.prediction_nets.get(y)
-        if pred_net is not None:
-            e = waves[design.indicator_nets[y]].value_at(clock)
-            pred = waves[pred_net].value_at(clock)
-            if e and (raw_sampled != pred or waves[y].settle_time > clock):
-                # The paper's logged event: e_i AND (y_i XOR y~_i).
-                masked_event = True
-            if e:
-                ok = pred == correct
-            else:
-                ok = not raw_bad
-        else:
-            ok = not raw_bad
-        if not ok:
-            residual_error = True
-    return masked_event, unmasked_error, residual_error
+        if pred_net is None:
+            residual |= bad
+            continue
+        e = sample.values[design.indicator_nets[y]]
+        pred = sample.values[pred_net]
+        event |= e & (sample.values[y] ^ pred | bad)
+        residual |= e & (pred ^ sample.settled[y]) | bad & ~e
+    return raw, event, residual
 
 
 def _biased_workload(
@@ -188,26 +183,25 @@ def wearout_experiment(
     base = design.circuit
     clock = design.clock_period
     gates = speed_path_gates(masking.circuit) & set(base.gates)
+    nets = _observed_nets(design)
     results: list[WearoutEpoch] = []
     for epoch in range(epochs):
         scale = aging.scale_at(float(epoch))
-        aged = base.with_delay_scales({g: scale for g in gates})
-        masked = unmasked = residual = 0
+        aged = compile_circuit(base.with_delay_scales({g: scale for g in gates}))
         pats = _biased_workload(
             masking, base.inputs, cycles_per_epoch + 1, seed + epoch, sigma_bias
         )
-        for v1, v2 in zip(pats, pats[1:]):
-            m, u, r = _masked_cycle(design, aged, v1, v2, clock)
-            masked += int(m)
-            unmasked += int(u)
-            residual += int(r)
+        v1, width = patterns_to_words(aged, pats[:-1])
+        v2, _ = patterns_to_words(aged, pats[1:])
+        sample = sample_clocks(aged, v1, v2, width, [clock], nets)[clock]
+        unmasked, masked, residual = _error_words(design, sample)
         results.append(
             WearoutEpoch(
                 stress_time=float(epoch),
                 delay_scale=scale,
-                masked_error_rate=masked / cycles_per_epoch,
-                unmasked_error_rate=unmasked / cycles_per_epoch,
-                residual_error_rate=residual / cycles_per_epoch,
+                masked_error_rate=masked.bit_count() / cycles_per_epoch,
+                unmasked_error_rate=unmasked.bit_count() / cycles_per_epoch,
+                residual_error_rate=residual.bit_count() / cycles_per_epoch,
             )
         )
     return results

@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 #: Seconds a freshly spawned worker may take to import and report ready.
 WORKER_START_TIMEOUT = 60.0
 
+_TRACER = obs.get_tracer("campaign")
 _METER = obs.get_meter()
 _RESPAWNS = _METER.counter(
     "repro_campaign_respawns_total",
@@ -263,23 +264,27 @@ class WorkerSlot:
         if handle is not None:
             handle.kill()
             self.handle = None
-        if respawning or self.respawns:
-            delay = self.respawn_delay()
-            if delay > 0:
-                time.sleep(delay)
-        try:
-            handle = _WorkerHandle()
-        except OSError as exc:
-            # Spawning itself failed (exec error, fd or memory exhaustion):
-            # one attempt lost, like any environmental failure.
-            raise self._spawn_failed(str(exc)) from exc
-        if not handle.wait_ready(WORKER_START_TIMEOUT):
-            # Never became ready: a broken environment or a stuck import.
-            rc = handle.kill()
-            raise self._spawn_failed(
-                f"not ready within {WORKER_START_TIMEOUT:g}s "
-                f"({handle.death_message(rc)})"
-            )
+        # The backoff, the interpreter start and the worker's imports are
+        # waiting on a worker, not work of the attempt that needs it.
+        with _TRACER.span("campaign.worker_spawn", respawn=respawning):
+            if respawning or self.respawns:
+                delay = self.respawn_delay()
+                if delay > 0:
+                    time.sleep(delay)
+            try:
+                handle = _WorkerHandle()
+            except OSError as exc:
+                # Spawning itself failed (exec error, fd or memory
+                # exhaustion): one attempt lost, like any environmental
+                # failure.
+                raise self._spawn_failed(str(exc)) from exc
+            if not handle.wait_ready(WORKER_START_TIMEOUT):
+                # Never became ready: a broken environment or a stuck import.
+                rc = handle.kill()
+                raise self._spawn_failed(
+                    f"not ready within {WORKER_START_TIMEOUT:g}s "
+                    f"({handle.death_message(rc)})"
+                )
         if respawning or self.respawns:
             self.respawns += 1
             _RESPAWNS.add(1, outcome="respawned")

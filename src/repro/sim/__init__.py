@@ -10,18 +10,11 @@ from repro.sim.aging import (
 )
 from repro.sim.eventsim import (
     Waveform,
+    sample_clocks,
     sample_words,
-    settle_times,
     two_vector_waveforms,
 )
-from repro.sim.faults import (
-    SampleResult,
-    eval_with_faults,
-    eval_words_with_faults,
-    sample_at_clock,
-    sample_many,
-    timing_errors,
-)
+from repro.sim.faults import eval_with_faults, eval_words_with_faults
 from repro.sim.logicsim import (
     exhaustive_patterns,
     pack_patterns,
@@ -46,14 +39,10 @@ __all__ = [
     "is_speed_path_pattern",
     "Waveform",
     "two_vector_waveforms",
-    "settle_times",
     "sample_words",
-    "SampleResult",
-    "sample_at_clock",
-    "sample_many",
+    "sample_clocks",
     "eval_with_faults",
     "eval_words_with_faults",
-    "timing_errors",
     "AGING_MODELS",
     "LinearAging",
     "SaturatingAging",

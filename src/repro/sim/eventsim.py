@@ -7,18 +7,19 @@ applied to the input waveforms, each shifted by the corresponding pin-to-pin
 delay — so waveforms can be built functionally in one topological pass
 instead of with an event queue.
 
-The masked-sampling model in :mod:`repro.sim.faults` samples these waveforms
-at the clock edge; a *timing error* is a sampled value that differs from the
-settled value.  When only that one sample is wanted, :func:`sample_words`
-computes it for a whole batch of vector pairs at once without building any
-waveform.
+A clocked flop samples these waveforms at the clock edge; a *timing error*
+is a sampled value that differs from the settled value.
+:func:`sample_words` computes that sample, and :func:`sample_clocks` also
+whether the net still switches after the edge, for a whole batch of vector
+pairs at once without building any waveform.  The waveforms themselves are
+the per-pair reference these word functions are tested against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro.engine import CompiledCircuit, compile_circuit
 from repro.errors import SimulationError
@@ -120,17 +121,6 @@ def two_vector_waveforms(
     return dict(zip(compiled.net_names, waves))
 
 
-def settle_times(
-    circuit: Circuit | CompiledCircuit,
-    v1: Mapping[str, bool],
-    v2: Mapping[str, bool],
-) -> dict[str, int]:
-    """Last-transition time of every primary output for the vector pair."""
-    compiled = compile_circuit(circuit)
-    waves = two_vector_waveforms(compiled, v1, v2)
-    return {net: waves[net].settle_time for net in compiled.outputs}
-
-
 def sample_words(
     circuit: Circuit | CompiledCircuit,
     v1_words: Sequence[int],
@@ -146,24 +136,121 @@ def sample_words(
     the inputs switch from ``v1`` to ``v2`` at t = 0.  Bit ``k`` of the
     returned word for a net equals
     ``two_vector_waveforms(circuit, v1_k, v2_k)[net].value_at(clock)``.
+    Only ``t = clock`` is evaluated; :func:`sample_clocks` also tells
+    whether a net is still switching after the clock.
+    """
+    compiled = compile_circuit(circuit)
+    targets = _net_indices(compiled, nets)
+    settled, memo = _timed_words(
+        compiled, v1_words, v2_words, width, {i: (clock,) for i in targets}
+    )
+    return [memo[i].get(clock, settled[i]) for i in targets]
 
-    Why this is exact: under the pure delay model a gate's waveform is its
-    function applied pointwise to its fanin waveforms, each shifted by the
-    pin delay, so ``v_z(t) = f_z(v_i(t - d_i))`` — the ``(node, t)``
-    recursion of Eqn. 1 on values.  An input reads ``v1`` for ``t < 0`` and
-    ``v2`` from ``t = 0`` on.  Every transition of a net happens at the sum
-    of the delays along some input-to-net path, never later than the net's
-    latest arrival time, so for ``t >= arrival`` the net already holds its
-    settled value, which one zero-delay pass over ``v2`` gives.  Only the
-    remaining ``(net, t)`` pairs are evaluated, once each, bitwise across
-    all pairs, so glitches appear in the samples exactly as in the
-    waveforms.
+
+class ClockSample(NamedTuple):
+    """Words of a batch of vector pairs at one clock edge, keyed by net.
+
+    Bit ``k`` of every word is vector pair ``k``.
+    """
+
+    values: dict[str, int]
+    """The net's value at the clock edge."""
+    unsettled: dict[str, int]
+    """Set where the net still switches after the clock edge."""
+    settled: dict[str, int]
+    """The net's final value."""
+
+
+def sample_clocks(
+    circuit: Circuit | CompiledCircuit,
+    v1_words: Sequence[int],
+    v2_words: Sequence[int],
+    width: int,
+    clocks: Iterable[int],
+    nets: Iterable[str],
+) -> dict[int, ClockSample]:
+    """Sample each of ``nets`` at each of ``clocks``, for ``width`` pairs.
+
+    The arguments are those of :func:`sample_words`, with several clock
+    edges.  For each clock, bit ``k`` of ``values[net]`` equals
+    ``two_vector_waveforms(circuit, v1_k, v2_k)[net].value_at(clock)`` and
+    bit ``k`` of ``unsettled[net]`` equals ``...[net].settle_time > clock``.
+
+    Why this is exact: every pin delay is an integer, so every transition
+    happens at an integer time no later than the net's arrival.  A last
+    transition after ``clock`` leaves the net off its settled value at the
+    integer time just before it, and a net off its settled value at some
+    ``t >= clock`` still has a transition to come.  So a net is unsettled
+    after ``clock`` exactly when it differs from its settled value at some
+    integer ``t`` in ``[clock, arrival)``: one evaluation of those times
+    answers every clock of the sweep.
+    """
+    clocks = sorted(set(clocks))
+    if not clocks:
+        return {}
+    start = clocks[0]
+    if start < 0:
+        raise SimulationError(f"clock period {start} must be non-negative")
+    compiled = compile_circuit(circuit)
+    nets = list(nets)
+    targets = _net_indices(compiled, nets)
+    arrival = compiled.arrival()
+    settled, memo = _timed_words(
+        compiled, v1_words, v2_words, width,
+        {i: range(start, arrival[i]) for i in targets},
+    )
+    samples = {clock: ClockSample({}, {}, {}) for clock in clocks}
+    for net, i in zip(nets, targets):
+        words, final = memo[i], settled[i]
+        after: dict[int, int] = {}
+        late = 0
+        for t in range(arrival[i] - 1, start - 1, -1):
+            late |= words[t] ^ final
+            after[t] = late
+        for clock, sample in samples.items():
+            sample.values[net] = words.get(clock, final)
+            sample.unsettled[net] = after.get(clock, 0)
+            sample.settled[net] = final
+    return samples
+
+
+def _net_indices(compiled: CompiledCircuit, nets: Iterable[str]) -> list[int]:
+    index = compiled.net_index
+    try:
+        return [index[net] for net in nets]
+    except KeyError as exc:
+        raise SimulationError(f"cannot sample unknown net {exc.args[0]!r}") from None
+
+
+def _timed_words(
+    compiled: CompiledCircuit,
+    v1_words: Sequence[int],
+    v2_words: Sequence[int],
+    width: int,
+    demand: Mapping[int, Iterable[int]],
+) -> tuple[list[int], list[dict[int, int]]]:
+    """Settled words, and each net's words at the times ``demand`` reaches.
+
+    ``demand`` maps a net index to the times its value is wanted at.
+    Returns the settled word of every net and, per net, ``{t: word}`` for
+    every demanded time below the net's arrival; at or past its arrival a
+    net holds its settled word.
+
+    Under the pure delay model a gate's waveform is its function applied
+    pointwise to its fanin waveforms, each shifted by the pin delay, so
+    ``v_z(t) = f_z(v_i(t - d_i))`` — the ``(node, t)`` recursion of Eqn. 1
+    on values.  An input reads ``v1`` for ``t < 0`` and ``v2`` from
+    ``t = 0`` on.  Every transition of a net happens at the sum of the
+    delays along some input-to-net path, never later than the net's latest
+    arrival time, so for ``t >= arrival`` the net already holds its settled
+    value, which one zero-delay pass over ``v2`` gives.  Only the remaining
+    ``(net, t)`` pairs are evaluated, once each, bitwise across all pairs,
+    so glitches appear in the words exactly as in the waveforms.
 
     Two non-recursive passes: a demand pass in reverse topological order
     collects, per net, the times ``t < arrival`` it must be known at; a
     forward pass then evaluates them in gate order.
     """
-    compiled = compile_circuit(circuit)
     n_inputs = compiled.n_inputs
     if len(v1_words) != n_inputs or len(v2_words) != n_inputs:
         raise SimulationError(
@@ -172,11 +259,6 @@ def sample_words(
         )
     if width < 0:
         raise SimulationError(f"pattern width {width} must be non-negative")
-    index = compiled.net_index
-    try:
-        targets = [index[net] for net in nets]
-    except KeyError as exc:
-        raise SimulationError(f"cannot sample unknown net {exc.args[0]!r}") from None
     mask = (1 << width) - 1
     early = [w & mask for w in v1_words]
     settled = [w & mask for w in v2_words] + [0] * compiled.n_gates
@@ -186,9 +268,8 @@ def sample_words(
 
     arrival = compiled.arrival()
     need: list[set[int]] = [set() for _ in range(compiled.n_nets)]
-    for i in targets:
-        if clock < arrival[i]:
-            need[i].add(clock)
+    for i, times in demand.items():
+        need[i].update(t for t in times if t < arrival[i])
     arcs = [tuple(zip(fanins, delays)) for fanins, delays in
             zip(compiled.gate_fanins, compiled.gate_delays)]
     for out in range(compiled.n_nets - 1, n_inputs - 1, -1):
@@ -213,6 +294,4 @@ def sample_words(
                 memo[f][t - d] if t - d < arrival[f] else settled[f]
                 for f, d in pins
             ])
-    return [
-        memo[i][clock] if clock < arrival[i] else settled[i] for i in targets
-    ]
+    return settled, memo

@@ -1,86 +1,19 @@
-"""Timing-error injection and clocked sampling.
+"""Net-fault injection under zero-delay evaluation.
 
-A combinational stage is sampled at the clock edge ``clock``.  A *timing
-error* at an output is a sampled value that differs from the settled value —
-exactly what happens when a speed-path slows past the clock period due to
-aging, voltage droop, or a marginal path.
-
-:func:`sampled_outputs` and :func:`timing_errors` operate on the raw circuit;
-the masked variants live in :mod:`repro.core.integrate`, which knows about
-the prediction/indicator outputs.
+A transient single-event upset inverts a net for one pattern; a stuck-at
+fault pins it in every pattern.  :func:`eval_words_with_faults` evaluates a
+packed batch of patterns with such faults, and :func:`eval_with_faults` is
+its one-pattern call.  Timing errors, the values a clocked flop samples
+before its output settles, come from :mod:`repro.sim.eventsim`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.engine import CompiledCircuit, compile_circuit
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
-from repro.sim.eventsim import two_vector_waveforms
-
-
-@dataclass(frozen=True)
-class SampleResult:
-    """Outcome of sampling one vector pair at the clock edge."""
-
-    sampled: dict[str, bool]
-    settled: dict[str, bool]
-    settle_time: dict[str, int]
-
-    def errors(self) -> dict[str, bool]:
-        """Per-output timing-error flags (sampled != settled)."""
-        return {
-            net: self.sampled[net] != self.settled[net] for net in self.sampled
-        }
-
-    @property
-    def has_error(self) -> bool:
-        return any(self.errors().values())
-
-
-def sample_at_clock(
-    circuit: Circuit | CompiledCircuit,
-    v1: Mapping[str, bool],
-    v2: Mapping[str, bool],
-    clock: int,
-) -> SampleResult:
-    """Simulate the vector pair and sample all outputs at ``clock``."""
-    if clock < 0:
-        raise SimulationError(f"clock period {clock} must be non-negative")
-    compiled = compile_circuit(circuit)
-    waves = two_vector_waveforms(compiled, v1, v2)
-    outputs = compiled.outputs
-    sampled = {net: waves[net].value_at(clock) for net in outputs}
-    settled = {net: waves[net].final for net in outputs}
-    times = {net: waves[net].settle_time for net in outputs}
-    return SampleResult(sampled=sampled, settled=settled, settle_time=times)
-
-
-def sample_many(
-    circuit: Circuit | CompiledCircuit,
-    vector_pairs: Iterable[tuple[Mapping[str, bool], Mapping[str, bool]]],
-    clock: int,
-) -> Iterator[SampleResult]:
-    """Sample a whole workload of vector pairs, compiling the circuit once.
-
-    The Monte-Carlo injection harnesses iterate thousands of pairs; this
-    amortizes the lowering and keeps the hot loop on the array IR.
-
-    Empty workloads are legal and yield nothing — but the clock is still
-    validated up front, so a bad period is reported even when the batch
-    (e.g. an ``n=0`` campaign shard) contains no vector pairs.
-    """
-    if clock < 0:
-        raise SimulationError(f"clock period {clock} must be non-negative")
-    compiled = compile_circuit(circuit)
-
-    def _generate() -> Iterator[SampleResult]:
-        for v1, v2 in vector_pairs:
-            yield sample_at_clock(compiled, v1, v2, clock)
-
-    return _generate()
 
 
 def eval_words_with_faults(
@@ -158,17 +91,3 @@ def eval_with_faults(
         compiled, bits, 1, flips=dict.fromkeys(flips, 1), stuck=stuck
     )
     return {net: bool(v) for net, v in values.items()}
-
-
-def timing_errors(
-    circuit: Circuit | CompiledCircuit,
-    vector_pairs: Iterable[tuple[Mapping[str, bool], Mapping[str, bool]]],
-    clock: int,
-) -> list[tuple[int, dict[str, bool]]]:
-    """Indices and per-output error flags for every erroneous vector pair."""
-    failures = []
-    for idx, result in enumerate(sample_many(circuit, vector_pairs, clock)):
-        errs = result.errors()
-        if any(errs.values()):
-            failures.append((idx, errs))
-    return failures

@@ -523,6 +523,11 @@ class TestObservability:
         assert len(worker_shards) == 2
         for r in worker_shards:
             assert by_id[r["parent"]]["name"] == "campaign.attempt"
+        # The one dispatch thread spawns its worker once, inside the first
+        # attempt, so the spawn-and-ready wait is not attempt self time.
+        (spawn,) = [r for r in records if r["name"] == "campaign.worker_spawn"]
+        assert by_id[spawn["parent"]]["name"] == "campaign.attempt"
+        assert spawn["args"]["respawn"] is False
         # The worker's time is the attempt's child time, not its self time.
         (attempt,) = [
             row for row in obs.summarize_trace(records)["rows"]

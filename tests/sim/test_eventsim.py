@@ -12,12 +12,12 @@ from repro.netlist import Circuit, lsi10k_like_library, unit_library
 from repro.sim import (
     Waveform,
     exhaustive_patterns,
-    settle_times,
+    sample_clocks,
+    sample_words,
     simulate,
     stabilization_times,
     two_vector_waveforms,
 )
-from repro.sim.eventsim import sample_words
 from tests.conftest import random_dag_circuit
 
 LIB = unit_library()
@@ -72,10 +72,10 @@ def test_settle_bounded_by_floating_mode():
         c = random_dag_circuit(seed, num_inputs=5, num_gates=12)
         pats = list(exhaustive_patterns(c.inputs))
         for v1, v2 in zip(pats[::2], pats[1::2]):
-            settles = settle_times(c, v1, v2)
+            waves = two_vector_waveforms(c, v1, v2)
             oracle = stabilization_times(c, v2)
             for y in c.outputs:
-                assert settles[y] <= oracle[y], (seed, y)
+                assert waves[y].settle_time <= oracle[y], (seed, y)
 
 
 def test_glitch_visible_in_waveform():
@@ -103,16 +103,35 @@ def _random_pairs(inputs, count, seed):
 
 
 def _assert_samples_match_waveforms(compiled, pairs, clocks, nets):
-    """``sample_words`` bit k == the waveform of pair k at every clock."""
+    """Bit k of the word samplers == the waveform of pair k at every clock.
+
+    ``sample_words`` gives the value at the clock; one ``sample_clocks``
+    call over every non-negative clock also gives whether the net settles
+    after it, and its final value.
+    """
     v1, width = patterns_to_words(compiled, [a for a, _ in pairs])
     v2, _ = patterns_to_words(compiled, [b for _, b in pairs])
     waves = [two_vector_waveforms(compiled, a, b) for a, b in pairs]
+
+    def bits(word):
+        return [bool(word >> k & 1) for k in range(width)]
+
+    swept = sample_clocks(
+        compiled, v1, v2, width, [t for t in clocks if t >= 0], nets
+    )
     for clock in sorted(clocks):
         words = sample_words(compiled, v1, v2, width, clock, nets)
         for net, word in zip(nets, words):
-            got = [bool(word >> k & 1) for k in range(width)]
             want = [w[net].value_at(clock) for w in waves]
-            assert got == want, (net, clock)
+            assert bits(word) == want, (net, clock)
+            if clock < 0:
+                continue
+            sample = swept[clock]
+            assert bits(sample.values[net]) == want, (net, clock)
+            assert bits(sample.unsettled[net]) == [
+                w[net].settle_time > clock for w in waves
+            ], (net, clock)
+            assert bits(sample.settled[net]) == [w[net].final for w in waves]
 
 
 @pytest.mark.parametrize("scaled", [False, True], ids=["nominal", "scaled"])

@@ -1,4 +1,4 @@
-"""Tests for clocked sampling and timing-error injection."""
+"""Tests for clocked sampling, timing-error injection and net faults."""
 
 import random
 
@@ -11,21 +11,39 @@ from repro.sim import (
     eval_with_faults,
     exhaustive_patterns,
     random_patterns,
-    sample_at_clock,
-    sample_many,
+    sample_clocks,
+    sample_words,
     simulate,
-    timing_errors,
+    two_vector_waveforms,
 )
 from repro.sim.faults import eval_words_with_faults
 from repro.sta import analyze
 from tests.conftest import random_dag_circuit
 
 
+def _sample_pairs(circuit, pats, clock):
+    """Consecutive patterns as vector pairs, sampled at ``clock`` as words."""
+    compiled = compile_circuit(circuit)
+    v1, width = patterns_to_words(compiled, pats[:-1])
+    v2, _ = patterns_to_words(compiled, pats[1:])
+    return sample_clocks(compiled, v1, v2, width, [clock], circuit.outputs)[clock]
+
+
+def _error_pairs(sample):
+    """Word of the pairs in which some output samples a wrong value."""
+    wrong = 0
+    for y, value in sample.values.items():
+        wrong |= value ^ sample.settled[y]
+    return wrong
+
+
 def test_sampling_at_full_period_is_error_free():
     c = comparator2()
     delta = analyze(c).critical_delay
     pats = list(exhaustive_patterns(c.inputs))
-    assert timing_errors(c, zip(pats, pats[1:]), clock=delta) == []
+    sample = _sample_pairs(c, pats, delta)
+    assert _error_pairs(sample) == 0
+    assert set(sample.unsettled.values()) == {0}
 
 
 def test_aged_circuit_shows_errors_only_when_late():
@@ -33,53 +51,37 @@ def test_aged_circuit_shows_errors_only_when_late():
     delta = analyze(c).critical_delay
     slow = c.with_delay_scales({"t4": 3.0})
     pats = list(exhaustive_patterns(c.inputs))
-    failures = timing_errors(slow, zip(pats, pats[1:]), clock=delta)
-    assert failures  # slowing the speed-path past the clock must fail
-    # and each reported failure is a genuine sample/settle mismatch
-    for idx, errs in failures:
-        result = sample_at_clock(slow, pats[idx], pats[idx + 1], delta)
-        assert result.has_error
-        assert errs == result.errors()
-
-
-def test_sample_result_fields():
-    c = comparator2()
-    v1 = dict.fromkeys(c.inputs, False)
-    v2 = dict.fromkeys(c.inputs, True)
-    res = sample_at_clock(c, v1, v2, clock=7)
-    assert set(res.sampled) == {"y"}
-    assert res.settle_time["y"] <= 7
-    assert not res.has_error
+    sample = _sample_pairs(slow, pats, delta)
+    wrong = _error_pairs(sample)
+    assert wrong  # slowing the speed-path past the clock must fail
+    # every wrong sample is on an output still switching after the clock,
+    # and is a genuine sample/settle mismatch of the pair's waveform
+    for y, value in sample.values.items():
+        assert (value ^ sample.settled[y]) & ~sample.unsettled[y] == 0
+    for k in range(len(pats) - 1):
+        waves = two_vector_waveforms(slow, pats[k], pats[k + 1])
+        mismatch = any(
+            waves[y].value_at(delta) != waves[y].final for y in c.outputs
+        )
+        assert mismatch == bool(wrong >> k & 1), k
 
 
 def test_negative_clock_rejected():
-    c = comparator2()
-    v = dict.fromkeys(c.inputs, False)
-    with pytest.raises(SimulationError):
-        sample_at_clock(c, v, v, clock=-1)
-
-
-def test_sample_many_empty_batch_is_legal():
-    """An n=0 workload yields nothing instead of erroring in the backend."""
-    c = comparator2()
-    assert list(sample_many(c, [], clock=7)) == []
-
-
-def test_sample_many_validates_clock_before_iterating():
     """A bad period is reported at the call, even for an empty batch."""
     c = comparator2()
-    with pytest.raises(SimulationError, match="clock period"):
-        sample_many(c, [], clock=-1)
+    words = [0] * len(c.inputs)
+    for width in (1, 0):
+        with pytest.raises(SimulationError, match="clock period"):
+            sample_clocks(c, words, words, width, [7, -1], c.outputs)
 
 
-def test_sample_many_matches_sample_at_clock():
+def test_sample_words_empty_batch_is_legal():
+    """An n=0 workload samples to empty words instead of erroring."""
     c = comparator2()
-    pats = list(exhaustive_patterns(c.inputs))[:5]
-    pairs = list(zip(pats, pats[1:]))
-    many = list(sample_many(c, pairs, clock=7))
-    assert len(many) == len(pairs)
-    for (v1, v2), res in zip(pairs, many):
-        assert res == sample_at_clock(c, v1, v2, clock=7)
+    words = [0] * len(c.inputs)
+    assert sample_words(c, words, words, 0, 7, c.outputs) == [0]
+    sample = sample_clocks(c, words, words, 0, [7], c.outputs)[7]
+    assert sample == ({"y": 0}, {"y": 0}, {"y": 0})
 
 
 def test_eval_with_faults_no_faults_matches_simulate():
@@ -114,13 +116,12 @@ def test_error_rate_grows_with_aging():
     c = comparator2()
     delta = analyze(c).critical_delay
     pats = list(random_patterns(c.inputs, 120, seed=3))
-    pairs = list(zip(pats, pats[1:]))
     rates = []
     for scale in (1.0, 1.5, 2.5):
         slow = c.with_delay_scales(
             {g: scale for g in ("t4", "y", "nb0", "nb1")}
         )
-        rates.append(len(timing_errors(slow, pairs, clock=delta)))
+        rates.append(_error_pairs(_sample_pairs(slow, pats, delta)).bit_count())
     assert rates[0] == 0
     assert rates[0] <= rates[1] <= rates[2]
     assert rates[2] > 0

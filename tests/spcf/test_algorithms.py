@@ -16,8 +16,8 @@ from repro.benchcircuits import circuit_by_name, comparator2, comparator_nbit
 from repro.sim import (
     exhaustive_patterns,
     random_patterns,
-    settle_times,
     stabilization_times,
+    two_vector_waveforms,
 )
 from repro.spcf import (
     SpcfContext,
@@ -69,8 +69,9 @@ def late_pairs_outside_sigma(circuit, spcf, pairs):
     """
     late, escaped = [], []
     for v1, v2 in pairs:
-        for y, t in settle_times(circuit, v1, v2).items():
-            if t > spcf.target:
+        waves = two_vector_waveforms(circuit, v1, v2)
+        for y in circuit.outputs:
+            if waves[y].settle_time > spcf.target:
                 late.append((y, v1, v2))
                 if not spcf.per_output[y].evaluate(v2):
                     escaped.append((y, v1, v2))
