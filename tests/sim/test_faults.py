@@ -67,12 +67,18 @@ def test_aged_circuit_shows_errors_only_when_late():
 
 
 def test_negative_clock_rejected():
+    c = comparator2()
+    words = [0] * len(c.inputs)
+    with pytest.raises(SimulationError, match="clock period"):
+        sample_clocks(c, words, words, 1, [7, -1], c.outputs)
+
+
+def test_sample_many_validates_clock_before_iterating():
     """A bad period is reported at the call, even for an empty batch."""
     c = comparator2()
     words = [0] * len(c.inputs)
-    for width in (1, 0):
-        with pytest.raises(SimulationError, match="clock period"):
-            sample_clocks(c, words, words, width, [7, -1], c.outputs)
+    with pytest.raises(SimulationError, match="clock period"):
+        sample_clocks(c, words, words, 0, [7, -1], c.outputs)
 
 
 def test_sample_words_empty_batch_is_legal():
